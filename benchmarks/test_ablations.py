@@ -14,7 +14,6 @@ from benchmarks.conftest import HARNESS, BenchmarkProgram
 from benchmarks.harness import Harness
 from repro import Runtime
 from repro.runtime.ports import capture_output
-from repro.runtime.stats import STATS
 
 # --- contract boundary ablation -------------------------------------------------
 
@@ -48,11 +47,11 @@ def _run_boundary(lang: str):
     rt.register_module("client", _make_client(lang))
     rt.compile("client")
     ns = rt.make_namespace()
-    STATS.reset()
+    rt.stats.reset()
     with capture_output() as port:
         rt.instantiate("client", ns)
     assert port.contents() == "20000\n"
-    return STATS.snapshot()
+    return rt.stats.snapshot()
 
 
 class TestContractBoundaryAblation:

@@ -11,7 +11,6 @@ import time
 
 from repro import Runtime
 from repro.langs.typed import OPTIMIZER_CONFIG
-from repro.runtime.stats import STATS
 
 KERNEL = """
 ({define} (step {x}){ret}
@@ -49,11 +48,11 @@ def run(rt: Runtime, name: str, source: str) -> None:
     rt.register_module(path, source)
     rt.compile(path)
     ns = rt.make_namespace()
-    STATS.reset()
+    rt.stats.reset()
     start = time.perf_counter()
     rt.instantiate(path, ns)
     elapsed = time.perf_counter() - start
-    stats = STATS.snapshot()
+    stats = rt.stats.snapshot()
     print(
         f"{name:<16} {elapsed * 1000:8.1f} ms   "
         f"generic dispatches: {stats['generic_dispatches']:>8}   "

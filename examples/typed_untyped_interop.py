@@ -11,7 +11,6 @@ Run:  python examples/typed_untyped_interop.py
 """
 
 from repro import ContractViolation, Runtime, TypeCheckError
-from repro.runtime.stats import STATS
 
 rt = Runtime()
 
@@ -34,9 +33,9 @@ rt.register_module(
 (displayln (add-5 7))
 """,
 )
-STATS.reset()
+rt.stats.reset()
 print("typed client output:", rt.run("typed-client").strip())
-print("contract checks paid by typed client:", STATS.contract_checks)
+print("contract checks paid by typed client:", rt.stats.contract_checks)
 
 # ... and misuse is a *static* error:
 rt.register_module(
@@ -57,9 +56,9 @@ rt.register_module(
 (displayln (add-5 12))
 """,
 )
-STATS.reset()
+rt.stats.reset()
 print("\nuntyped client output:", rt.run("untyped-client").strip())
-print("contract checks paid by untyped client:", STATS.contract_checks)
+print("contract checks paid by untyped client:", rt.stats.contract_checks)
 
 rt.register_module(
     "bad-untyped-client",

@@ -46,14 +46,13 @@ from repro.errors import (
 )
 from repro.guard import Budget, CancelToken
 from repro.observe import Recorder, Tracer
-from repro.runtime.stats import STATS, Stats
+from repro.runtime.stats import Stats
 from repro.tools.runner import Runtime
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Runtime",
-    "STATS",
     "Stats",
     "Budget",
     "CancelToken",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ContractViolation
-from repro.runtime.stats import STATS
+from repro.runtime.stats import current_stats
 from repro.runtime.values import ContractedProcedure, Procedure
 from repro.syn.srcloc import SrcLoc
 
@@ -71,7 +71,7 @@ class FlatContract(Contract):
         self.predicate = predicate
 
     def attach(self, value: Any, positive: str, negative: str) -> Any:
-        STATS.contract_checks += 1
+        current_stats().contract_checks += 1
         if not self.predicate(value):
             from repro.runtime.printing import write_value
 
@@ -110,7 +110,7 @@ class ListOfContract(Contract):
     def attach(self, value: Any, positive: str, negative: str) -> Any:
         from repro.runtime.values import NULL, Pair
 
-        STATS.contract_checks += 1
+        current_stats().contract_checks += 1
         node = value
         out = []
         while isinstance(node, Pair):
@@ -138,7 +138,7 @@ class PairOfContract(Contract):
     def attach(self, value: Any, positive: str, negative: str) -> Any:
         from repro.runtime.values import Pair
 
-        STATS.contract_checks += 1
+        current_stats().contract_checks += 1
         if not isinstance(value, Pair):
             from repro.runtime.printing import write_value
 
@@ -163,7 +163,7 @@ class VectorOfContract(Contract):
     def attach(self, value: Any, positive: str, negative: str) -> Any:
         from repro.runtime.values import MVector
 
-        STATS.contract_checks += 1
+        current_stats().contract_checks += 1
         if not isinstance(value, MVector):
             from repro.runtime.printing import write_value
 
@@ -190,7 +190,7 @@ class OrContract(Contract):
         self.name = "(or/c " + " ".join(c.name for c in self.disjuncts) + ")"
 
     def attach(self, value: Any, positive: str, negative: str) -> Any:
-        STATS.contract_checks += 1
+        current_stats().contract_checks += 1
         fn_contract: Optional[Contract] = None
         for c in self.disjuncts:
             if isinstance(c, FunctionContract):

@@ -20,7 +20,6 @@ from typing import Any, Optional
 
 from repro.errors import ArityError, ContractViolation, RuntimeReproError
 from repro.guard.budget import current_guard
-from repro.runtime.stats import STATS
 from repro.runtime.values import (
     Closure,
     ContractedProcedure,

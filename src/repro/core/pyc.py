@@ -1185,9 +1185,7 @@ def codegen_module(compiled: Any) -> PycUnit:
     inline = bool(COMPILE_CONFIG["inline_primitives"])
     plain = _emit_variant(forms, tables, analysis, False, inline, compiled.path)
     governed = _emit_variant(forms, tables, analysis, True, inline, compiled.path)
-    from repro.runtime.stats import STATS
-
-    STATS.pyc_codegens += 1
+    current_stats().pyc_codegens += 1
     return PycUnit(
         code_plain=plain,
         code_governed=governed,
@@ -1318,7 +1316,5 @@ def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
     for pyname, prim_name in unit.prim_values.items():
         g[pyname] = PRIMITIVES[prim_name]
     exec(code, g)
-    from repro.runtime.stats import STATS
-
-    STATS.pyc_links += 1
+    current_stats().pyc_links += 1
     return [g[f"_form{i}"] for i in range(unit.nforms)]

@@ -210,7 +210,8 @@ class ImportContext:
                     "import", fullname, attrs={"file": filename}
                 ), use_guard(budget):
                     path = rt.register_file(filename)
-                    compiled = rt.registry.get_compiled(path)
+                    with rt._observed():
+                        compiled = rt.registry.get_compiled(path)
                     rt.instantiate(path, self.namespace)
             except FileNotFoundError as err:
                 raise ModuleNotFoundError(

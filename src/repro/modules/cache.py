@@ -80,7 +80,7 @@ except ImportError:  # pragma: no cover - non-posix fallback
 from repro.diagnostics.diagnostic import Diagnostic
 from repro.faults import fault_bytes, fault_point
 from repro.observe.recorder import current_recorder
-from repro.runtime.stats import STATS
+from repro.runtime.stats import current_stats
 from repro.runtime.values import Keyword, Symbol
 from repro.syn.binding import TABLE
 from repro.syn.scopes import Scope
@@ -137,6 +137,19 @@ _INTERN_LOCK = threading.Lock()
 #: losers wait on the event; cross-process losers watch the fcntl lock.
 _INFLIGHT: dict[str, threading.Event] = {}
 _INFLIGHT_LOCK = threading.Lock()
+
+
+def _forget_inflight_after_fork() -> None:
+    """A forked child (a ``compile_graph`` process-mode worker) has none of
+    its parent's threads: no parent compile will ever set an inherited
+    event, and a lock a parent thread held at the fork stays held."""
+    global _INFLIGHT_LOCK
+    _INFLIGHT_LOCK = threading.Lock()
+    _INFLIGHT.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inflight_after_fork)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -502,20 +515,20 @@ class ModuleCache:
         if self.disabled or not self._ensure_dir():
             return None, False
         file = self.artifact_path(path, lang, registry.source_hash(path))
-        lock = self._acquire_lock(file)
-        if lock is not None:
-            event = threading.Event()
-            with _INFLIGHT_LOCK:
-                _INFLIGHT[file] = event
-            return (file, lock, event), False
+        # taking the lock, registering the event and reading a contender's
+        # event is one step, so a held lock always has its event in view
+        with _INFLIGHT_LOCK:
+            lock = self._acquire_lock(file)
+            if lock is not None:
+                event = _INFLIGHT[file] = threading.Event()
+                return (file, lock, event), False
+            event = _INFLIGHT.get(file)
         # contended. An in-process compile registers an in-flight event —
         # wait on that (cheap, exact); otherwise fall back to watching a
         # live foreign process's lock. A lock with no live in-flight entry
         # and no (or our own) recorded PID is *unattributable* — somebody
         # is holding the file but provably not compiling here — so
         # compiling locally beats waiting for a phantom.
-        with _INFLIGHT_LOCK:
-            event = _INFLIGHT.get(file)
         if event is not None:
             if event.wait(self.winner_timeout) and os.path.exists(file):
                 self.waits += 1
@@ -574,7 +587,7 @@ class ModuleCache:
         source_hash = registry.source_hash(path)
         file = self.artifact_path(path, lang, source_hash)
         if not os.path.exists(file):
-            STATS.cache_misses += 1
+            current_stats().cache_misses += 1
             self._instant("miss", path)
             return None
 
@@ -609,7 +622,7 @@ class ModuleCache:
                     f"corrupt compiled artifact for {path} "
                     f"({type(err).__name__}: {err}); recompiling from source",
                 )
-            STATS.cache_misses += 1
+            current_stats().cache_misses += 1
             self._instant("miss", path)
             return None
 
@@ -623,8 +636,8 @@ class ModuleCache:
                     f"{dep_path} is unavailable ({type(err).__name__}); "
                     f"recompiling from source",
                 )
-                STATS.cache_invalidations += 1
-                STATS.cache_misses += 1
+                current_stats().cache_invalidations += 1
+                current_stats().cache_misses += 1
                 self._instant("invalidation", path)
                 return None
             if registry.full_key_of(dep_path) != dep_key:
@@ -633,15 +646,15 @@ class ModuleCache:
                     f"stale compiled artifact for {path}: dependency "
                     f"{dep_path} changed; recompiling from source",
                 )
-                STATS.cache_invalidations += 1
-                STATS.cache_misses += 1
+                current_stats().cache_invalidations += 1
+                current_stats().cache_misses += 1
                 self._instant("invalidation", path)
                 return None
 
         module: "CompiledModule" = artifact["module"]
         TABLE.install_entries(module.table_fragment)
         registry.set_full_key(path, artifact["key"])
-        STATS.cache_hits += 1
+        current_stats().cache_hits += 1
         self._instant("hit", path)
         return module
 
@@ -744,7 +757,7 @@ class ModuleCache:
         finally:
             if lock is not None:
                 self._release_lock(lock)
-        STATS.cache_stores += 1
+        current_stats().cache_stores += 1
         self._instant("store", path)
         return True
 

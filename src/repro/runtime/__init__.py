@@ -1,6 +1,6 @@
 """Runtime values, the numeric tower, primitives, and instrumentation."""
 
-from repro.runtime.stats import STATS, Stats
+from repro.runtime.stats import Stats
 from repro.runtime.values import (
     EOF, NULL, VOID, Box, Char, Closure, ContractedProcedure, HashTable,
     Keyword, MVector, Pair, Primitive, Procedure, Symbol, Values,
@@ -8,7 +8,7 @@ from repro.runtime.values import (
 )
 
 __all__ = [
-    "STATS", "Stats", "EOF", "NULL", "VOID", "Box", "Char", "Closure",
+    "Stats", "EOF", "NULL", "VOID", "Box", "Char", "Closure",
     "ContractedProcedure", "HashTable", "Keyword", "MVector", "Pair",
     "Primitive", "Procedure", "Symbol", "Values", "from_list", "gensym",
     "is_list", "list_length", "to_list",

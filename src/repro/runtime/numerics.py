@@ -11,10 +11,12 @@ Representation:
 Generic operations (``generic_add`` etc.) dispatch on operand types, applying
 the usual contagion rules (exactness is lost when a flonum is involved;
 anything touching a complex becomes complex). Every generic call bumps
-``STATS.generic_dispatches`` — this is the cost the paper's optimizer removes
-by rewriting to the ``unsafe_fl*``/``unsafe_fx*`` operations below, which
-perform no dispatch and no tag checks (undefined behaviour on wrong types,
-exactly like Racket's ``unsafe-fl+``).
+``generic_dispatches``, and every unsafe one ``unsafe_ops``, on the Stats of
+the operation in progress (:func:`~repro.runtime.stats.current_stats`).
+Dispatch is the cost the paper's optimizer removes by rewriting to the
+``unsafe_fl*``/``unsafe_fx*`` operations below, which perform no dispatch
+and no tag checks (undefined behaviour on wrong types, exactly like
+Racket's ``unsafe-fl+``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Any
 
 from repro.errors import WrongTypeError
-from repro.runtime.stats import STATS
+from repro.runtime.stats import current_stats
 
 Real = (int, Fraction, float)
 Number = (int, Fraction, float, complex)
@@ -75,28 +77,28 @@ def _check_real(who: str, x: Any) -> None:
 
 
 def generic_add(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("+", a)
     _check_number("+", b)
     return normalize(a + b)
 
 
 def generic_sub(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("-", a)
     _check_number("-", b)
     return normalize(a - b)
 
 
 def generic_mul(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("*", a)
     _check_number("*", b)
     return normalize(a * b)
 
 
 def generic_div(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("/", a)
     _check_number("/", b)
     if isinstance(a, int) and isinstance(b, int):
@@ -123,13 +125,13 @@ def generic_div(a: Any, b: Any) -> Any:
 
 
 def generic_neg(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("-", a)
     return -a
 
 
 def generic_quotient(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if not is_exact_integer(a):
         raise WrongTypeError("quotient", "integer?", a)
     if not is_exact_integer(b) or b == 0:
@@ -141,7 +143,7 @@ def generic_quotient(a: Any, b: Any) -> Any:
 
 
 def generic_remainder(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if not is_exact_integer(a):
         raise WrongTypeError("remainder", "integer?", a)
     if not is_exact_integer(b) or b == 0:
@@ -150,7 +152,7 @@ def generic_remainder(a: Any, b: Any) -> Any:
 
 
 def generic_modulo(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if not is_exact_integer(a):
         raise WrongTypeError("modulo", "integer?", a)
     if not is_exact_integer(b) or b == 0:
@@ -159,7 +161,7 @@ def generic_modulo(a: Any, b: Any) -> Any:
 
 
 def _cmp_args(who: str, a: Any, b: Any) -> None:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real(who, a)
     _check_real(who, b)
 
@@ -185,14 +187,14 @@ def generic_ge(a: Any, b: Any) -> bool:
 
 
 def generic_num_eq(a: Any, b: Any) -> bool:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("=", a)
     _check_number("=", b)
     return a == b
 
 
 def generic_abs(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("abs", a)
     return normalize(abs(a))
 
@@ -214,7 +216,7 @@ def generic_max(a: Any, b: Any) -> Any:
 
 
 def generic_sqrt(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("sqrt", a)
     if isinstance(a, complex) and not isinstance(a, float):
         import cmath
@@ -241,7 +243,7 @@ def generic_sqrt(a: Any) -> Any:
 
 
 def generic_expt(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("expt", a)
     _check_number("expt", b)
     if is_exact_rational(a) and is_exact_integer(b):
@@ -254,7 +256,7 @@ def generic_expt(a: Any, b: Any) -> Any:
 
 
 def generic_exp(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("exp", a)
     if isinstance(a, complex) and not isinstance(a, float):
         import cmath
@@ -264,7 +266,7 @@ def generic_exp(a: Any) -> Any:
 
 
 def generic_log(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("log", a)
     if isinstance(a, complex) and not isinstance(a, float):
         import cmath
@@ -283,7 +285,7 @@ def generic_log(a: Any) -> Any:
 
 def _real_trig(name: str, fn: Any) -> Any:
     def op(a: Any) -> Any:
-        STATS.generic_dispatches += 1
+        current_stats().generic_dispatches += 1
         _check_real(name, a)
         return fn(a)
 
@@ -299,7 +301,7 @@ generic_acos = _real_trig("acos", math.acos)
 
 
 def generic_atan(a: Any, b: Any = None) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("atan", a)
     if b is None:
         return math.atan(a)
@@ -308,7 +310,7 @@ def generic_atan(a: Any, b: Any = None) -> Any:
 
 
 def generic_floor(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("floor", a)
     if isinstance(a, float):
         return float(math.floor(a))
@@ -316,7 +318,7 @@ def generic_floor(a: Any) -> Any:
 
 
 def generic_ceiling(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("ceiling", a)
     if isinstance(a, float):
         return float(math.ceil(a))
@@ -324,7 +326,7 @@ def generic_ceiling(a: Any) -> Any:
 
 
 def generic_truncate(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("truncate", a)
     if isinstance(a, float):
         return float(math.trunc(a))
@@ -332,7 +334,7 @@ def generic_truncate(a: Any) -> Any:
 
 
 def generic_round(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("round", a)
     if isinstance(a, float):
         return float(round(a))
@@ -340,7 +342,7 @@ def generic_round(a: Any) -> Any:
 
 
 def generic_magnitude(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("magnitude", a)
     if isinstance(a, complex) and not isinstance(a, float):
         return abs(a)
@@ -348,7 +350,7 @@ def generic_magnitude(a: Any) -> Any:
 
 
 def generic_real_part(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("real-part", a)
     if isinstance(a, complex) and not isinstance(a, float):
         return a.real
@@ -356,7 +358,7 @@ def generic_real_part(a: Any) -> Any:
 
 
 def generic_imag_part(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("imag-part", a)
     if isinstance(a, complex) and not isinstance(a, float):
         return a.imag
@@ -364,7 +366,7 @@ def generic_imag_part(a: Any) -> Any:
 
 
 def generic_make_rectangular(re: Any, im: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("make-rectangular", re)
     _check_real("make-rectangular", im)
     if im == 0 and not isinstance(im, float):
@@ -373,7 +375,7 @@ def generic_make_rectangular(re: Any, im: Any) -> Any:
 
 
 def generic_exact_to_inexact(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_number("exact->inexact", a)
     if isinstance(a, complex) and not isinstance(a, float):
         return a
@@ -381,7 +383,7 @@ def generic_exact_to_inexact(a: Any) -> Any:
 
 
 def generic_inexact_to_exact(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     _check_real("inexact->exact", a)
     if isinstance(a, float):
         return normalize(Fraction(a))
@@ -396,7 +398,7 @@ def generic_number_to_string(a: Any) -> str:
 
 
 def generic_gcd(a: Any, b: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if not is_exact_integer(a):
         raise WrongTypeError("gcd", "integer?", a)
     if not is_exact_integer(b):
@@ -405,7 +407,7 @@ def generic_gcd(a: Any, b: Any) -> Any:
 
 
 def generic_numerator(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if isinstance(a, Fraction):
         return a.numerator
     if is_exact_integer(a):
@@ -414,7 +416,7 @@ def generic_numerator(a: Any) -> Any:
 
 
 def generic_denominator(a: Any) -> Any:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if isinstance(a, Fraction):
         return a.denominator
     if is_exact_integer(a):
@@ -431,22 +433,22 @@ def generic_denominator(a: Any) -> Any:
 
 
 def unsafe_fl_add(a: float, b: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a + b
 
 
 def unsafe_fl_sub(a: float, b: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a - b
 
 
 def unsafe_fl_mul(a: float, b: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a * b
 
 
 def unsafe_fl_div(a: float, b: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     if b == 0.0:
         if a == 0.0:
             return math.nan
@@ -455,151 +457,151 @@ def unsafe_fl_div(a: float, b: float) -> float:
 
 
 def unsafe_fl_lt(a: float, b: float) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a < b
 
 
 def unsafe_fl_le(a: float, b: float) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a <= b
 
 
 def unsafe_fl_gt(a: float, b: float) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a > b
 
 
 def unsafe_fl_ge(a: float, b: float) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a >= b
 
 
 def unsafe_fl_eq(a: float, b: float) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a == b
 
 
 def unsafe_fl_abs(a: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return abs(a)
 
 
 def unsafe_fl_min(a: float, b: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a if a <= b else b
 
 
 def unsafe_fl_max(a: float, b: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a if a >= b else b
 
 
 def unsafe_fl_neg(a: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return -a
 
 
 def unsafe_fl_sqrt(a: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return math.sqrt(a)
 
 
 def unsafe_fl_sin(a: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return math.sin(a)
 
 
 def unsafe_fl_cos(a: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return math.cos(a)
 
 
 def unsafe_fl_floor(a: float) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return float(math.floor(a))
 
 
 def unsafe_fx_add(a: int, b: int) -> int:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a + b
 
 
 def unsafe_fx_sub(a: int, b: int) -> int:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a - b
 
 
 def unsafe_fx_mul(a: int, b: int) -> int:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a * b
 
 
 def unsafe_fx_lt(a: int, b: int) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a < b
 
 
 def unsafe_fx_le(a: int, b: int) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a <= b
 
 
 def unsafe_fx_gt(a: int, b: int) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a > b
 
 
 def unsafe_fx_ge(a: int, b: int) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a >= b
 
 
 def unsafe_fx_eq(a: int, b: int) -> bool:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a == b
 
 
 def unsafe_fx_quotient(a: int, b: int) -> int:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
 
 
 def unsafe_fx_remainder(a: int, b: int) -> int:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a - unsafe_fx_quotient(a, b) * b
 
 
 def unsafe_fc_add(a: complex, b: complex) -> complex:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a + b
 
 
 def unsafe_fc_sub(a: complex, b: complex) -> complex:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a - b
 
 
 def unsafe_fc_mul(a: complex, b: complex) -> complex:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a * b
 
 
 def unsafe_fc_div(a: complex, b: complex) -> complex:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a / b
 
 
 def unsafe_fc_magnitude(a: complex) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return abs(a)
 
 
 def unsafe_fc_real(a: complex) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a.real
 
 
 def unsafe_fc_imag(a: complex) -> float:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return a.imag

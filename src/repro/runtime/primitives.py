@@ -1,7 +1,8 @@
 """The kernel primitive library.
 
 Builds the table of runtime primitives installed in the ``#%kernel`` module.
-Safe accessors perform tag checks (counted in ``STATS.tag_checks``); the
+Safe accessors perform tag checks, counted in ``tag_checks`` on the Stats of
+the operation in progress (:func:`~repro.runtime.stats.current_stats`); the
 ``unsafe-*`` family skips them (§7.1: "Racket exposes unsafe type-specialized
 primitives ... they also serve as signals to the code generator").
 """
@@ -20,7 +21,7 @@ from repro.runtime import values as v
 from repro.runtime.equality import eq, equal, eqv
 from repro.runtime.ports import current_output_port
 from repro.runtime.printing import display_value, write_value
-from repro.runtime.stats import STATS
+from repro.runtime.stats import current_stats
 
 PRIMITIVES: dict[str, v.Primitive] = {}
 
@@ -155,7 +156,7 @@ add_prim("negative?", lambda x: num.generic_lt(x, 0), 1, 1)
 
 @define_prim("even?", 1, 1)
 def prim_even(x: Any) -> bool:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if not num.is_exact_integer(x):
         raise WrongTypeError("even?", "integer?", x)
     return x % 2 == 0
@@ -163,7 +164,7 @@ def prim_even(x: Any) -> bool:
 
 @define_prim("odd?", 1, 1)
 def prim_odd(x: Any) -> bool:
-    STATS.generic_dispatches += 1
+    current_stats().generic_dispatches += 1
     if not num.is_exact_integer(x):
         raise WrongTypeError("odd?", "integer?", x)
     return x % 2 == 1
@@ -250,28 +251,28 @@ for _name, (_fn, _lo, _hi) in _UNSAFE.items():
 
 
 def _unsafe_car(p: v.Pair) -> Any:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return p.car
 
 
 def _unsafe_cdr(p: v.Pair) -> Any:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return p.cdr
 
 
 def _unsafe_vector_ref(vec: v.MVector, i: int) -> Any:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return vec.items[i]
 
 
 def _unsafe_vector_set(vec: v.MVector, i: int, value: Any) -> Any:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     vec.items[i] = value
     return v.VOID
 
 
 def _unsafe_vector_length(vec: v.MVector) -> int:
-    STATS.unsafe_ops += 1
+    current_stats().unsafe_ops += 1
     return len(vec.items)
 
 
@@ -298,7 +299,7 @@ add_prim("cons", v.Pair, 2, 2)
 
 @define_prim("car", 1, 1)
 def prim_car(p: Any) -> Any:
-    STATS.tag_checks += 1
+    current_stats().tag_checks += 1
     if type(p) is not v.Pair:
         raise WrongTypeError("car", "pair?", p)
     return p.car
@@ -306,7 +307,7 @@ def prim_car(p: Any) -> Any:
 
 @define_prim("cdr", 1, 1)
 def prim_cdr(p: Any) -> Any:
-    STATS.tag_checks += 1
+    current_stats().tag_checks += 1
     if type(p) is not v.Pair:
         raise WrongTypeError("cdr", "pair?", p)
     return p.cdr
@@ -314,7 +315,7 @@ def prim_cdr(p: Any) -> Any:
 
 @define_prim("set-car!", 2, 2)
 def prim_set_car(p: Any, value: Any) -> Any:
-    STATS.tag_checks += 1
+    current_stats().tag_checks += 1
     if type(p) is not v.Pair:
         raise WrongTypeError("set-car!", "pair?", p)
     p.car = value
@@ -323,7 +324,7 @@ def prim_set_car(p: Any, value: Any) -> Any:
 
 @define_prim("set-cdr!", 2, 2)
 def prim_set_cdr(p: Any, value: Any) -> Any:
-    STATS.tag_checks += 1
+    current_stats().tag_checks += 1
     if type(p) is not v.Pair:
         raise WrongTypeError("set-cdr!", "pair?", p)
     p.cdr = value
@@ -658,7 +659,7 @@ def prim_make_vector(n: Any, fill: Any = 0) -> v.MVector:
 
 @define_prim("vector-ref", 2, 2)
 def prim_vector_ref(vec: Any, i: Any) -> Any:
-    STATS.tag_checks += 1
+    current_stats().tag_checks += 1
     if type(vec) is not v.MVector:
         raise WrongTypeError("vector-ref", "vector?", vec)
     if not (isinstance(i, int) and 0 <= i < len(vec.items)):
@@ -668,7 +669,7 @@ def prim_vector_ref(vec: Any, i: Any) -> Any:
 
 @define_prim("vector-set!", 3, 3)
 def prim_vector_set(vec: Any, i: Any, value: Any) -> Any:
-    STATS.tag_checks += 1
+    current_stats().tag_checks += 1
     if type(vec) is not v.MVector:
         raise WrongTypeError("vector-set!", "vector?", vec)
     if not (isinstance(i, int) and 0 <= i < len(vec.items)):
@@ -679,7 +680,7 @@ def prim_vector_set(vec: Any, i: Any, value: Any) -> Any:
 
 @define_prim("vector-length", 1, 1)
 def prim_vector_length(vec: Any) -> int:
-    STATS.tag_checks += 1
+    current_stats().tag_checks += 1
     if type(vec) is not v.MVector:
         raise WrongTypeError("vector-length", "vector?", vec)
     return len(vec.items)

@@ -24,40 +24,17 @@ ranks it, and ``repro trace --format summary`` / the REPL's ``,stats``
 render it.
 
 One ``rt.stats.snapshot()`` covers everything — expansion, dispatch, and
-cache traffic; ``rt.cache_stats()`` remains as a backward-compatible alias
-that filters the snapshot down to the ``cache_*`` counters.
-
-Benchmarks report these alongside wall-clock time.
+cache traffic. Benchmarks report these alongside wall-clock time.
 
 Counters are **per-Runtime**: each :class:`~repro.Runtime` owns a
-:class:`Stats` instance (``rt.stats``) that its compile/instantiate
-operations activate, so concurrent or sequential Runtimes never bleed
-counts into each other. The module-level :data:`STATS` name is kept for
-existing callers: it is a transparent alias that reads and writes the
-*current* Stats — the one activated by the Runtime operation in progress,
-falling back to the stats of the most recently created Runtime (so test
-code that runs a module and then inspects ``STATS`` keeps seeing that
-run's counters).
-
-Thread-safety contract (audited for the concurrency layer, ISSUE 9):
-
-- **Inside a Runtime operation** the alias resolves through a
-  ``contextvars.ContextVar`` set by :func:`use_stats`. Context variables
-  are per-thread (and per-task), so N threads driving N Runtimes each
-  charge their own counters — this is the path every pipeline call site
-  (expander, cache, backends) uses, and it is race-free by construction.
-- **The ambient fallback is last-writer-wins** across threads: both
-  Runtime construction and :func:`use_stats` overwrite the one-element
-  ``_AMBIENT`` cell. It exists only so *sequential* scripts can read
-  ``STATS`` after an operation returns; concurrent code must read
-  ``rt.stats`` (each Runtime's own instance) instead. The cell is a
-  single-slot list, so the overwrite itself is atomic under the GIL —
-  torn reads are impossible, you just may see a sibling thread's Runtime.
-- Individual counter bumps (``stats.cache_hits += 1``) are not atomic in
-  general, but every mutation happens on the *operation's own* Stats
-  object resolved via the contextvar, so two threads never increment the
-  same instance unless the caller deliberately shares one Runtime across
-  threads — which the Runtime API does not support (see DESIGN §11).
+:class:`Stats` instance (``rt.stats``) that :func:`use_stats` activates for
+each of its operations. Every counter bump in the pipeline and the runtime
+reads the operation's own Stats from one ``ContextVar``
+(``current_stats().unsafe_ops += 1``); context variables are per-thread and
+per-task, so concurrent or sequential Runtimes never bleed counts into each
+other. Work done outside any operation (a primitive called directly from
+Python) is charged to a private sink that no Runtime reads; wrap such calls
+in ``with use_stats(Stats()) as s:`` to count them.
 """
 
 from __future__ import annotations
@@ -65,7 +42,7 @@ from __future__ import annotations
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 
 @dataclass
@@ -123,84 +100,21 @@ class Stats:
         return ranked[:n]
 
 
-#: the process-default instance, active when no Runtime has ever been built
-_DEFAULT = Stats()
-
-#: stats activated for the duration of a Runtime operation (context-scoped,
-#: so threads/tasks running different Runtimes stay isolated)
-_ACTIVE: contextvars.ContextVar[Optional[Stats]] = contextvars.ContextVar(
-    "repro_active_stats", default=None
+#: the operation in progress's Stats; outside any operation the default, a
+#: private sink, absorbs the counts
+_ACTIVE: contextvars.ContextVar[Stats] = contextvars.ContextVar(
+    "repro_active_stats", default=Stats()
 )
 
-#: fallback read by the STATS alias outside any operation: the stats of the
-#: most recently created (or activated) Runtime — a one-element cell so the
-#: alias keeps pointing at "the run you just did" for sequential callers
-_AMBIENT: list[Stats] = [_DEFAULT]
-
-
-def current_stats() -> Stats:
-    """The Stats instance the STATS alias currently resolves to."""
-    active = _ACTIVE.get()
-    return active if active is not None else _AMBIENT[0]
-
-
-def set_ambient_stats(stats: Stats) -> None:
-    """Make ``stats`` the fallback target of the STATS alias (called when a
-    Runtime is created, so module-level reads track the newest Runtime)."""
-    _AMBIENT[0] = stats
+#: the Stats every counter bump charges: ``current_stats().tag_checks += 1``
+current_stats = _ACTIVE.get
 
 
 @contextmanager
 def use_stats(stats: Stats) -> Iterator[Stats]:
     """Activate ``stats`` for the dynamic extent of a Runtime operation."""
-    _AMBIENT[0] = stats
     token = _ACTIVE.set(stats)
     try:
         yield stats
     finally:
         _ACTIVE.reset(token)
-
-
-class _StatsAlias:
-    """Backwards-compatible module-level facade over the current Stats.
-
-    Supports exactly the old surface — attribute reads, ``+=`` updates,
-    ``reset()`` and ``snapshot()`` — but delegates to :func:`current_stats`
-    so every Runtime keeps its own counters.
-    """
-
-    __slots__ = ()
-
-    def reset(self) -> None:
-        current_stats().reset()
-
-    def snapshot(self) -> dict[str, Union[int, dict[str, int]]]:
-        return current_stats().snapshot()
-
-    def count_expansion_step(self, macro_name: str) -> None:
-        current_stats().count_expansion_step(macro_name)
-
-    def top_macros(self, n: int = 10) -> list[tuple[str, int]]:
-        return current_stats().top_macros(n)
-
-    def __repr__(self) -> str:
-        return f"#<stats-alias {current_stats()!r}>"
-
-
-def _delegate(name: str) -> property:
-    def _get(self: _StatsAlias) -> int:
-        return getattr(current_stats(), name)
-
-    def _set(self: _StatsAlias, value: int) -> None:
-        setattr(current_stats(), name, value)
-
-    return property(_get, _set)
-
-
-for _f in fields(Stats):
-    setattr(_StatsAlias, _f.name, _delegate(_f.name))
-del _f
-
-
-#: Module-level alias shared by the whole runtime; delegates per-Runtime.
-STATS = _StatsAlias()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import WrongTypeError
-from repro.runtime.stats import STATS
+from repro.runtime.stats import current_stats
 from repro.runtime.values import Primitive, Symbol, Values
 
 
@@ -53,7 +53,7 @@ def _register() -> None:
             return StructInstance(descriptor, list(args))
 
         def predicate(x: Any) -> bool:
-            STATS.tag_checks += 1
+            current_stats().tag_checks += 1
             return isinstance(x, StructInstance) and x.descriptor is descriptor
 
         out: list[Any] = [
@@ -62,7 +62,7 @@ def _register() -> None:
         ]
         for index in range(field_count):
             def accessor(x: Any, _i: int = index) -> Any:
-                STATS.tag_checks += 1
+                current_stats().tag_checks += 1
                 if not (isinstance(x, StructInstance) and x.descriptor is descriptor):
                     raise WrongTypeError(f"{text}-ref", f"{text}?", x)
                 return x.fields[_i]
@@ -73,7 +73,7 @@ def _register() -> None:
                 def mutator(x: Any, value: Any, _i: int = index) -> Any:
                     from repro.runtime.values import VOID
 
-                    STATS.tag_checks += 1
+                    current_stats().tag_checks += 1
                     if not (
                         isinstance(x, StructInstance) and x.descriptor is descriptor
                     ):

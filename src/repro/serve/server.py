@@ -36,7 +36,9 @@ Protocol (all bodies JSON):
 Error semantics: platform errors (parse, expansion, type, module, budget,
 contract) come back as ``ok: false`` with the error's stable code — HTTP
 status stays 200 because the *service* worked; 400/404/405 are reserved
-for malformed requests. Cache degradation (e.g. an injected fault or a
+for malformed requests, 408 (``S408``) for a body that does not arrive
+within the handler's socket timeout, and 413 (``S413``) for a body longer
+than ``MAX_BODY_BYTES``. Cache degradation (e.g. an injected fault or a
 corrupt artifact) never fails a request: the pipeline recompiles from
 source and the response carries the C-coded warnings in
 ``"diagnostics"``.
@@ -61,6 +63,9 @@ _REQ_IDS = itertools.count(1)
 
 #: budget keys a request may set; anything else in "budget" is rejected
 _BUDGET_KEYS = frozenset({"steps", "seconds", "max_depth", "allocations"})
+
+#: the longest request body accepted; a longer Content-Length is S413
+MAX_BODY_BYTES = 1 << 20
 
 _NUMERIC_STATS = (
     "expansion_steps", "eval_steps", "cache_hits", "cache_misses",
@@ -419,6 +424,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     repro_server: ReproServer  # set by the subclass ReproServer.start builds
     protocol_version = "HTTP/1.1"
+    # a reply is two writes (headers, body); with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK, ~40 ms per kept-alive reply
+    disable_nagle_algorithm = True
+    # seconds a read may block: a client that sends a short body, or goes
+    # idle on a kept-alive connection, gives its thread back
+    timeout = 30
 
     # silence the default stderr access log (the service has /stats)
     def log_message(self, format: str, *args: Any) -> None:
@@ -432,33 +443,47 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def _error(self, status: int, code: str, message: str) -> None:
+        self._reply(status, {"ok": False, "error": {"code": code, "message": message}})
+
     def _dispatch(self, method: str, body: Optional[dict]) -> None:
         try:
             status, payload = self.repro_server.handle(method, self.path, body)
         except _BadRequest as err:
-            status, payload = 400, {
-                "ok": False, "error": {"code": "S400", "message": str(err)}
-            }
+            return self._error(400, "S400", str(err))
         except Exception as err:  # never leak a stack trace as a hung socket
-            status, payload = 500, {
-                "ok": False,
-                "error": {"code": "S500", "message": f"{type(err).__name__}: {err}"},
-            }
+            return self._error(500, "S500", f"{type(err).__name__}: {err}")
         self._reply(status, payload)
 
     def do_GET(self) -> None:
         self._dispatch("GET", None)
 
     def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body is left unread, so the connection cannot carry
+            # another request
+            self.close_connection = True
+            if length < 0:
+                self._error(400, "S400", f"bad Content-Length: {declared!r}")
+            else:
+                self._error(413, "S413", f"request body of {length} bytes "
+                            f"exceeds the {MAX_BODY_BYTES}-byte limit")
+            return
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True
+            self._error(408, "S408", f"request body not received within {self.timeout}s")
+            return
         try:
             body = json.loads(raw.decode("utf-8")) if raw else None
         except (ValueError, UnicodeDecodeError):
-            self._reply(400, {
-                "ok": False,
-                "error": {"code": "S400", "message": "request body is not valid JSON"},
-            })
+            self._error(400, "S400", "request body is not valid JSON")
             return
         self._dispatch("POST", body)
 

@@ -31,7 +31,7 @@ from repro.observe.recorder import (
     use_recorder,
 )
 from repro.runtime.ports import capture_output
-from repro.runtime.stats import Stats, set_ambient_stats, use_stats
+from repro.runtime.stats import Stats, use_stats
 
 _ANON = itertools.count()
 
@@ -110,8 +110,6 @@ class Runtime:
             self.registry.expansion_fuel = expansion_fuel
         self.stats = Stats()
         self.budget: Optional[Budget] = resolve_budget(budget)
-        # module-level STATS reads now track this (newest) Runtime
-        set_ambient_stats(self.stats)
         self.tracer: Optional[Recorder] = resolve_trace(trace)
         self.cache: Optional[ModuleCache] = None
         if cache is not False:
@@ -301,13 +299,6 @@ class Runtime:
     def backend(self) -> str:
         """The active execution backend (``"interp"`` or ``"pyc"``)."""
         return self.registry.backend
-
-    # -- cache helpers --------------------------------------------------------
-
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/store/invalidation counters for this Runtime's cache."""
-        snap = self.stats.snapshot()
-        return {k: v for k, v in snap.items() if k.startswith("cache_")}
 
 
 _USAGE = """\

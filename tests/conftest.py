@@ -7,7 +7,6 @@ import itertools
 import pytest
 
 from repro import Runtime
-from repro.runtime.stats import STATS
 
 _COUNTER = itertools.count()
 
@@ -26,10 +25,3 @@ def run(rt: Runtime):
         return rt.run_source(source, path=f"<test-{next(_COUNTER)}>")
 
     return runner
-
-
-@pytest.fixture(autouse=True)
-def reset_stats():
-    STATS.reset()
-    yield
-    STATS.reset()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ContractViolation, TypeCheckError
-from repro.runtime.stats import STATS
 
 SERVER = """#lang simple-type
 (define (add-5 [x : Integer]) : Integer (+ x 5))
@@ -41,9 +40,9 @@ class TestTypedToTyped:
             "#lang simple-type\n(require server)\n(displayln (add-5 7))",
         )
         rt.compile("client")
-        STATS.reset()
+        rt.stats.reset()
         rt.run("client")
-        assert STATS.contract_checks == 0
+        assert rt.stats.contract_checks == 0
 
     def test_type_reexported_through_chain(self, rt):
         rt.register_module("server", SERVER)
@@ -83,9 +82,9 @@ class TestTypedToUntyped:
             "client", "#lang racket\n(require server)\n(add-5 1)\n(add-5 2)"
         )
         rt.compile("client")
-        STATS.reset()
+        rt.stats.reset()
         rt.run("client")
-        assert STATS.contract_checks > 0
+        assert rt.stats.contract_checks > 0
 
     def test_untyped_can_pass_typed_function_around(self, rt):
         rt.register_module("server", SERVER)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TypeCheckError
-from repro.runtime.stats import STATS
 
 
 class TestListRefinement:
@@ -48,10 +47,10 @@ class TestListRefinement:
 (displayln (sum (list 1 2 3)))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         rt.instantiate("m", rt.make_namespace())
-        assert STATS.tag_checks == 0
-        assert STATS.unsafe_ops > 0
+        assert rt.stats.tag_checks == 0
+        assert rt.stats.unsafe_ops > 0
 
     def test_unrefined_access_keeps_tag_checks(self, rt):
         rt.register_module(
@@ -61,9 +60,9 @@ class TestListRefinement:
 (displayln (car xs))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         rt.instantiate("m", rt.make_namespace())
-        assert STATS.tag_checks >= 1
+        assert rt.stats.tag_checks >= 1
 
 
 class TestBaseTypeRefinement:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.langs.typed import OPTIMIZER_CONFIG
 from repro.langs.typed.optimizer import ALL_RULES
-from repro.runtime.stats import STATS
 
 
 @pytest.fixture(autouse=True)
@@ -29,10 +28,10 @@ class TestFloatSpecialization:
     def test_float_ops_become_unsafe(self, rt):
         rt.register_module("m", FLOAT_PROGRAM)
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         assert rt.run("m") == "5.0\n"
-        assert STATS.unsafe_ops > 0
-        assert STATS.generic_dispatches == 0
+        assert rt.stats.unsafe_ops > 0
+        assert rt.stats.generic_dispatches == 0
 
     def test_simple_type_optimizer_equivalent(self, rt):
         rt.register_module(
@@ -42,10 +41,10 @@ class TestFloatSpecialization:
 (displayln (prod 2.0 4.0))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         assert rt.run("m") == "8.0\n"
-        assert STATS.unsafe_ops == 1
-        assert STATS.generic_dispatches == 0
+        assert rt.stats.unsafe_ops == 1
+        assert rt.stats.generic_dispatches == 0
 
     def test_mixed_types_not_specialized(self, rt):
         # (+ Integer Float) stays generic: the optimizer only rewrites
@@ -57,9 +56,9 @@ class TestFloatSpecialization:
 (displayln n)""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         rt.run("m")
-        assert STATS.generic_dispatches >= 1
+        assert rt.stats.generic_dispatches >= 1
 
 
 class TestFixnumSpecialization:
@@ -72,10 +71,10 @@ class TestFixnumSpecialization:
 (displayln (count 100 0))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         assert rt.run("m") == "100\n"
-        assert STATS.generic_dispatches == 0
-        assert STATS.unsafe_ops == 301  # 100 iterations x (= - +) + final =
+        assert rt.stats.generic_dispatches == 0
+        assert rt.stats.unsafe_ops == 301  # 100 iterations x (= - +) + final =
 
 
 class TestPairAndVectorSpecialization:
@@ -87,9 +86,9 @@ class TestPairAndVectorSpecialization:
 (displayln (+ (car p) (cdr p)))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         assert rt.run("m") == "3\n"
-        assert STATS.tag_checks == 0
+        assert rt.stats.tag_checks == 0
 
     def test_listof_access_keeps_tag_checks(self, rt):
         # car on (Listof T) cannot prove non-emptiness: tag check remains
@@ -100,9 +99,9 @@ class TestPairAndVectorSpecialization:
 (displayln (car xs))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         rt.run("m")
-        assert STATS.tag_checks >= 1
+        assert rt.stats.tag_checks >= 1
 
     def test_vector_ops_specialized(self, rt):
         rt.register_module(
@@ -113,10 +112,10 @@ class TestPairAndVectorSpecialization:
 (displayln (vector-ref v 0))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         rt.run("m")
-        assert STATS.tag_checks == 0
-        assert STATS.unsafe_ops >= 2
+        assert rt.stats.tag_checks == 0
+        assert rt.stats.unsafe_ops >= 2
 
 
 class TestComplexSpecialization:
@@ -128,10 +127,10 @@ class TestComplexSpecialization:
 (displayln (rotate 1.0+0.0i))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         assert rt.run("m") == "0.0+1.0i\n"
-        assert STATS.generic_dispatches == 0
-        assert STATS.unsafe_ops >= 1
+        assert rt.stats.generic_dispatches == 0
+        assert rt.stats.unsafe_ops >= 1
 
     def test_paper_count_loop(self, rt):
         # the §3.2 Float-Complex example, adapted
@@ -146,10 +145,10 @@ class TestComplexSpecialization:
 (displayln (count-halvings 8.0+8.0i))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         out = rt.run("m")
         assert int(out) > 0
-        assert STATS.generic_dispatches == 0
+        assert rt.stats.generic_dispatches == 0
 
 
 class TestOptimizerToggle:
@@ -157,19 +156,19 @@ class TestOptimizerToggle:
         OPTIMIZER_CONFIG["optimize"] = False
         rt.register_module("m", FLOAT_PROGRAM)
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         assert rt.run("m") == "5.0\n"
-        assert STATS.unsafe_ops == 0
-        assert STATS.generic_dispatches > 0
+        assert rt.stats.unsafe_ops == 0
+        assert rt.stats.generic_dispatches > 0
 
     def test_rule_group_ablation(self, rt):
         OPTIMIZER_CONFIG["rules"] = {"fixnum"}  # floats NOT specialized
         rt.register_module("m", FLOAT_PROGRAM)
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         assert rt.run("m") == "5.0\n"
-        assert STATS.unsafe_ops == 0
-        assert STATS.generic_dispatches > 0
+        assert rt.stats.unsafe_ops == 0
+        assert rt.stats.generic_dispatches > 0
 
     def test_optimized_and_unoptimized_agree(self, rt):
         program = """#lang typed

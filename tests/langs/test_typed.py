@@ -270,8 +270,6 @@ class TestAnnotatedNamedLet:
             )
 
     def test_loop_gets_optimized(self, rt):
-        from repro.runtime.stats import STATS
-
         rt.register_module(
             "m",
             """#lang typed
@@ -280,7 +278,7 @@ class TestAnnotatedNamedLet:
     (if (= i 50) acc (go (+ i 1) (+ acc 1.0)))))""",
         )
         rt.compile("m")
-        STATS.reset()
+        rt.stats.reset()
         rt.instantiate("m", rt.make_namespace())
-        assert STATS.generic_dispatches == 0
-        assert STATS.unsafe_ops > 0
+        assert rt.stats.generic_dispatches == 0
+        assert rt.stats.unsafe_ops > 0

@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Union
@@ -130,18 +131,22 @@ def py_eval(e: Any, env: dict[str, Any]) -> Any:
     raise AssertionError(e)
 
 
-_RT = Runtime()
-_COUNTER = [0]
+@pytest.fixture(scope="module")
+def run_program():
+    """Run ``#lang`` source in one Runtime shared by this module's examples.
 
-
-def run_program(source: str) -> str:
-    _COUNTER[0] += 1
-    return _RT.run_source(source, path=f"<prop-{_COUNTER[0]}>")
+    The Runtime is closed when the module's tests end: it registers a
+    module per example, and an open Runtime keeps every one of their
+    binding-table entries alive for the rest of the session.
+    """
+    counter = itertools.count(1)
+    with Runtime() as rt:
+        yield lambda source: rt.run_source(source, path=f"<prop-{next(counter)}>")
 
 
 @given(exprs())
 @settings(max_examples=120, deadline=None)
-def test_racket_agrees_with_python_reference(e):
+def test_racket_agrees_with_python_reference(run_program, e):
     expected = py_eval(e, {})
     out = run_program(f"#lang racket\n(displayln {to_scheme(e)})").strip()
     assert out == str(expected)
@@ -168,7 +173,7 @@ def scheme_float_literal(text: str) -> str:
 
 @given(exprs())
 @settings(max_examples=60, deadline=None)
-def test_optimizer_preserves_float_semantics(e):
+def test_optimizer_preserves_float_semantics(run_program, e):
     """fig. 5 safety: optimized typed programs = unoptimized typed programs."""
     fe = _floatify(e)
     program = (
@@ -188,7 +193,7 @@ def test_optimizer_preserves_float_semantics(e):
 
 @given(exprs())
 @settings(max_examples=60, deadline=None)
-def test_typed_and_untyped_agree(e):
+def test_typed_and_untyped_agree(run_program, e):
     """the typed language reuses the host's semantics exactly (§3)."""
     scheme = to_scheme(e)
     untyped = run_program(f"#lang racket\n(displayln {scheme})")

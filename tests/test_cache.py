@@ -266,12 +266,11 @@ class TestCacheManagement:
             assert report["errors"] == []
             assert os.listdir(cache_dir) == []  # empty tree, debris included
 
-    def test_cache_stats_helper(self, tmp_path):
+    def test_cache_counters_in_runtime_stats(self, tmp_path):
         with cached_runtime(tmp_path, m="#lang racket\n(displayln 1)\n") as rt:
             rt.run("m")
-            stats = rt.cache_stats()
-            assert stats["cache_misses"] == 1
-            assert stats["cache_stores"] == 1
+            assert rt.stats.cache_misses == 1
+            assert rt.stats.cache_stores == 1
 
     def test_cli_cache_subcommands(self, tmp_path, capsys, monkeypatch):
         from repro.tools.runner import main

@@ -383,3 +383,21 @@ class TestBindingTableRaceRegressions:
         finally:
             removed = TABLE.remove_entries(b_entries)
             assert removed == len(b_entries)
+
+
+class TestForkedWorkers:
+    def test_child_does_not_inherit_in_flight_claims(self):
+        """A process-mode worker forked while a parent thread holds the
+        in-flight lock, or has a claim registered, starts with neither: the
+        parent's threads do not exist in the child to release them."""
+        from repro.modules import cache
+
+        with cache._INFLIGHT_LOCK:
+            cache._INFLIGHT["<parent-claim>"] = threading.Event()
+            pid = os.fork()
+            if pid == 0:  # the child: report, never return into pytest
+                clean = not cache._INFLIGHT_LOCK.locked() and not cache._INFLIGHT
+                os._exit(0 if clean else 1)
+            del cache._INFLIGHT["<parent-claim>"]
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -84,12 +84,12 @@ class TestFunctionContracts:
         assert exc.value.blame == "server"
 
     def test_contract_checks_counted(self):
-        from repro.runtime.stats import STATS
+        from repro.runtime.stats import Stats, use_stats
 
         wrapped = self.make_wrapped(lambda x: x, [integer_contract()], integer_contract())
-        before = STATS.contract_checks
-        apply_procedure(wrapped, [1])
-        assert STATS.contract_checks > before
+        with use_stats(Stats()) as s:
+            apply_procedure(wrapped, [1])
+        assert s.contract_checks > 0
 
 
 class TestContainerContracts:

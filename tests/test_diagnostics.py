@@ -19,7 +19,6 @@ from repro.errors import (
     SyntaxExpansionError,
     TypeCheckError,
 )
-from repro.runtime.stats import STATS
 from repro.syn.binding import TABLE
 from repro.tools.repl import Repl
 
@@ -141,7 +140,7 @@ class TestGuardedExpansion:
     def test_expansion_steps_counted(self, rt):
         rt.register_module("m", "#lang racket\n(displayln (+ 1 2))")
         rt.compile("m")
-        assert STATS.expansion_steps > 0
+        assert rt.stats.expansion_steps > 0
 
     def test_deep_but_terminating_macro_still_works(self, rt):
         rt.register_module(

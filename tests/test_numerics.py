@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import WrongTypeError
 from repro.runtime import numerics as num
-from repro.runtime.stats import STATS
+from repro.runtime.stats import Stats, use_stats
 
 
 class TestGenericArithmetic:
@@ -41,9 +41,9 @@ class TestGenericArithmetic:
             num.generic_add(True, 1)
 
     def test_counters_increment(self):
-        before = STATS.generic_dispatches
-        num.generic_add(1, 2)
-        assert STATS.generic_dispatches == before + 1
+        with use_stats(Stats()) as s:
+            num.generic_add(1, 2)
+        assert s.generic_dispatches == 1
 
 
 class TestDivision:
@@ -203,15 +203,15 @@ class TestUnsafeOps:
         assert math.isnan(num.unsafe_fl_div(0.0, 0.0))
 
     def test_unsafe_ops_do_not_dispatch(self):
-        before = STATS.generic_dispatches
-        num.unsafe_fl_add(1.0, 2.0)
-        num.unsafe_fx_add(1, 2)
-        assert STATS.generic_dispatches == before
+        with use_stats(Stats()) as s:
+            num.unsafe_fl_add(1.0, 2.0)
+            num.unsafe_fx_add(1, 2)
+        assert s.generic_dispatches == 0
 
     def test_unsafe_counter(self):
-        before = STATS.unsafe_ops
-        num.unsafe_fl_add(1.0, 2.0)
-        assert STATS.unsafe_ops == before + 1
+        with use_stats(Stats()) as s:
+            num.unsafe_fl_add(1.0, 2.0)
+        assert s.unsafe_ops == 1
 
     def test_unsafe_fx_quotient_truncates(self):
         assert num.unsafe_fx_quotient(-7, 2) == num.generic_quotient(-7, 2)

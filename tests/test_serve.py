@@ -10,8 +10,11 @@ degradation with C-coded ``diagnostics``, and runtime pooling.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -19,7 +22,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultRule, use_fault_plan
 from repro.serve import ReproServer
-from repro.serve.server import _BadRequest
+from repro.serve.server import MAX_BODY_BYTES, _BadRequest, _Handler
 
 HELLO = '#lang racket\n(define x 20)\n(displayln (+ x 22))\n'
 
@@ -279,3 +282,59 @@ class TestHTTP:
         with urllib.request.urlopen(srv.url + "/healthz", timeout=60) as resp:
             payload = json.loads(resp.read().decode("utf-8"))
         assert resp.status == 200 and payload["ok"] is True
+
+    def test_keep_alive_replies_do_not_stall(self, srv):
+        conn = http.client.HTTPConnection(*srv.address, timeout=60)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                assert json.loads(conn.getresponse().read())["ok"] is True
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.3, f"10 kept-alive requests took {elapsed:.3f}s"
+
+
+def _raw_post(address, content_length: str, body: bytes = b""):
+    """POST /run over a bare socket; returns (status, decoded JSON reply)."""
+    request = (
+        "POST /run HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("ascii") + body
+    with socket.create_connection(address, timeout=60) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+class TestContentLength:
+    """A malformed Content-Length gets an error envelope, never a dropped
+    socket."""
+
+    @pytest.mark.parametrize(
+        "declared, status, code",
+        [
+            ("abc", 400, "S400"),
+            ("-1", 400, "S400"),
+            ("1.5", 400, "S400"),
+            (str(MAX_BODY_BYTES + 1), 413, "S413"),
+        ],
+    )
+    def test_bad_length_is_an_envelope(self, srv, declared, status, code):
+        got, payload = _raw_post(srv.address, declared)
+        assert got == status
+        assert payload["ok"] is False and payload["error"]["code"] == code
+
+    def test_short_body_times_out_with_an_envelope(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        with ReproServer(cache_dir=str(tmp_path / "cache")) as server:
+            status, payload = _raw_post(server.address, "100", b'{"source"')
+            assert status == 408
+            assert payload["ok"] is False and payload["error"]["code"] == "S408"
+            # the thread that waited is free: the server still answers
+            status, payload = _raw_post(server.address, "2", b"{}")
+            assert status == 400 and payload["error"]["code"] == "S400"
