@@ -8,11 +8,17 @@ translation to Typed Racket" — run under four configurations:
 - ``typed/opt``    — the typed program with the type-driven optimizer (the
                      paper's "Typed Racket" bars);
 - ``typed/no-opt`` — the typed program, optimizer disabled (isolates the
-                     §7 contribution from mere type checking);
+                     §7 contribution from mere type checking):
+                     ``Runtime(optimizer_rules=frozenset())``;
 - ``baseline``     — the untyped program with the compiler's primitive
                      inlining disabled: a simulated less-optimizing
                      comparison compiler standing in for the paper's
-                     Gambit/Larceny/Bigloo bars (see DESIGN.md §3).
+                     Gambit/Larceny/Bigloo bars (see DESIGN.md §3):
+                     ``Runtime(inline_primitives=False)``.
+
+Each configuration is a compile profile of the fresh Runtime that
+:meth:`Harness.prepare` builds per cell; nothing process-global is
+toggled, so cells cannot leak options into each other.
 
 Alongside wall-clock time the harness records the runtime's deterministic
 instrumentation counters (generic dispatches, tag checks, unsafe ops), which
@@ -26,9 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import Runtime
-from repro.core.compile import COMPILE_CONFIG
-from repro.langs.typed import OPTIMIZER_CONFIG
-from repro.langs.typed.optimizer import ALL_RULES
 from repro.runtime.ports import capture_output
 
 CONFIGURATIONS = ("untyped", "typed/opt", "typed/no-opt", "baseline")
@@ -89,63 +92,50 @@ class Harness:
         self.trace = trace
         self.backend = backend
 
-    def _fresh_runtime(self) -> Runtime:
+    def _fresh_runtime(self, **profile) -> Runtime:
         return Runtime(trace=True if self.trace else False,
-                       backend=self.backend)
+                       backend=self.backend, **profile)
 
     def prepare(
         self, program: BenchmarkProgram, config: str, rules: Optional[set[str]] = None
     ) -> Callable[[], BenchResult]:
         """Compile under ``config``; return a thunk that runs one timed
-        iteration in a fresh namespace (compile time excluded)."""
+        iteration in a fresh namespace (compile time excluded). ``rules``
+        restricts ``typed/opt`` to those optimizer rule groups."""
         if config not in CONFIGURATIONS:
             raise ValueError(f"unknown configuration: {config}")
-        rt = self._fresh_runtime()
+        profile: dict = {}
+        if config == "baseline":
+            profile["inline_primitives"] = False
+        elif config == "typed/no-opt":
+            profile["optimizer_rules"] = frozenset()
+        elif config == "typed/opt" and rules is not None:
+            profile["optimizer_rules"] = frozenset(rules)
+        if config in ("untyped", "baseline"):
+            source = "#lang racket\n" + program.untyped
+        else:
+            source = "#lang typed\n" + program.typed
+        rt = self._fresh_runtime(**profile)
         self._counter += 1
         path = f"<bench-{program.name}-{config.replace('/', '-')}-{self._counter}>"
-
-        inline = config != "baseline"
-        saved_opt = dict(OPTIMIZER_CONFIG)
-        saved_rules = set(OPTIMIZER_CONFIG["rules"])
-        saved_inline = COMPILE_CONFIG["inline_primitives"]
-        try:
-            if config in ("untyped", "baseline"):
-                source = "#lang racket\n" + program.untyped
-            else:
-                OPTIMIZER_CONFIG["optimize"] = config == "typed/opt"
-                OPTIMIZER_CONFIG["rules"] = set(rules if rules is not None else ALL_RULES)
-                source = "#lang typed\n" + program.typed
-            # the pyc backend bakes the inlining decision in at codegen
-            # (which happens during compile), so the flag must already be
-            # set here, not only around the timed run
-            COMPILE_CONFIG["inline_primitives"] = inline
-            rt.register_module(path, source)
-            rt.compile(path)
-        finally:
-            COMPILE_CONFIG["inline_primitives"] = saved_inline
-            OPTIMIZER_CONFIG.update(saved_opt)
-            OPTIMIZER_CONFIG["rules"] = saved_rules
+        rt.register_module(path, source)
+        rt.compile(path)
         compile_phases = (
             _phase_slice(rt.tracer, 0) if rt.tracer is not None else {}
         )
         compile_steps = rt.stats.expansion_steps
 
         def run_once() -> BenchResult:
-            saved_inline = COMPILE_CONFIG["inline_primitives"]
-            COMPILE_CONFIG["inline_primitives"] = inline
-            try:
-                ns = rt.make_namespace()
-                # per-Runtime counters: immune to other Runtimes created
-                # between prepare() and the timed run
-                rt.stats.reset()
-                mark = len(rt.tracer.events) if rt.tracer is not None else 0
-                with capture_output() as port:
-                    start = time.perf_counter()
-                    rt.instantiate(path, ns)
-                    elapsed = time.perf_counter() - start
-                snapshot = rt.stats.snapshot()
-            finally:
-                COMPILE_CONFIG["inline_primitives"] = saved_inline
+            ns = rt.make_namespace()
+            # per-Runtime counters: immune to other Runtimes created
+            # between prepare() and the timed run
+            rt.stats.reset()
+            mark = len(rt.tracer.events) if rt.tracer is not None else 0
+            with capture_output() as port:
+                start = time.perf_counter()
+                rt.instantiate(path, ns)
+                elapsed = time.perf_counter() - start
+            snapshot = rt.stats.snapshot()
             output = port.contents()
             if program.expected is not None and output != program.expected:
                 raise AssertionError(

@@ -10,7 +10,6 @@ Run:  python examples/optimizer_tour.py
 import time
 
 from repro import Runtime
-from repro.langs.typed import OPTIMIZER_CONFIG
 
 KERNEL = """
 ({define} (step {x}){ret}
@@ -60,16 +59,11 @@ def run(rt: Runtime, name: str, source: str) -> None:
     )
 
 
-rt = Runtime()
-
 print("one float-intensive loop, three ways:\n")
-run(rt, "untyped", UNTYPED)
-
-OPTIMIZER_CONFIG["optimize"] = False
-run(rt, "typed, no opt", TYPED)
-
-OPTIMIZER_CONFIG["optimize"] = True
-run(rt, "typed + opt", TYPED.replace("typed\n", "typed\n;; recompiled\n"))
+run(Runtime(), "untyped", UNTYPED)
+# an empty optimizer rule set compiles typed modules without the optimizer
+run(Runtime(optimizer_rules=frozenset()), "typed, no opt", TYPED)
+run(Runtime(), "typed + opt", TYPED)
 
 print(
     """

@@ -54,7 +54,11 @@ class InterpBackend:
         self.registry = registry
 
     def instantiate(self, compiled: Any, ns: Any, rec: Any, guard: Any) -> None:
-        compiler = Compiler(ns, analysis=module_analysis(compiled))
+        compiler = Compiler(
+            ns,
+            inline=self.registry.inline_primitives,
+            analysis=module_analysis(compiled),
+        )
         path = compiled.path
         if not rec.enabled:
             if guard is None:
@@ -117,10 +121,5 @@ class PycBackend:
 
 
 def make_backend(name: str, registry: Any):
-    if name == "pyc":
-        return PycBackend(registry)
-    if name == "interp":
-        return InterpBackend(registry)
-    raise ValueError(
-        f"unknown backend: {name!r} (expected one of {', '.join(BACKENDS)})"
-    )
+    pyc = validate_backend(name) == "pyc"
+    return PycBackend(registry) if pyc else InterpBackend(registry)

@@ -26,13 +26,6 @@ from repro.syn.binding import LocalBinding, ModuleBinding
 
 Compiled = Callable[[Any], Any]
 
-#: Global compiler configuration. ``inline_primitives`` enables the direct
-#: Python-call fast path for kernel primitives (our analogue of a Scheme
-#: compiler's primitive inlining). The benchmark harness turns it off to
-#: simulate a less-optimizing comparison compiler (see DESIGN.md §3).
-COMPILE_CONFIG: dict[str, bool] = {"inline_primitives": True}
-
-
 class CEnv:
     """Compile-time environment: local binding uid -> (depth, index)."""
 
@@ -55,8 +48,10 @@ class CEnv:
 
 
 class Compiler:
-    def __init__(self, ns: Namespace, analysis: Any = None) -> None:
+    def __init__(self, ns: Namespace, *, inline: bool, analysis: Any = None) -> None:
         self.ns = ns
+        #: the registry's ``inline_primitives`` (see the module docstring)
+        self.inline = inline
         # Compilation happens at instantiation time, under the owning
         # Runtime's guard (if any) — so governance checks are *compiled in*
         # only for governed Runtimes, the way a bytecode backend would
@@ -266,7 +261,7 @@ class Compiler:
         # Fast path: operator is a module binding already holding a primitive
         # of compatible arity (kernel primitives are pre-installed, so generic
         # and unsafe arithmetic take this route).
-        if COMPILE_CONFIG["inline_primitives"] and isinstance(node.fn, ast.ModuleRef):
+        if self.inline and isinstance(node.fn, ast.ModuleRef):
             cell = self.ns.cell(node.fn.binding.key())
             value = cell[0]
             if (

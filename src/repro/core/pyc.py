@@ -48,7 +48,7 @@ import types
 from typing import Any, Callable, Optional
 
 from repro.core import ast
-from repro.core.compile import COMPILE_CONFIG, _bind_cells
+from repro.core.compile import _bind_cells
 from repro.core.interp import (
     UNDEFINED,
     TailCall,
@@ -99,7 +99,7 @@ class PycUnit:
 
     __slots__ = (
         "code_plain", "code_governed", "cells", "constants",
-        "prims", "prim_values", "nforms", "py_tag", "inline",
+        "prims", "prim_values", "nforms", "py_tag",
     )
 
     def __init__(
@@ -111,7 +111,6 @@ class PycUnit:
         prims: dict[str, str],
         prim_values: dict[str, str],
         nforms: int,
-        inline: bool = True,
     ) -> None:
         self.code_plain = code_plain
         self.code_governed = code_governed
@@ -121,9 +120,6 @@ class PycUnit:
         self.prim_values = prim_values
         self.nforms = nforms
         self.py_tag = PY_TAG
-        #: whether COMPILE_CONFIG["inline_primitives"] was on at codegen;
-        #: a unit is stale for a run with the opposite setting
-        self.inline = inline
 
     def __getstate__(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -1173,16 +1169,16 @@ def _emit_variant(forms: list[ast.ModuleForm], tables: _Tables,
     return marshal.dumps(_canonical_code(code))
 
 
-def codegen_module(compiled: Any) -> PycUnit:
+def codegen_module(compiled: Any, inline: bool) -> PycUnit:
     """Generate a :class:`PycUnit` for a compiled module (both variants).
 
     Namespace-independent: every namespace cell, quoted constant, and
     primitive is reached through a module global resolved at link time.
+    ``inline`` is the registry's ``inline_primitives``.
     """
     analysis = module_analysis(compiled)
     forms = list(compiled.body.forms)
     tables = _Tables()
-    inline = bool(COMPILE_CONFIG["inline_primitives"])
     plain = _emit_variant(forms, tables, analysis, False, inline, compiled.path)
     governed = _emit_variant(forms, tables, analysis, True, inline, compiled.path)
     current_stats().pyc_codegens += 1
@@ -1194,7 +1190,6 @@ def codegen_module(compiled: Any) -> PycUnit:
         prims={name: prim for prim, name in tables.prim_fns.items()},
         prim_values={name: prim for prim, name in tables.prim_vals.items()},
         nforms=len(forms),
-        inline=inline,
     )
 
 

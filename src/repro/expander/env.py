@@ -111,6 +111,13 @@ class ExpandContext:
     def set_meaning(self, binding: Binding, meaning: Meaning) -> None:
         self.meanings[binding.key()] = meaning
 
+    def eval_phase1(self, core: Any) -> Any:
+        """Run a phase-1 core expression in this compilation's store."""
+        from repro.core.compile import Compiler
+
+        compiler = Compiler(self.phase1_ns, inline=self.registry.inline_primitives)
+        return compiler.compile_expr(core, None, False)(None)
+
     # -- language-library stores -------------------------------------------
 
     def store(self, key: str, make: Callable[[], Any]) -> Any:

@@ -63,7 +63,6 @@ def current_expander() -> "Expander":
     return _EXPANDER_STACK[-1]
 
 
-_QUOTE = Symbol("quote")
 _MB_EXPANDED_PROP = "module-begin-expanded"
 _PHASE1_DONE_PROP = "phase1-processed"
 
@@ -805,13 +804,12 @@ class Expander:
                     "define-syntaxes: syntax-rules provides exactly one value", rhs
                 )
             return [transformer], None, transformer
-        from repro.core.compile import Compiler
         from repro.core.parse import parse_expr
         from repro.runtime.values import Values
 
         expanded = self.expand_expr(rhs, phase + 1)
         core = parse_expr(expanded, phase + 1)
-        result = Compiler(self.ctx.phase1_ns).compile_expr(core, None, False)(None)
+        result = self.ctx.eval_phase1(core)
         values = list(result.items) if isinstance(result, Values) else [result]
         if len(values) != count:
             raise SyntaxExpansionError(
@@ -820,7 +818,6 @@ class Expander:
         return values, core, None
 
     def _handle_begin_for_syntax(self, form: Syntax, phase: int) -> Syntax:
-        from repro.core.compile import Compiler
         from repro.core.parse import parse_expr
         from repro.expander.kernel_scope import core_id as cid
         from repro.modules.registry import ForSyntaxDecl
@@ -835,7 +832,7 @@ class Expander:
         )
         expanded = self.expand_expr(begin_stx, phase + 1)
         core = parse_expr(expanded, phase + 1)
-        Compiler(self.ctx.phase1_ns).compile_expr(core, None, False)(None)
+        self.ctx.eval_phase1(core)
         self.ctx.syntax_decls.append(ForSyntaxDecl(core))
         rebuilt = self._rebuild(form, (form.e[0], expanded))
         return rebuilt.property_put(_PHASE1_DONE_PROP, True)

@@ -187,17 +187,6 @@ class Budget:
             )
         self.next_check = self._compute_next_check()
 
-    def charge_depth(self, where: Optional[str] = None) -> None:
-        """Called by the governed trampoline on non-tail application entry."""
-        self.depth += 1
-        if self.max_depth is not None and self.depth > self.max_depth:
-            self._exhaust(
-                "depth", "G003",
-                f"evaluation exceeded its recursion-depth budget of "
-                f"{self.max_depth}",
-                where,
-            )
-
     def charge_alloc(self, n: int = 1) -> None:
         """Called at compiled constructor call sites (see core.compile)."""
         self.allocs_used += n

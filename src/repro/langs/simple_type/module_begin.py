@@ -37,13 +37,11 @@ def install_module_begin(
     checker_factory: Any = SimpleChecker,
     optimizer_factory: Any = SimpleOptimizer,
     base_env_installer: Any = install_base_type_env,
-    config: Optional[dict[str, Any]] = None,
 ) -> None:
     """Install a fig. 2-style typed ``#%module-begin`` on ``lang``.
 
-    ``config`` is a mutable dict consulted at each compilation:
-    ``{"optimize": bool}`` — the benchmark harness toggles it for the
-    optimizer ablation.
+    ``optimizer_factory(ctx)`` builds the compilation's optimizer, or
+    returns None to skip the optimizer pass.
     """
 
     @fn_macro(lang, "#%module-begin")
@@ -75,8 +73,8 @@ def install_module_begin(
         ctx.diagnostics.raise_if_errors()
 
         # fig. 5: the type-driven optimizer
-        if config is None or config.get("optimize", True):
-            optimizer = optimizer_factory(ctx)
+        optimizer = optimizer_factory(ctx)
+        if optimizer is not None:
             with rec.span("optimize", ctx.module_path):
                 body = [optimizer.optimize_module_form(form) for form in core.e[1:]]
         else:

@@ -9,7 +9,7 @@ pair, vector, and float-complex specialization.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Optional
 
 from repro.expander.env import ExpandContext
 from repro.langs.racket import make_racket_language
@@ -19,17 +19,14 @@ from repro.langs.typed.base_env import install_base_type_env
 from repro.langs.typed.checker import FullChecker
 from repro.langs.typed.forms import install_typed_forms
 from repro.langs.typed.structs import install_typed_structs
-from repro.langs.typed.optimizer import ALL_RULES, FullOptimizer
+from repro.langs.typed.optimizer import FullOptimizer
 from repro.modules.registry import Language, ModuleRegistry
 
-#: Mutable optimizer configuration, consulted at each compilation of a
-#: ``typed`` module. The benchmark harness flips these for the ablations
-#: (`typed/no-opt` configuration, per-rule-group ablation).
-OPTIMIZER_CONFIG: dict[str, Any] = {"optimize": True, "rules": set(ALL_RULES)}
 
-
-def _optimizer_factory(ctx: ExpandContext) -> FullOptimizer:
-    return FullOptimizer(ctx, frozenset(OPTIMIZER_CONFIG["rules"]))
+def _optimizer_factory(ctx: ExpandContext) -> Optional[FullOptimizer]:
+    # an empty rule set is the typed/no-opt configuration: no pass at all
+    rules = ctx.registry.optimizer_rules
+    return FullOptimizer(ctx, rules) if rules else None
 
 
 def make_typed_language(registry: ModuleRegistry) -> Language:
@@ -46,7 +43,6 @@ def make_typed_language(registry: ModuleRegistry) -> Language:
         checker_factory=FullChecker,
         optimizer_factory=_optimizer_factory,
         base_env_installer=install_base_type_env,
-        config=OPTIMIZER_CONFIG,
     )
     registry.register_language(lang)
     registry.languages["typed/racket"] = lang  # the paper's `#lang typed/racket`

@@ -231,6 +231,8 @@ def _compile_batch(
     cache_dir: str,
     backend: str,
     expansion_fuel: Optional[int],
+    inline_primitives: bool,
+    optimizer_rules: frozenset[str],
 ) -> dict[str, tuple[str, float, Optional[str]]]:
     """Compile a batch of on-disk modules into the shared cache.
 
@@ -246,6 +248,8 @@ def _compile_batch(
         cache_dir=cache_dir,
         backend=backend,
         expansion_fuel=expansion_fuel,
+        inline_primitives=inline_primitives,
+        optimizer_rules=optimizer_rules,
     )
     try:
         for path in paths:
@@ -394,6 +398,8 @@ def compile_graph(
                         registry.cache.dir,
                         registry.backend,
                         registry.expansion_fuel,
+                        registry.inline_primitives,
+                        registry.optimizer_rules,
                     ): batch
                     for batch in _chunk(disk, jobs)
                 }
@@ -444,7 +450,9 @@ def _has_artifact(registry: "ModuleRegistry", path: str) -> bool:
         return False
     try:
         lang, _forms = registry.sources[path]
-        file = cache.artifact_path(path, lang, registry.source_hash(path))
-    except (KeyError, OSError):
+        file = cache.artifact_path(
+            path, registry.cache_lang_key(lang), registry.source_hash(path)
+        )
+    except (KeyError, OSError, ReproError):
         return False
     return os.path.exists(file)

@@ -94,10 +94,9 @@ class DefineSyntaxesDecl(SyntaxDecl):
         if self.py_value is not None:
             values = [self.py_value]
         else:
-            from repro.core.compile import Compiler
             from repro.runtime.values import Values
 
-            result = Compiler(ctx.phase1_ns).compile_expr(self.core, None, False)(None)
+            result = ctx.eval_phase1(self.core)
             values = list(result.items) if isinstance(result, Values) else [result]
         if len(values) != len(self.bindings):
             raise ModuleError(
@@ -114,9 +113,7 @@ class ForSyntaxDecl(SyntaxDecl):
         self.core = core  # CoreExpr
 
     def replay(self, ctx: "ExpandContext") -> None:
-        from repro.core.compile import Compiler
-
-        Compiler(ctx.phase1_ns).compile_expr(self.core, None, False)(None)
+        ctx.eval_phase1(self.core)
 
 
 class PyDecl(SyntaxDecl):
@@ -306,14 +303,16 @@ class ModuleRegistry:
         self.sources: dict[str, tuple[str, list[Any]]] = {}  # path -> (lang, forms)
         self.compiled: dict[str, CompiledModule] = {}
         self._compiling: list[str] = []
-        #: values provided by Python-implemented modules, preloaded into
-        #: every namespace: binding key -> value
-        self.py_values: dict[Any, Any] = {}
         #: per-compilation macro-expansion step budget (None = default)
         self.expansion_fuel: Optional[int] = None
         #: which backend instantiation uses: "interp" (closure-compiling
         #: tree walk) or "pyc" (CPython code objects); see repro.core.backend
         self.backend: str = "interp"
+        #: the compile profile (see ``Runtime``), part of the artifact key
+        from repro.langs.typed.optimizer import ALL_RULES
+
+        self.inline_primitives: bool = True
+        self.optimizer_rules: frozenset[str] = ALL_RULES
         #: the persistent compiled-artifact cache, or None (disabled)
         self.cache: Optional[Any] = None
         #: content hash of each registered module's source text
@@ -336,11 +335,6 @@ class ModuleRegistry:
     def register_dialect(self, dialect: Any) -> Any:
         self.dialects[dialect.name] = dialect
         return dialect
-
-    def register_py_value(self, module_path: str, name: str, value: Any) -> ModuleBinding:
-        binding = ModuleBinding(module_path, Symbol(name))
-        self.py_values[binding.key()] = value
-        return binding
 
     def register_module_source(self, path: str, text: str) -> None:
         from repro.diagnostics.session import DiagnosticSession
@@ -456,12 +450,18 @@ class ModuleRegistry:
         A bare language keeps its plain name (artifact compatibility); any
         dialect stack — implied or ``+``-stacked — appends each dialect's
         name *and version*, so editing a dialect (and bumping its version)
-        invalidates cached artifacts exactly like editing the source.
+        invalidates cached artifacts exactly like editing the source. A
+        non-default compile profile appends a tag such as ``{no-inline}``.
         """
         _, dialects = self.resolve_lang_spec(spec)
-        if not dialects:
-            return spec
-        return f"{spec}[{','.join(d.tag for d in dialects)}]"
+        if dialects:
+            spec = f"{spec}[{','.join(d.tag for d in dialects)}]"
+        from repro.langs.typed.optimizer import ALL_RULES
+
+        profile = [] if self.inline_primitives else ["no-inline"]
+        if self.optimizer_rules != ALL_RULES:
+            profile.append("rules=" + "+".join(sorted(self.optimizer_rules)))
+        return f"{spec}{{{','.join(profile)}}}" if profile else spec
 
     @staticmethod
     def _requirer_note(requirer: Optional[str], srcloc: Any = None) -> str:
@@ -620,22 +620,16 @@ class ModuleRegistry:
         by re-storing the module's artifact, so the *next* process's warm
         start loads marshalled code objects and performs zero codegen.
         """
-        from repro.core.compile import COMPILE_CONFIG
         from repro.core.pyc import PY_TAG, codegen_module
 
         unit = compiled.pyc
-        if (
-            unit is not None
-            and unit.py_tag == PY_TAG
-            and getattr(unit, "inline", None)
-            == bool(COMPILE_CONFIG["inline_primitives"])
-        ):
+        if unit is not None and unit.py_tag == PY_TAG:
             return unit
         from repro.observe.recorder import current_recorder
 
         rec = current_recorder()
         with rec.span("pyc-codegen", compiled.path):
-            unit = codegen_module(compiled)
+            unit = codegen_module(compiled, self.inline_primitives)
         compiled.pyc = unit
         if store and self.cache is not None:
             full_key = self._full_keys.get(compiled.path)
@@ -750,8 +744,6 @@ class ModuleRegistry:
     def _prefill(self, ns: "Namespace") -> "Namespace":
         for name, prim in PRIMITIVES.items():
             ns.cells[("module", KERNEL_PATH, name, 0)] = [prim]
-        for key, value in self.py_values.items():
-            ns.cells[key] = [value]
         ns.instantiated[KERNEL_PATH] = True
         return ns
 

@@ -40,8 +40,14 @@ CATEGORIES = frozenset(
         "coach",           # optimization fired / near-miss instants
         "cache",           # artifact cache load/store spans and hit/miss instants
         "closure-compile", # core AST -> Python closures
+        "pyc-codegen",     # core AST -> CPython code objects (pyc backend)
+        "pyc-link",        # binding a code-object unit to a namespace
         "run",             # executing a module body form
         "instantiate",     # whole-module instantiation driver
+        "import",          # a Python import of a #lang module (import hook)
+        "graph",           # compile_graph planning and parallel waves
+        "serve",           # one compile-and-eval service request
+        "guard",           # budget exhaustion and cancellation instants
     }
 )
 

@@ -14,7 +14,6 @@ from repro.syn.syntax import ImproperList, Syntax, VectorDatum
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _RAT_RE = re.compile(r"^[+-]?\d+/\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)(e[+-]?\d+)?$", re.IGNORECASE)
 _FLOAT_NEEDS_POINT_RE = re.compile(
     r"^[+-]?((\d+\.\d*|\.\d+)(e[+-]?\d+)?|\d+e[+-]?\d+)$", re.IGNORECASE
 )

@@ -41,10 +41,6 @@ def add_prim(name: str, fn: Callable[..., Any], arity_min: int = 0,
     PRIMITIVES[name] = v.Primitive(name, fn, arity_min, arity_max)
 
 
-def _bool(x: Any) -> bool:
-    return x is not False
-
-
 # --- numeric operations -------------------------------------------------------
 
 

@@ -72,11 +72,6 @@ class RuntimePool:
                 return
         rt.close()
 
-    def discard(self, rt: Runtime) -> None:
-        """Close a Runtime without pooling it (used after a request that
-        left it in a suspect state, e.g. a crash mid-compile)."""
-        rt.close()
-
     def sizes(self) -> dict[str, int]:
         with self._lock:
             return {tenant: len(idle) for tenant, idle in self._idle.items()}

@@ -13,12 +13,13 @@ import itertools
 import os
 import weakref
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.namespace import Namespace
 from repro.diagnostics import CompileResult, Diagnostic
 from repro.errors import CompilationFailed, ReproError
 from repro.guard.budget import Budget, CancelToken, resolve_budget, use_guard
+from repro.langs.typed.optimizer import ALL_RULES
 from repro.modules.cache import ENV_CACHE_DIR, ModuleCache, default_cache_dir
 from repro.modules.instantiate import instantiate_module
 from repro.modules.registry import ModuleRegistry
@@ -84,6 +85,12 @@ class Runtime:
     expander, guard budgets, contracts, and observe bus, and produce
     identical values, output, and diagnostics.
 
+    ``inline_primitives`` and ``optimizer_rules`` are the compile profile;
+    a non-default one is part of the artifact key.
+    ``inline_primitives=False`` calls kernel primitives through generic
+    application (the ``baseline`` configuration, DESIGN.md §3); an empty
+    ``optimizer_rules`` skips the typed optimizer (``typed/no-opt``).
+
     Each Runtime owns its instrumentation counters (``rt.stats``) and its
     slice of the global binding table; ``close()`` (or garbage collection,
     or use as a context manager) reclaims the table entries so repeated
@@ -99,6 +106,8 @@ class Runtime:
         trace: Any = None,
         budget: Any = None,
         backend: Optional[str] = None,
+        inline_primitives: bool = True,
+        optimizer_rules: Iterable[str] = ALL_RULES,
     ) -> None:
         from repro.core.backend import validate_backend
 
@@ -106,6 +115,8 @@ class Runtime:
         if backend is None:
             backend = os.environ.get(ENV_BACKEND) or "interp"
         self.registry.backend = validate_backend(backend)
+        self.registry.inline_primitives = bool(inline_primitives)
+        self.registry.optimizer_rules = frozenset(optimizer_rules)
         if expansion_fuel is not None:
             self.registry.expansion_fuel = expansion_fuel
         self.stats = Stats()

@@ -2,19 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.langs.typed import OPTIMIZER_CONFIG
-from repro.langs.typed.optimizer import ALL_RULES
-
-
-@pytest.fixture(autouse=True)
-def restore_optimizer_config():
-    saved = dict(OPTIMIZER_CONFIG)
-    saved_rules = set(OPTIMIZER_CONFIG["rules"])
-    yield
-    OPTIMIZER_CONFIG.update(saved)
-    OPTIMIZER_CONFIG["rules"] = saved_rules
+from repro import Runtime
 
 
 FLOAT_PROGRAM = """#lang typed
@@ -152,8 +140,8 @@ class TestComplexSpecialization:
 
 
 class TestOptimizerToggle:
-    def test_disabled_optimizer_stays_generic(self, rt):
-        OPTIMIZER_CONFIG["optimize"] = False
+    def test_disabled_optimizer_stays_generic(self):
+        rt = Runtime(optimizer_rules=frozenset())
         rt.register_module("m", FLOAT_PROGRAM)
         rt.compile("m")
         rt.stats.reset()
@@ -161,8 +149,8 @@ class TestOptimizerToggle:
         assert rt.stats.unsafe_ops == 0
         assert rt.stats.generic_dispatches > 0
 
-    def test_rule_group_ablation(self, rt):
-        OPTIMIZER_CONFIG["rules"] = {"fixnum"}  # floats NOT specialized
+    def test_rule_group_ablation(self):
+        rt = Runtime(optimizer_rules={"fixnum"})  # floats NOT specialized
         rt.register_module("m", FLOAT_PROGRAM)
         rt.compile("m")
         rt.stats.reset()
@@ -176,12 +164,11 @@ class TestOptimizerToggle:
   (+ (* x 2.0) (/ 1.0 (max x 0.5))))
 (displayln (body 1.25))
 """
-        OPTIMIZER_CONFIG["optimize"] = True
         rt.register_module("opt", program)
         opt_out = rt.run("opt")
-        OPTIMIZER_CONFIG["optimize"] = False
-        rt.register_module("noopt", program)
-        noopt_out = rt.run("noopt")
+        noopt = Runtime(optimizer_rules=frozenset())
+        noopt.register_module("noopt", program)
+        noopt_out = noopt.run("noopt")
         assert opt_out == noopt_out
 
 

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Runtime
-from repro.langs.typed import OPTIMIZER_CONFIG
 
 # ---------------------------------------------------------------------------
 # a tiny expression AST generated by hypothesis, rendered both to the object
@@ -144,6 +143,14 @@ def run_program():
         yield lambda source: rt.run_source(source, path=f"<prop-{next(counter)}>")
 
 
+@pytest.fixture(scope="module")
+def run_unoptimized():
+    """:func:`run_program` on a Runtime whose typed optimizer is off."""
+    counter = itertools.count(1)
+    with Runtime(optimizer_rules=frozenset()) as rt:
+        yield lambda source: rt.run_source(source, path=f"<noopt-{next(counter)}>")
+
+
 @given(exprs())
 @settings(max_examples=120, deadline=None)
 def test_racket_agrees_with_python_reference(run_program, e):
@@ -173,7 +180,7 @@ def scheme_float_literal(text: str) -> str:
 
 @given(exprs())
 @settings(max_examples=60, deadline=None)
-def test_optimizer_preserves_float_semantics(run_program, e):
+def test_optimizer_preserves_float_semantics(run_program, run_unoptimized, e):
     """fig. 5 safety: optimized typed programs = unoptimized typed programs."""
     fe = _floatify(e)
     program = (
@@ -181,14 +188,7 @@ def test_optimizer_preserves_float_semantics(run_program, e):
         f"(define result : Float {to_scheme(fe)})\n"
         "(displayln result)\n"
     )
-    try:
-        OPTIMIZER_CONFIG["optimize"] = True
-        with_opt = run_program(program)
-        OPTIMIZER_CONFIG["optimize"] = False
-        without_opt = run_program(program)
-    finally:
-        OPTIMIZER_CONFIG["optimize"] = True
-    assert with_opt == without_opt
+    assert run_program(program) == run_unoptimized(program)
 
 
 @given(exprs())

@@ -300,6 +300,53 @@ class TestCacheManagement:
         assert "artifacts: 0" in capsys.readouterr().out
 
 
+TYPED_FLOAT = """#lang typed
+(define (add [x : Float] [y : Float]) : Float (+ x y))
+(displayln (add 1.5 2.0))
+"""
+
+SQUARE = """#lang racket
+(define (sq x) (* x x))
+(displayln (sq 12))
+"""
+
+
+class TestCompileProfile:
+    """A Runtime's compile profile (``inline_primitives``,
+    ``optimizer_rules``) is part of every artifact's key, so Runtimes with
+    different profiles share one cache dir without serving or overwriting
+    each other's artifacts."""
+
+    def test_unoptimized_artifact_is_not_served_to_default_runtime(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        with Runtime(cache_dir=cache, optimizer_rules=frozenset()) as noopt:
+            noopt.register_module("m", TYPED_FLOAT)
+            assert noopt.run("m") == "3.5\n"
+            assert noopt.stats.cache_stores == 1
+        with Runtime(cache_dir=cache) as rt:
+            rt.register_module("m", TYPED_FLOAT)
+            rt.compile("m")
+            assert (rt.stats.cache_hits, rt.stats.cache_misses) == (0, 1)
+            rt.stats.reset()
+            assert rt.run("m") == "3.5\n"
+            assert rt.stats.generic_dispatches == 0
+            assert rt.stats.unsafe_ops >= 1
+
+    def test_pyc_runtimes_alternating_inlining_do_not_overwrite(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        snaps = []
+        for inline in (True, False, True, False):
+            with Runtime(cache_dir=cache, backend="pyc", inline_primitives=inline) as rt:
+                rt.register_module("m", SQUARE)
+                assert rt.run("m") == "144\n"
+                snaps.append(rt.stats.snapshot())
+        assert [s["cache_stores"] for s in snaps[:2]] == [1, 1]
+        for snap in snaps[2:]:
+            assert snap["cache_hits"] == 1
+            assert snap["pyc_codegens"] == 0
+            assert snap["cache_stores"] == 0
+
+
 class TestTransactionality:
     def test_failed_compile_after_cache_load_rolls_back(self, tmp_path):
         """PR 1's transactional semantics must hold across cache loads: a

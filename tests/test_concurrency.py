@@ -306,6 +306,118 @@ class TestConcurrentRuntimes:
         assert artifact_digests(one) == artifact_digests(split)
 
 
+TYPED_LIB = """#lang typed
+(: scale (Float -> Float))
+(define (scale x) (* x 2.5))
+(provide scale)
+"""
+
+TYPED_MAIN = """#lang typed
+(require "lib.rkt")
+(define (f [x : Float] [y : Float]) : Float (+ (scale x) y))
+(displayln (f 1.5 2.0))
+"""
+
+#: two compile profiles: the default, and the paper's typed/no-opt
+#: configuration compiled without primitive inlining
+PROFILES = {
+    "default": {},
+    "lean": {"optimizer_rules": frozenset(), "inline_primitives": False},
+}
+
+RUN_COUNTERS = ("generic_dispatches", "tag_checks", "unsafe_ops", "contract_checks")
+
+
+def write_typed_graph(root, n: int) -> list[str]:
+    """Typed modules ``t_i`` requiring ``t_{i-1}`` and ``t_{i-2}``, each
+    with Float arithmetic the optimizer specializes."""
+    os.makedirs(root, exist_ok=True)
+    paths = []
+    for i in range(n):
+        deps = [j for j in (i - 1, i - 2) if j >= 0]
+        requires = "\n".join(f'(require "t{j}.rkt")' for j in deps)
+        body = " ".join([f"(* x {i}.5)"] + [f"(g{j} x)" for j in deps])
+        source = (
+            "#lang typed\n"
+            f"{requires}\n"
+            f"(define (g{i} [x : Float]) : Float (+ 1.0 {body}))\n"
+            f"(provide g{i})\n"
+        )
+        path = os.path.join(str(root), f"t{i}.rkt")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(source)
+        paths.append(path)
+    return paths
+
+
+class TestCompileProfiles:
+    """Runtimes with different compile profiles on one cache dir."""
+
+    def test_two_profiles_share_one_cache(self, tmp_path, backend):
+        src = tmp_path / "src"
+        os.makedirs(src)
+        (src / "lib.rkt").write_text(TYPED_LIB, encoding="utf-8")
+        main = str(src / "main.rkt")
+        with open(main, "w", encoding="utf-8") as f:
+            f.write(TYPED_MAIN)
+
+        def compile_and_run(rt: Runtime) -> tuple[str, dict, int]:
+            module = rt.register_file(main)
+            rt.compile(module)
+            stores = rt.stats.cache_stores
+            rt.stats.reset()
+            out = rt.run(module)
+            snap = rt.stats.snapshot()
+            return out, {c: snap[c] for c in RUN_COUNTERS}, stores
+
+        reference = {}
+        for name, profile in PROFILES.items():
+            with Runtime(cache=False, backend=backend, **profile) as rt:
+                reference[name] = compile_and_run(rt)[:2]
+        assert reference["default"][1]["generic_dispatches"] == 0
+        assert reference["lean"][1]["generic_dispatches"] > 0
+
+        shared = str(tmp_path / "shared")
+        results: dict[str, tuple] = {}
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(len(PROFILES))
+
+        def worker(name: str) -> None:
+            try:
+                with Runtime(cache_dir=shared, backend=backend, **PROFILES[name]) as rt:
+                    barrier.wait(timeout=30)
+                    results[name] = compile_and_run(rt)
+            except BaseException as err:  # noqa: BLE001 - collected for assert
+                errors.append(err)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in PROFILES]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+        assert not errors, errors
+
+        for name in PROFILES:
+            out, counters, stores = results[name]
+            assert (out, counters) == reference[name]
+            # each profile stores its own two artifacts, each exactly once
+            assert stores == 2
+        assert len(artifact_digests(shared)) == 2 * len(PROFILES)
+
+    def test_compile_graph_workers_carry_the_profile(self, tmp_path):
+        paths = write_typed_graph(tmp_path / "src", 5)
+        noopt = {"optimizer_rules": frozenset()}
+
+        with Runtime(cache_dir=str(tmp_path / "serial"), **noopt) as rt:
+            assert rt.compile_graph(paths, jobs=1).ok
+        with Runtime(cache_dir=str(tmp_path / "parallel"), **noopt) as rt:
+            assert rt.compile_graph(paths, jobs=4, mode="thread").ok
+
+        serial = artifact_digests(tmp_path / "serial")
+        assert len(serial) == len(paths)
+        assert artifact_digests(tmp_path / "parallel") == serial
+
+
 class TestBindingTableRaceRegressions:
     """Pin the fixes from this PR's thread-safety audit of the table."""
 

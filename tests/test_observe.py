@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
 from repro import Runtime, Tracer
 from repro.observe import (
+    CATEGORIES,
     NULL_RECORDER,
     Recorder,
     chrome_trace,
@@ -126,6 +128,29 @@ class TestRecorder:
         assert tracer.dropped == 3
 
 
+class TestCategories:
+    #: the category literal of every ``.span("cat", ...)``,
+    #: ``.instant("cat", ...)`` and ``TraceEvent(KIND, "cat", ...)``
+    EMIT = re.compile(
+        r'(?:\.(?:span|instant)\(|TraceEvent\(\s*[A-Z]+,)\s*"([^"]*)"'
+    )
+
+    def test_every_emitted_category_is_documented(self):
+        src = os.path.join(REPO_ROOT, "src", "repro")
+        emitted: dict[str, str] = {}
+        for root, _dirs, files in os.walk(src):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as f:
+                        for category in self.EMIT.findall(f.read()):
+                            emitted.setdefault(category, path)
+        # the scan itself must see the platform's spans and instants
+        assert {"read", "expand", "macro", "coach", "pyc-link", "guard"} <= set(emitted)
+        undocumented = {c: p for c, p in emitted.items() if c not in CATEGORIES}
+        assert not undocumented, undocumented
+
+
 class TestStepper:
     def test_macro_steps_record_name_depth_and_srcloc(self):
         rt = traced_runtime()
@@ -212,21 +237,14 @@ class TestCoach:
         assert "Float" in miss.attrs["reason"]
 
     def test_near_miss_reports_disabled_rule_group(self):
-        from repro.langs.typed import OPTIMIZER_CONFIG
-
-        rt = traced_runtime()
-        saved = set(OPTIMIZER_CONFIG["rules"])
-        try:
-            OPTIMIZER_CONFIG["rules"] = {"fixnum"}
-            rt.register_module(
-                "disabled-m",
-                "#lang typed\n"
-                "(define (f [x : Float]) : Float (* x x))\n"
-                "(displayln (f 2.0))\n",
-            )
-            rt.run("disabled-m")
-        finally:
-            OPTIMIZER_CONFIG["rules"] = saved
+        rt = Runtime(trace="full", cache=False, optimizer_rules={"fixnum"})
+        rt.register_module(
+            "disabled-m",
+            "#lang typed\n"
+            "(define (f [x : Float]) : Float (* x x))\n"
+            "(displayln (f 2.0))\n",
+        )
+        rt.run("disabled-m")
         misses = near_misses(rt.tracer)
         assert any(
             "rule group `float` disabled" in e.attrs["reason"] for e in misses
@@ -434,5 +452,6 @@ class TestTraceCli:
         misses = near_misses(tracer)
         assert misses
         assert all("unsafe-fl*" in e.attrs["reason"] for e in misses)
-        # the blend body (* a b) is two lines below the define in NEAR_MISS
-        assert {e.srcloc.line for e in misses} == {10}
+        # the blend body (* a b): `#lang typed`, five KERNEL lines, the
+        # blank line opening NEAR_MISS, the define, then the body
+        assert {e.srcloc.line for e in misses} == {9}
