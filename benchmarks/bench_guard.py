@@ -95,8 +95,11 @@ def run(repeats: int) -> dict:
     alloc_ratio = geomean(
         [r["governed_alloc_seconds"] / r["ungoverned_seconds"] for r in rows]
     )
+    with Runtime(cache=False) as rt:
+        backend = rt.backend  # $REPRO_BACKEND selects it
     return {
         "benchmark": "guard-overhead",
+        "backend": backend,
         "repeats": repeats,
         "governed_limits": {k: v for k, v in GOVERNED.items()},
         "results": rows,

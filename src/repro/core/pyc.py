@@ -27,14 +27,18 @@ code object per module. The mapping:
   bound at *link* time, so the code object itself is
   namespace-independent and marshals into the ``.zo`` artifact.
 
-Budgets thread through emitted code: function entries are charged by the
-trampoline (a ``PyClosure`` application costs one step, like an interp
-``Closure``), and the **governed** code variant charges one step per loop
-back-edge with the same two inlined lines the interp trampoline uses
-(``guard.steps_used += 1; if ... >= guard.next_check: checkpoint()``), so
-G001–G005 fire with step counts identical to the interp backend. Each
-unit therefore carries two code objects — plain and governed — and the
-link step picks one based on ``current_guard()``.
+Budgets thread through emitted code, but governance is a *link-time*
+binding, not a second code object: each unit carries one code object, and
+``link_unit`` binds the module globals ``_G`` (``guard is not None``),
+``_guard``, ``_apply`` and ``_tail`` for the run at hand. Function entries
+are charged by the trampoline (a ``PyClosure`` application costs one step
+and one depth level, like an interp ``Closure``). Each loop back-edge
+carries, behind ``if _G:``, the same two inlined lines the interp
+trampoline uses (``guard.steps_used += 1; if ... >= guard.next_check:
+checkpoint()``), and each direct call of a hoisted top-level function
+branches on ``_G`` to the governed trampoline, so G001–G005 fire with step
+and depth counts identical to the interp backend while an ungoverned run
+pays one global truth test per back-edge and direct call.
 """
 
 from __future__ import annotations
@@ -88,32 +92,33 @@ class StaleUnitError(Exception):
 class PycUnit:
     """The namespace-independent result of codegen for one module body.
 
-    ``code_plain``/``code_governed`` are ``marshal`` blobs of the two code
-    objects; ``cells`` maps emitted global names to namespace-cell keys,
-    ``constants`` to quoted values, and ``prims``/``prim_values`` to kernel
-    primitive names (resolved against the process's primitive table at
-    link time — operator position binds the raw implementation function,
-    value position the :class:`Primitive` object). Everything here pickles
-    through the artifact pickler, so a unit rides inside a ``.zo`` file.
+    ``code`` is the ``marshal`` blob of the module's one code object, run
+    governed or not as ``link_unit`` decides; ``cells`` maps emitted global
+    names to namespace-cell keys, ``constants`` to quoted values, and
+    ``prims``/``prim_values`` to kernel primitive names (resolved against
+    the process's primitive table at link time — operator position binds
+    the raw implementation function, value position the :class:`Primitive`
+    object). Everything here pickles through the artifact pickler, so a
+    unit rides inside a ``.zo`` file. A unit restored from an artifact
+    without ``code`` (written by the older two-variant codegen) comes back
+    stale, like one from another CPython version.
     """
 
     __slots__ = (
-        "code_plain", "code_governed", "cells", "constants",
+        "code", "cells", "constants",
         "prims", "prim_values", "nforms", "py_tag",
     )
 
     def __init__(
         self,
-        code_plain: bytes,
-        code_governed: bytes,
+        code: bytes,
         cells: dict[str, tuple],
         constants: dict[str, Any],
         prims: dict[str, str],
         prim_values: dict[str, str],
         nforms: int,
     ) -> None:
-        self.code_plain = code_plain
-        self.code_governed = code_governed
+        self.code = code
         self.cells = cells
         self.constants = constants
         self.prims = prims
@@ -127,6 +132,10 @@ class PycUnit:
     def __setstate__(self, state: dict[str, Any]) -> None:
         for name in self.__slots__:
             setattr(self, name, state.get(name))
+        if self.code is None:
+            # written by the older two-variant codegen: stale, regenerated
+            # like a unit from another CPython version
+            self.py_tag = None
 
     def __repr__(self) -> str:
         return f"#<pyc-unit forms={self.nforms}>"
@@ -268,8 +277,10 @@ class _FuncCtx:
 
 
 class _Tables:
-    """Name tables shared between the plain and governed emission passes,
-    so both code objects agree on every global name."""
+    """The module globals one emission pass allocates (namespace cells,
+    quoted constants, primitive functions and values) and its local names;
+    ``codegen_module`` inverts the global tables into the unit's link-time
+    maps."""
 
     def __init__(self) -> None:
         self.cells: dict[tuple, str] = {}
@@ -321,13 +332,12 @@ class _Tables:
 
 
 class _Emitter:
-    """One emission pass (plain or governed) over a module body."""
+    """The emission pass over a module body."""
 
     def __init__(self, tables: _Tables, analysis: ModuleAnalysis,
-                 governed: bool, inline: bool) -> None:
+                 inline: bool) -> None:
         self.tables = tables
         self.analysis = analysis
-        self.governed = governed
         self.inline = inline
         self.blocks: list[list[py.stmt]] = []
         self.fctx = _FuncCtx(None)
@@ -338,9 +348,8 @@ class _Emitter:
         self.module_block: list[py.stmt] = []
         #: module binding key -> (fname, nparams, returns_tail) for
         #: top-level lambdas hoisted to module scope; applications of these
-        #: compile to direct Python calls (plain variant only — the
-        #: governed variant keeps every application on the trampoline so
-        #: step charging stays identical to the interp backend)
+        #: compile to direct Python calls when ungoverned (a governed run
+        #: takes the trampoline, see ``_app_expr``)
         self.module_fns: dict[tuple, tuple[str, int, bool]] = {}
         #: keys bound by *earlier* top-level forms: reads skip the
         #: UNDEFINED check, because any code emitted for a later form can
@@ -888,18 +897,32 @@ class _Emitter:
                     return coded
                 return _call(_n(self.tables.prim_fn(prim)), args)
         if type(node.fn) is ast.ModuleRef:
-            # non-tail call of a hoisted module function: call the Python
-            # function directly, skipping the trampoline. Arity is checked
-            # statically (the entry records nparams); a mismatch falls
-            # through to _apply for the proper ArityError. Tail calls never
-            # take this path — mutual recursion must stay on the trampoline.
-            entry = self.module_fns.get(node.fn.binding.key())
+            # non-tail call of a hoisted module function: when ungoverned,
+            # call the Python function directly, skipping the trampoline.
+            # Arity is checked statically (the entry records nparams); a
+            # mismatch falls through to _apply for the proper ArityError.
+            # Tail calls never take this path — mutual recursion must stay
+            # on the trampoline.
+            key = node.fn.binding.key()
+            entry = self.module_fns.get(key)
             if entry is not None and entry[1] == len(node.args):
-                args = self._expr_seq(list(node.args))
-                call = _call(_n(entry[0]), args)
+                # atoms: both branches name each argument, and a nested
+                # direct call as an argument must not be emitted twice
+                makers = self._atomize(self._expr_seq(list(node.args)))
+                direct = _call(_n(entry[0]), [m() for m in makers])
                 if entry[2]:  # the callee may return a TailCall: drain it
-                    call = _call(_n("_dr"), [call])
-                return call
+                    direct = _call(_n("_dr"), [direct])
+                # governed: the trampoline charges the step and depth level
+                # of the application. The cell needs no initialization
+                # check: a hoisted binding is never set!, and no code that
+                # calls it can run before its defining form bound it.
+                trampolined = _call(_n("_apply"), [
+                    py.Subscript(value=_n(self.tables.cell(key)),
+                                 slice=_const(0), ctx=py.Load()),
+                    py.List(elts=[m() for m in makers], ctx=py.Load()),
+                ])
+                return py.IfExp(test=_n("_G"), body=trampolined,
+                                orelse=direct)
         parts = self._expr_seq([node.fn, *node.args])
         return _call(_n("_apply"), [
             parts[0], py.List(elts=parts[1:], ctx=py.Load())
@@ -929,8 +952,9 @@ class _Emitter:
                     )],
                     value=py.Tuple(elts=args, ctx=py.Load()),
                 ))
-            if self.governed:
-                self._charge_back_edge(loop.name)
+            self.cur.append(py.If(test=_n("_G"),
+                                  body=self._back_edge_charge(loop.name),
+                                  orelse=[]))
             self.cur.append(py.Continue())
             return
         parts = self._expr_seq([node.fn, *node.args])
@@ -948,20 +972,19 @@ class _Emitter:
         return (type(fn) is ast.LocalRef
                 and fn.binding.uid == loop.uid)
 
-    def _charge_back_edge(self, where: str) -> None:
+    def _back_edge_charge(self, where: str) -> list[py.stmt]:
         """The two inlined lines the governed interp trampoline charges per
-        application, emitted at each loop back-edge."""
+        application, emitted (behind ``if _G:``) at each loop back-edge."""
         guard_steps = py.Attribute(value=_n("_guard"), attr="steps_used",
                                    ctx=py.Load())
-        self.cur.append(py.Assign(
+        return [py.Assign(
             targets=[
                 py.Attribute(value=_n("_guard"), attr="steps_used",
                              ctx=py.Store()),
                 _s("_steps"),
             ],
             value=py.BinOp(left=guard_steps, op=py.Add(), right=_const(1)),
-        ))
-        self.cur.append(py.If(
+        ), py.If(
             test=py.Compare(
                 left=_n("_steps"), ops=[py.GtE()],
                 comparators=[py.Attribute(value=_n("_guard"),
@@ -973,7 +996,7 @@ class _Emitter:
                 [_const(where)],
             ))],
             orelse=[],
-        ))
+        )]
 
     # -- module forms ------------------------------------------------------
 
@@ -982,8 +1005,7 @@ class _Emitter:
         nothing (its only free references are module-level, reached through
         globals) and its binding is never ``set!``."""
         return (
-            not self.governed
-            and lam.rest is None
+            lam.rest is None
             and binding.key() not in self.analysis.mutated_module_keys
             and not self.analysis.lambda_info(lam).free
         )
@@ -1155,36 +1177,28 @@ def _canonical_code(code: "types.CodeType") -> "types.CodeType":
     )
 
 
-def _emit_variant(forms: list[ast.ModuleForm], tables: _Tables,
-                  analysis: ModuleAnalysis, governed: bool,
-                  inline: bool, path: str) -> bytes:
-    emitter = _Emitter(tables, analysis, governed, inline)
+def codegen_module(compiled: Any, inline: bool) -> PycUnit:
+    """Generate the :class:`PycUnit` for a compiled module.
+
+    Namespace-independent: every namespace cell, quoted constant, and
+    primitive is reached through a module global resolved at link time,
+    and so is governance (``_G``, ``_guard``). ``inline`` is the
+    registry's ``inline_primitives``.
+    """
+    analysis = module_analysis(compiled)
+    forms = list(compiled.body.forms)
+    tables = _Tables()
+    emitter = _Emitter(tables, analysis, inline)
     form_defs = [emitter.module_form(form, i) for i, form in enumerate(forms)]
     module = py.Module(
         body=[*emitter.module_block, *form_defs],
         type_ignores=[],
     )
     py.fix_missing_locations(module)
-    code = compile(module, filename=f"<pyc:{path}>", mode="exec")
-    return marshal.dumps(_canonical_code(code))
-
-
-def codegen_module(compiled: Any, inline: bool) -> PycUnit:
-    """Generate a :class:`PycUnit` for a compiled module (both variants).
-
-    Namespace-independent: every namespace cell, quoted constant, and
-    primitive is reached through a module global resolved at link time.
-    ``inline`` is the registry's ``inline_primitives``.
-    """
-    analysis = module_analysis(compiled)
-    forms = list(compiled.body.forms)
-    tables = _Tables()
-    plain = _emit_variant(forms, tables, analysis, False, inline, compiled.path)
-    governed = _emit_variant(forms, tables, analysis, True, inline, compiled.path)
+    code = compile(module, filename=f"<pyc:{compiled.path}>", mode="exec")
     current_stats().pyc_codegens += 1
     return PycUnit(
-        code_plain=plain,
-        code_governed=governed,
+        code=marshal.dumps(_canonical_code(code)),
         cells={name: key for key, name in tables.cells.items()},
         constants=dict(tables.constants),
         prims={name: prim for prim, name in tables.prim_fns.items()},
@@ -1219,10 +1233,10 @@ def _undef_mod(name: str) -> None:
 
 def _apply_ungoverned(fn: Any, args: list[Any]) -> Any:
     """:func:`apply_procedure`'s ungoverned trampoline, minus the guard
-    context-variable read. The plain code variant links against this (the
+    context-variable read. An ungoverned link binds ``_apply`` to this (the
     guard is fixed for the whole run at link time — the same static
-    assumption the variant choice itself already makes), with PyClosure
-    checked first since in this backend most procedures are PyClosures."""
+    assumption ``_G`` makes), with PyClosure checked first since in this
+    backend most procedures are PyClosures."""
     while True:
         t = type(fn)
         if t is PyClosure:
@@ -1255,9 +1269,11 @@ def _drain(result: Any) -> Any:
 
 
 def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
-    """Bind a unit's code object to a namespace (and guard): resolve cell
-    keys against ``ns``, install constants and primitive implementations,
-    and exec the module code, returning the per-form thunks.
+    """Bind a unit's code object to a namespace and guard: resolve cell
+    keys against ``ns``, install constants, primitive implementations and
+    the governance globals (``_G`` selects the governed branches at
+    back-edges and direct calls), and exec the module code, returning the
+    per-form thunks.
 
     Raises :class:`StaleUnitError` when the marshalled code targets a
     different CPython bytecode format (the caller regenerates instead).
@@ -1266,12 +1282,13 @@ def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
         raise StaleUnitError(
             "pyc unit was generated by a different Python version"
         )
-    code = marshal.loads(
-        unit.code_governed if guard is not None else unit.code_plain
-    )
+    code = marshal.loads(unit.code)
+    governed = guard is not None
     g: dict[str, Any] = {
-        "_apply": apply_procedure if guard is not None else _apply_ungoverned,
-        "_tail": tail_apply if guard is not None else _tail_ungoverned,
+        "_G": governed,
+        "_guard": guard,
+        "_apply": apply_procedure if governed else _apply_ungoverned,
+        "_tail": tail_apply if governed else _tail_ungoverned,
         "_dr": _drain,
         "_PyClosure": PyClosure,
         "_U": UNDEFINED,
@@ -1290,13 +1307,11 @@ def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
         "_undef_local": _undef_local,
         "_undef_mod": _undef_mod,
     }
-    if guard is not None:
-        g["_guard"] = guard
     for pyname, key in unit.cells.items():
         g[pyname] = ns.cell(tuple(key))
     for pyname, value in unit.constants.items():
         g[pyname] = value
-    track = guard is not None and guard.track_allocations
+    track = governed and guard.track_allocations
     for pyname, prim_name in unit.prims.items():
         prim = PRIMITIVES[prim_name]
         fn = prim.fn

@@ -17,6 +17,8 @@ languages built on the platform can add their own.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -65,6 +67,9 @@ class TraceEvent:
     srcloc: Optional[SrcLoc] = None
     depth: int = 0                  # nesting depth (macro steps)
     attrs: dict[str, Any] = field(default_factory=dict)
+    #: OS thread that recorded the event (a span records when it closes,
+    #: on the thread that opened it)
+    tid: int = field(default_factory=threading.get_native_id)
 
     def to_chrome(self) -> dict[str, Any]:
         """This event as one Chrome-trace / Perfetto ``traceEvents`` entry."""
@@ -78,8 +83,8 @@ class TraceEvent:
             "cat": self.category,
             "ph": "X" if self.kind == SPAN else "i",
             "ts": round(self.ts * 1e6, 3),  # microseconds
-            "pid": 1,
-            "tid": 1,
+            "pid": os.getpid(),
+            "tid": self.tid,
             "args": args,
         }
         if self.kind == SPAN:

@@ -24,26 +24,30 @@ def spans(tracer: Tracer) -> list[TraceEvent]:
 def phase_totals(tracer: Tracer) -> dict[str, float]:
     """Exclusive seconds per category.
 
-    Spans nest on one logical thread, so a span's *exclusive* time is its
-    duration minus the durations of the spans it directly contains. Summing
-    exclusive times per category gives a table whose total equals traced
-    wall-clock, with no double counting of e.g. ``typecheck`` inside
-    ``expand`` inside ``compile``.
+    Spans nest within each thread, so a span's *exclusive* time is its
+    duration minus the durations of the spans its thread opened directly
+    inside it. Summing exclusive times per category gives a table whose
+    total equals traced wall-clock per thread, with no double counting of
+    e.g. ``typecheck`` inside ``expand`` inside ``compile``.
     """
-    events = sorted(spans(tracer), key=lambda e: (e.ts, -e.dur))
+    by_thread: dict[int, list[TraceEvent]] = {}
+    for event in spans(tracer):
+        by_thread.setdefault(event.tid, []).append(event)
     totals: dict[str, float] = {}
-    # (end_ts, category, exclusive) stack of open ancestors
-    stack: list[list[Any]] = []
-    for event in events:
-        while stack and stack[-1][0] <= event.ts + 1e-12:
+    for events in by_thread.values():
+        events.sort(key=lambda e: (e.ts, -e.dur))
+        # (end_ts, category, exclusive) stack of open ancestors
+        stack: list[list[Any]] = []
+        for event in events:
+            while stack and stack[-1][0] <= event.ts + 1e-12:
+                end, cat, exclusive = stack.pop()
+                totals[cat] = totals.get(cat, 0.0) + max(exclusive, 0.0)
+            if stack:
+                stack[-1][2] -= event.dur  # charge the child to itself
+            stack.append([event.ts + event.dur, event.category, event.dur])
+        while stack:
             end, cat, exclusive = stack.pop()
             totals[cat] = totals.get(cat, 0.0) + max(exclusive, 0.0)
-        if stack:
-            stack[-1][2] -= event.dur  # charge the child to itself
-        stack.append([event.ts + event.dur, event.category, event.dur])
-    while stack:
-        end, cat, exclusive = stack.pop()
-        totals[cat] = totals.get(cat, 0.0) + max(exclusive, 0.0)
     return totals
 
 

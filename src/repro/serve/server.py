@@ -38,7 +38,10 @@ contract) come back as ``ok: false`` with the error's stable code — HTTP
 status stays 200 because the *service* worked; 400/404/405 are reserved
 for malformed requests, 408 (``S408``) for a body that does not arrive
 within the handler's socket timeout, and 413 (``S413``) for a body longer
-than ``MAX_BODY_BYTES``. Cache degradation (e.g. an injected fault or a
+than ``MAX_BODY_BYTES``. A request ``http.server`` itself rejects
+(unparsable request line, unsupported method, oversized headers) gets
+the same envelope with ``S<status>`` and a closed connection, never an
+HTML page. Cache degradation (e.g. an injected fault or a
 corrupt artifact) never fails a request: the pipeline recompiles from
 source and the response carries the C-coded warnings in
 ``"diagnostics"``.
@@ -439,12 +442,41 @@ class _Handler(BaseHTTPRequestHandler):
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
     def _error(self, status: int, code: str, message: str) -> None:
         self._reply(status, {"ok": False, "error": {"code": code, "message": message}})
+
+    def parse_request(self) -> bool:
+        ok = super().parse_request()
+        if self.request_version == "HTTP/0.9":
+            # an HTTP/0.9 reply has no status line or length: only closing
+            # the connection ends it, whatever a Connection header says
+            self.close_connection = True
+        return ok
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Answer a request ``http.server`` rejects itself (unparsable
+        request line, unsupported method, oversized or too many headers)
+        with the service's JSON envelope instead of its HTML error page,
+        then close the connection: the rest of the stream cannot be
+        framed."""
+        self.close_connection = True
+        if self.request_version == "HTTP/0.9":
+            # the request line did not parse (or is HTTP/0.9, which has no
+            # status line): reply with one anyway so any client can read
+            # the status
+            self.request_version = self.protocol_version
+        status = int(code)
+        detail = message or self.responses.get(status, ("error",))[0]
+        if explain:
+            detail = f"{detail}: {explain}"
+        self._error(status, f"S{status}", detail)
 
     def _dispatch(self, method: str, body: Optional[dict]) -> None:
         try:

@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro import Runtime
+from repro import BudgetExhausted, Runtime
+from repro.core.pyc import PycUnit
 from repro.errors import TypeCheckError
 from repro.modules.cache import ModuleCache
 from repro.syn.binding import TABLE
@@ -362,3 +363,73 @@ class TestTransactionality:
             # retry after fixing the source works in the same Runtime
             rt2.register_module("client", RACKET_CLIENT)
             assert rt2.run("client") == "(2 1 15)\n"
+
+
+#: a non-tail-recursive top-level function (hoisted; its calls take the
+#: direct-call path) driven by a loopified self tail call (back-edges)
+GOVERNED_PROGRAM = """#lang racket
+(define (depth n) (if (= n 0) 0 (+ 1 (depth (- n 1)))))
+(define (count i acc) (if (= i 0) acc (count (- i 1) (+ acc (depth 3)))))
+(displayln (count 200 0))
+(displayln (depth 100))
+"""
+
+
+def _exhaustion(backend, budget, cache=None):
+    """Run GOVERNED_PROGRAM under ``budget``; return the exhaustion's
+    ``(code, message, steps_consumed)`` and the run's stats."""
+    with Runtime(backend=backend, budget=budget, cache_dir=cache) as rt:
+        rt.register_module("m", GOVERNED_PROGRAM)
+        with pytest.raises(BudgetExhausted) as excinfo:
+            rt.run("m")
+        err = excinfo.value
+        return (err.code, str(err), err.steps_consumed), rt.stats.snapshot()
+
+
+class TestSinglePycUnit:
+    """A pyc unit carries one code object; governance is chosen when it is
+    linked, so one stored unit serves ungoverned and governed runs."""
+
+    def _store_ungoverned(self, cache):
+        with Runtime(backend="pyc", cache_dir=cache) as rt:
+            rt.register_module("m", GOVERNED_PROGRAM)
+            assert rt.run("m") == "600\n100\n"
+            assert rt.stats.pyc_codegens == 1
+
+    @pytest.mark.parametrize("budget, code", [
+        ({"steps": 700}, "G001"),
+        ({"max_depth": 40}, "G003"),
+    ])
+    def test_ungoverned_store_links_governed(self, tmp_path, budget, code):
+        cache = str(tmp_path / "cache")
+        self._store_ungoverned(cache)
+        pyc, stats = _exhaustion("pyc", budget, cache)
+        assert stats["cache_hits"] == 1 and stats["pyc_codegens"] == 0
+        interp, interp_stats = _exhaustion("interp", budget)
+        assert pyc == interp and pyc[0] == code
+        assert stats["eval_steps"] == interp_stats["eval_steps"]
+
+    def test_older_two_variant_unit_is_regenerated_once(self, tmp_path, monkeypatch):
+        cache = str(tmp_path / "cache")
+
+        def two_variant_state(unit):
+            state = {name: getattr(unit, name) for name in PycUnit.__slots__}
+            code = state.pop("code")
+            # the older format: one code object per governance mode
+            state.update({f"code_{mode}": code for mode in ("plain", "governed")})
+            return state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PycUnit, "__getstate__", two_variant_state)
+            self._store_ungoverned(cache)
+        snaps = []
+        for _ in range(2):
+            with Runtime(backend="pyc", cache_dir=cache) as rt:
+                rt.register_module("m", GOVERNED_PROGRAM)
+                assert rt.run("m") == "600\n100\n"
+                snaps.append(rt.stats.snapshot())
+        first, second = snaps
+        assert first["cache_hits"] == 1 and first["expansion_steps"] == 0
+        assert first["pyc_codegens"] == 1 and first["cache_stores"] == 1
+        assert second["cache_hits"] == 1 and second["pyc_codegens"] == 0
+        assert second["cache_stores"] == 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 
 import pytest
 
@@ -309,6 +310,31 @@ class TestProfiler:
         assert validate_chrome_trace(json.loads(json.dumps(data))) == []
         phases = {e["ph"] for e in data["traceEvents"]}
         assert phases == {"X", "i"}
+
+    def test_chrome_trace_tracks_threads(self):
+        tracer = Tracer()
+        both_open = threading.Barrier(2)
+
+        def work() -> None:
+            with tracer.span("run", "worker"):
+                both_open.wait(timeout=30)  # the two spans overlap
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        data = chrome_trace(tracer)
+        assert validate_chrome_trace(json.loads(json.dumps(data))) == []
+        events = data["traceEvents"]
+        assert {e["pid"] for e in events} == {os.getpid()}
+        assert len({e["tid"] for e in events}) == 2
+        # overlapping spans on two threads do not nest: each keeps its
+        # whole duration as exclusive time
+        assert phase_totals(tracer)["run"] == pytest.approx(
+            sum(e.dur for e in tracer.events)
+        )
 
     def test_validate_rejects_malformed(self):
         assert validate_chrome_trace([]) != []

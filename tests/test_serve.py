@@ -13,10 +13,12 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import random
 import socket
 import time
 import urllib.error
 import urllib.request
+from typing import Optional
 
 import pytest
 
@@ -338,3 +340,153 @@ class TestContentLength:
             # the thread that waited is free: the server still answers
             status, payload = _raw_post(server.address, "2", b"{}")
             assert status == 400 and payload["error"]["code"] == "S400"
+
+
+def _raw_exchange(address, request: bytes) -> bytes:
+    """Send ``request`` over a bare socket, half-close, and return every
+    byte the server sent back before closing the connection."""
+    chunks = []
+    with socket.create_connection(address, timeout=30) as sock:
+        try:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server may reject and close before reading it all
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(chunks)
+
+
+def _replies(stream: bytes) -> list[tuple[Optional[int], dict]]:
+    """Split a response stream into ``(status, JSON payload)`` replies;
+    an HTTP/0.9 reply has no status line (``None``) and runs to EOF."""
+    out = []
+    while stream:
+        if not stream.startswith(b"HTTP/"):
+            out.append((None, json.loads(stream)))
+            break
+        head, sep, rest = stream.partition(b"\r\n\r\n")
+        assert sep, f"unterminated reply head: {head[:200]!r}"
+        lines = head.decode("iso-8859-1").split("\r\n")
+        headers = dict(
+            (name.strip().lower(), value.strip())
+            for name, _, value in (line.partition(":") for line in lines[1:])
+        )
+        assert headers.get("content-type") == "application/json", lines
+        length = int(headers["content-length"])
+        out.append((int(lines[0].split()[1]), json.loads(rest[:length])))
+        stream = rest[length:]
+    return out
+
+
+def _assert_envelopes(stream: bytes) -> None:
+    replies = _replies(stream)
+    assert replies, "no reply"
+    for status, payload in replies:
+        assert isinstance(payload, dict) and isinstance(payload.get("ok"), bool)
+        if status is not None and status >= 400:
+            assert payload["ok"] is False
+            assert payload["error"]["code"] == f"S{status}"
+
+
+class TestMalformedHTTP:
+    """Requests ``http.server`` rejects before any handler runs still get
+    the JSON error envelope, never its HTML error page."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"PUT /run HTTP/1.1\r\nHost: t\r\n\r\n", 501),
+        (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET / HTTP/2.0\r\n\r\n", 505),
+    ], ids=["garbage-line", "put", "long-header", "long-line", "http2"])
+    def test_rejected_request_is_an_envelope(self, srv, request_bytes, status):
+        stream = _raw_exchange(srv.address, request_bytes)
+        assert stream.startswith(b"HTTP/1.1 "), stream[:100]
+        [(got, payload)] = _replies(stream)
+        assert got == status
+        assert payload["ok"] is False and payload["error"]["code"] == f"S{status}"
+
+    def test_http09_request_closes_despite_keep_alive(self, srv):
+        # the reply has no length, so a second request on the connection
+        # would be glued onto it
+        stream = _raw_exchange(
+            srv.address,
+            b"GET /healthz\r\nConnection: keep-alive\r\n\r\nGARBAGE\r\n\r\n",
+        )
+        [(status, payload)] = _replies(stream)
+        assert status is None and payload["ok"] is True
+
+    def test_fuzzed_requests_get_envelopes(self, srv):
+        rng = random.Random(20110604)
+        junk = [bytes([c]) for c in range(256) if c not in b"\r\n"]
+
+        def text(lo: int, hi: int) -> bytes:
+            return b"".join(rng.choice(junk) for _ in range(rng.randint(lo, hi)))
+
+        def request_line() -> bytes:
+            kind = rng.randrange(5)
+            if kind == 0:
+                return text(1, 40)
+            method = rng.choice([b"GET", b"POST", b"PUT", b"DELETE", b"HEAD",
+                                 b"OPTIONS", b"get", text(1, 8)])
+            path = rng.choice([b"/run", b"/compile", b"/healthz", b"/stats",
+                               b"/", b"/nope", b"/" + text(0, 30)])
+            version = rng.choice([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0",
+                                  b"HTTP/1.x", b"http/1.1", text(1, 10), b""])
+            if kind == 1:
+                return b" ".join(
+                    rng.sample([method, path, version], rng.randint(1, 3))
+                )
+            if kind == 2:
+                return method + b" " + path + b" " + version + b" " + text(1, 10)
+            return (method + b" " + path + b" " + version).rstrip()
+
+        def headers() -> list[bytes]:
+            lines = []
+            for _ in range(rng.choice([0, 1, 3, 8, 120])):
+                kind = rng.randrange(6)
+                if kind == 0:
+                    lines.append(text(0, 60))
+                elif kind == 1:
+                    lines.append(b"Content-Length: " + rng.choice([
+                        b"0", b"2", b"17", b"-5", b"abc", b"1.5", b"",
+                        b"99999999999", str(rng.randint(0, 300)).encode(),
+                    ]))
+                elif kind == 2:
+                    lines.append(b"Transfer-Encoding: chunked")
+                elif kind == 3:
+                    lines.append(b"X-Long: " + b"a" * rng.choice([100, 70_000]))
+                elif kind == 4:
+                    lines.append(b" continued " + text(0, 20))
+                else:
+                    lines.append(b"Connection: " + rng.choice(
+                        [b"close", b"keep-alive", text(0, 10)]
+                    ))
+            return lines
+
+        def body() -> bytes:
+            return rng.choice([
+                b"", b"{}", b"{", b'{"source": 5}', b"[1, 2]", b"null",
+                b'{"paths": "x"}', text(1, 200), b"\xff\xfe\x00",
+                b"GET /healthz HTTP/1.1\r\n\r\n",
+            ])
+
+        for case in range(150):
+            line = request_line()
+            request = b"\r\n".join([line, *headers(), b"", body()])
+            stream = _raw_exchange(srv.address, request)
+            if not line.strip() and not stream:
+                continue  # a blank request line is not a request
+            try:
+                _assert_envelopes(stream)
+            except Exception as err:
+                raise AssertionError(
+                    f"case {case}: {request[:300]!r} -> {stream[:300]!r}"
+                ) from err
+        with urllib.request.urlopen(srv.url + "/healthz", timeout=60) as resp:
+            assert resp.status == 200
+            assert json.loads(resp.read())["ok"] is True
