@@ -140,7 +140,7 @@ _INFLIGHT_LOCK = threading.Lock()
 
 
 def _forget_inflight_after_fork() -> None:
-    """A forked child (a ``compile_graph`` process-mode worker) has none of
+    """A forked child (a ``compile_graph`` worker) has none of
     its parent's threads: no parent compile will ever set an inherited
     event, and a lock a parent thread held at the fork stays held."""
     global _INFLIGHT_LOCK
@@ -150,6 +150,13 @@ def _forget_inflight_after_fork() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_inflight_after_fork)
+    # unlike the in-flight claims, the intern table stays valid in the
+    # child; the fork just waits out any thread mid-intern
+    os.register_at_fork(
+        before=_INTERN_LOCK.acquire,
+        after_in_parent=_INTERN_LOCK.release,
+        after_in_child=_INTERN_LOCK.release,
+    )
 
 
 def _pid_alive(pid: int) -> bool:

@@ -17,17 +17,15 @@ mutually independent modules, and each wave is chunked across the pool.
 The scan is best-effort by design (a macro that expands into a ``require``
 is invisible to it) — see the module-graph note above.
 
-Execution modes:
-
-- ``"process"`` (default when ``jobs > 1``): a ``ProcessPoolExecutor``
-  (fork start method when the platform offers it, else spawn). This is the
-  mode that actually buys wall-clock speedup — compilation is pure Python,
-  so threads serialize on the GIL. Exercises the cache's *cross-process*
-  coordination (PID-stamped lock files).
-- ``"thread"``: a ``ThreadPoolExecutor``; each worker thread still builds
-  its own Runtime. No speedup under the GIL, but the same scheduling and
-  the cache's *in-process* wait-for-winner path — which is what the
-  concurrency stress suite wants to hammer deterministically.
+``jobs`` alone chooses the path. ``jobs == 1`` compiles serially in the
+calling registry (the differential baseline). ``jobs > 1`` runs a
+``ProcessPoolExecutor`` (fork start method when the platform offers it,
+else spawn): compilation is pure Python, so only processes buy wall-clock
+speedup, and the workers coordinate through the cache's cross-process
+protocol (PID-stamped lock files). A fork from a threaded caller (the
+serve process) is safe because the process-global locks a worker's
+Runtime needs are acquired around every fork (see
+``repro.syn.binding`` and ``repro.modules.cache``).
 
 Only on-disk modules are dispatched to workers (a worker re-registers the
 file by path); in-memory modules (``register_module`` sources) are compiled
@@ -73,12 +71,16 @@ class ModuleResult:
 class GraphReport:
     """What ``compile_graph`` did: per-module outcomes plus the schedule."""
 
-    def __init__(self, jobs: int, mode: str) -> None:
+    def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self.mode = mode
         self.waves: list[list[str]] = []
         self.results: dict[str, ModuleResult] = {}
         self.seconds = 0.0
+
+    @property
+    def mode(self) -> str:
+        """``"serial"`` for ``jobs == 1``, else ``"process"``."""
+        return "process" if self.jobs > 1 else "serial"
 
     @property
     def ok(self) -> bool:
@@ -236,10 +238,10 @@ def _compile_batch(
 ) -> dict[str, tuple[str, float, Optional[str]]]:
     """Compile a batch of on-disk modules into the shared cache.
 
-    Module-level (hence picklable) so it runs in a ProcessPoolExecutor;
-    the same function serves thread mode. Builds one fresh Runtime per
-    batch — the artifacts it publishes into ``cache_dir`` are the result;
-    the Runtime itself is torn down before returning.
+    Module-level (hence picklable) so it runs in a ProcessPoolExecutor.
+    Builds one fresh Runtime per batch — the artifacts it publishes into
+    ``cache_dir`` are the result; the Runtime itself is torn down before
+    returning.
     """
     from repro.tools.runner import Runtime
 
@@ -288,11 +290,8 @@ def _chunk(items: list[str], jobs: int) -> list[list[str]]:
     return out
 
 
-def _make_executor(mode: str, jobs: int) -> Any:
+def _make_executor(jobs: int) -> Any:
     import concurrent.futures
-
-    if mode == "thread":
-        return concurrent.futures.ThreadPoolExecutor(max_workers=jobs)
     import multiprocessing
 
     try:
@@ -310,15 +309,14 @@ def compile_graph(
     paths: list[str],
     *,
     jobs: Optional[int] = None,
-    mode: Optional[str] = None,
 ) -> GraphReport:
     """Compile ``paths`` (and their dependencies), fanning independent
     modules across a worker pool; see the module docstring for the model.
 
     ``jobs=None`` uses ``os.cpu_count()``; ``jobs=1`` compiles serially in
-    the calling registry (the differential baseline). ``jobs > 1`` requires
-    an artifact cache — it is the only channel through which workers hand
-    their results back. After the fan-out the calling registry cache-loads
+    the calling registry (the differential baseline); ``jobs > 1`` compiles
+    on a process pool and requires an artifact cache — it is the only
+    channel through which workers hand their results back. After the fan-out the calling registry cache-loads
     every artifact, so on return the modules are compiled *in this
     registry* exactly as if it had done all the work itself.
     """
@@ -326,10 +324,6 @@ def compile_graph(
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"compile_graph: jobs must be >= 1, got {jobs}")
-    if mode is None:
-        mode = "process" if jobs > 1 else "serial"
-    if mode not in ("serial", "process", "thread"):
-        raise ValueError(f"compile_graph: unknown mode: {mode}")
     if jobs > 1 and registry.cache is None:
         raise ValueError(
             "compile_graph: jobs > 1 requires an artifact cache "
@@ -351,7 +345,7 @@ def compile_graph(
 
     with rec.span("graph", f"plan {len(resolved)} roots"):
         waves, _deps = plan_waves(registry, resolved)
-    report = GraphReport(jobs, mode)
+    report = GraphReport(jobs)
     report.waves = waves
 
     def _serial_compile(path: str, wave_no: int) -> None:
@@ -371,7 +365,7 @@ def compile_graph(
                 path, "failed", time.perf_counter() - t0, wave_no, str(err)
             )
 
-    if jobs == 1 or mode == "serial":
+    if jobs == 1:
         for wave_no, wave in enumerate(waves):
             for path in wave:
                 _serial_compile(path, wave_no)
@@ -380,7 +374,7 @@ def compile_graph(
 
     import concurrent.futures
 
-    executor = _make_executor(mode, jobs)
+    executor = _make_executor(jobs)
     try:
         for wave_no, wave in enumerate(waves):
             disk = [p for p in wave if os.path.exists(p)]

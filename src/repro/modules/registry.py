@@ -373,6 +373,13 @@ class ModuleRegistry:
 
             TABLE.remove_entries(compiled.table_fragment)
 
+    def unregister(self, path: str) -> None:
+        """Forget a module entirely: evict its compilation and drop its
+        registered source, so registering ``path`` again compiles afresh."""
+        self.evict_module(path)
+        self.sources.pop(path, None)
+        self._source_hashes.pop(path, None)
+
     def register_file(self, filename: str) -> str:
         """Register an on-disk module file under its canonical path.
 
@@ -602,7 +609,6 @@ class ModuleRegistry:
         paths: list[str],
         *,
         jobs: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> Any:
         """Compile a module graph, fanning independent modules across a
         worker pool coordinated through the artifact cache; returns a
@@ -610,7 +616,7 @@ class ModuleRegistry:
         :func:`repro.modules.graph.compile_graph`."""
         from repro.modules.graph import compile_graph
 
-        return compile_graph(self, paths, jobs=jobs, mode=mode)
+        return compile_graph(self, paths, jobs=jobs)
 
     def ensure_pyc_unit(self, compiled: "CompiledModule", *, store: bool = True):
         """The module's pyc code-object unit, generating it when missing or

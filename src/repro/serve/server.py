@@ -22,9 +22,10 @@ Protocol (all bodies JSON):
 
 ``POST /compile``
     Either ``{"source": ...}`` (anonymous module, reports diagnostics
-    without running) or ``{"paths": [...], "jobs": N, "mode": ...}`` — a
-    parallel module-graph compilation (:mod:`repro.modules.graph`) whose
-    artifacts land in the shared cache for every later request.
+    without running) or ``{"paths": [...], "jobs": N}`` — a module-graph
+    compilation (:mod:`repro.modules.graph`; ``jobs > 1`` forks a process
+    pool) whose artifacts land in the shared cache for every later
+    request.
 
 ``GET /healthz``
     Liveness: ``{"ok": true, "uptime_s": ..., "requests": ...}``.
@@ -179,8 +180,7 @@ class ReproServer:
     def handle(self, method: str, path: str, body: Optional[dict]) -> tuple[int, dict]:
         """Route one request; returns ``(http_status, json_payload)``.
 
-        Usable directly (no HTTP) — the benchmark's in-process mode and
-        the tests go through here.
+        Usable directly (no HTTP): most tests go through here.
         """
         if method == "GET" and path == "/healthz":
             self._count("healthz")
@@ -352,9 +352,7 @@ class ReproServer:
         if anonymous and module_path is not None:
             # the request's module must not accumulate in the pooled
             # runtime; its dependencies stay compiled (that's the warmth)
-            rt.registry.evict_module(module_path)
-            rt.registry.sources.pop(module_path, None)
-            rt.registry._source_hashes.pop(module_path, None)
+            rt.registry.unregister(module_path)
         result: dict[str, Any] = {
             "ok": ok,
             "tenant": tenant,
@@ -384,9 +382,6 @@ class ReproServer:
         jobs = body.get("jobs", 1)
         if not isinstance(jobs, int) or jobs < 1:
             raise _BadRequest('"jobs" must be a positive integer')
-        mode = body.get("mode")
-        if mode is not None and mode not in ("serial", "process", "thread"):
-            raise _BadRequest('"mode" must be serial, process, or thread')
         tenant = body.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise _BadRequest('"tenant" must be a non-empty string')
@@ -394,7 +389,7 @@ class ReproServer:
         t0 = time.perf_counter()
         try:
             try:
-                report = rt.compile_graph(paths, jobs=jobs, mode=mode)
+                report = rt.compile_graph(paths, jobs=jobs)
             except (ReproError, ValueError) as err:
                 with self._stats_lock:
                     self.errors += 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import os
 import sys
 import threading
 from typing import Any, Optional
@@ -364,6 +365,15 @@ class _Transaction:
 #: one table across all compilations is safe — this mirrors Racket, where
 #: binding information lives on the scopes themselves).
 TABLE = BindingTable()
+
+if hasattr(os, "register_at_fork"):
+    # A fork (a ``compile_graph`` worker) waits for any thread mid-mutation
+    # to finish, so the child inherits a consistent table and a free lock.
+    os.register_at_fork(
+        before=TABLE._lock.acquire,
+        after_in_parent=TABLE._lock.release,
+        after_in_child=TABLE._lock.release,
+    )
 
 
 def free_identifier_eq(a: Syntax, b: Syntax, phase: int = 0) -> bool:

@@ -268,7 +268,6 @@ class Runtime:
         paths: list[str],
         *,
         jobs: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> Any:
         """Compile a module graph in parallel (see
         :func:`repro.modules.graph.compile_graph`): independent modules fan
@@ -277,7 +276,7 @@ class Runtime:
         module is compiled in *this* Runtime exactly as if it had compiled
         the graph serially. ``jobs > 1`` requires the cache."""
         with self._observed():
-            return self.registry.compile_graph(paths, jobs=jobs, mode=mode)
+            return self.registry.compile_graph(paths, jobs=jobs)
 
     def make_namespace(self) -> Namespace:
         return self.registry.make_runtime_namespace()

@@ -129,7 +129,8 @@ class TestExpanders:
             rt.register_module("lib", lib)
             assert rt.run_source(client, "client") == "7\n"
 
-    def test_expander_survives_the_artifact_cache(self, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_expander_survives_the_artifact_cache(self, tmp_path, backend):
         cache = str(tmp_path / "cache")
         lib = """#lang racket/match-ext
 (define-match-expander posn
@@ -140,18 +141,19 @@ class TestExpanders:
 (require "lib")
 (displayln (match (cons 20 22) [(posn x y) (+ x y)]))
 """
-        with Runtime(cache_dir=cache) as rt:
+        with Runtime(cache_dir=cache, backend=backend) as rt:
             rt.register_module("lib", lib)
             rt.register_module("client", client)
             assert rt.run("client") == "42\n"
             assert rt.stats.expansion_steps > 0
-        with Runtime(cache_dir=cache) as rt2:
+        with Runtime(cache_dir=cache, backend=backend) as rt2:
             rt2.register_module("lib", lib)
             rt2.register_module("client", client)
             # warm: the expander is rebuilt from the cached artifact's
-            # define-syntaxes replay — no source pass at all
+            # define-syntaxes replay — no source pass, no codegen
             assert rt2.run("client") == "42\n"
             assert rt2.stats.expansion_steps == 0
+            assert rt2.stats.pyc_codegens == 0
 
 
 class TestDecisionTrees:

@@ -2,7 +2,7 @@
 
 For seeded random module graphs (random DAG shapes mixing diamond and
 chain dependencies, random mixes of values, functions, and macros),
-``compile_graph(jobs=8, mode="thread")`` must produce **byte-identical**
+``compile_graph(jobs=8)`` (a process pool) must produce **byte-identical**
 ``.zo`` artifacts and the same per-module export sets as ``jobs=1`` —
 the scheduler may only change *when* modules compile, never *what* they
 compile to. This is the determinism contract the shared artifact cache
@@ -37,7 +37,7 @@ def make_graph(root: str, seed: int) -> list[str]:
         terms = " ".join([str(rng.randint(1, 9))] + [f"v{j}" for j in deps])
         if rng.random() < 0.4:
             # dialect-bearing module: the infix rewrite runs pre-expansion
-            # on a worker thread/process, and must be just as deterministic
+            # in a worker process, and must be just as deterministic
             lang = "racket/infix"
             infix_terms = " + ".join(
                 [str(rng.randint(1, 9))] + [f"v{j}" for j in deps]
@@ -78,9 +78,8 @@ def digests(cache_dir: str) -> dict[str, str]:
 
 def compile_and_observe(paths: list[str], cache_dir: str, jobs: int) -> dict:
     """Compile the graph; return artifact digests and per-module exports."""
-    mode = "thread" if jobs > 1 else "serial"
     with Runtime(cache_dir=cache_dir) as rt:
-        report = rt.compile_graph(paths, jobs=jobs, mode=mode)
+        report = rt.compile_graph(paths, jobs=jobs)
         assert report.ok, report.errors
         exports = {
             os.path.basename(path): sorted(

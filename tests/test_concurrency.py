@@ -25,6 +25,7 @@ import glob
 import hashlib
 import os
 import threading
+import time
 
 import pytest
 
@@ -238,10 +239,10 @@ class TestConcurrentRuntimes:
         for _name, pid in report.get("tmp_live", []):
             assert pid == os.getpid()
 
-    def test_compile_graph_thread_mode_matches_serial(self, tmp_path, backend):
-        """`compile_graph(jobs=4, mode="thread")` — the in-process
-        wait-for-winner path — produces byte-identical artifacts and the
-        same report statuses as ``jobs=1``."""
+    def test_compile_graph_pool_matches_serial(self, tmp_path, backend):
+        """`compile_graph(jobs=4)` — workers coordinating through the
+        cache's cross-process protocol — produces byte-identical artifacts
+        and the same report statuses as ``jobs=1``."""
         paths = write_graph(tmp_path / "src", N_MODULES)
 
         with Runtime(cache_dir=str(tmp_path / "serial"), backend=backend) as rt:
@@ -249,9 +250,9 @@ class TestConcurrentRuntimes:
         assert serial.ok
 
         with Runtime(cache_dir=str(tmp_path / "parallel"), backend=backend) as rt:
-            parallel = rt.compile_graph(paths, jobs=4, mode="thread")
+            parallel = rt.compile_graph(paths, jobs=4)
         assert parallel.ok
-        assert parallel.jobs == 4
+        assert (parallel.jobs, parallel.mode) == (4, "process")
 
         assert artifact_digests(tmp_path / "parallel") == artifact_digests(
             tmp_path / "serial"
@@ -411,7 +412,7 @@ class TestCompileProfiles:
         with Runtime(cache_dir=str(tmp_path / "serial"), **noopt) as rt:
             assert rt.compile_graph(paths, jobs=1).ok
         with Runtime(cache_dir=str(tmp_path / "parallel"), **noopt) as rt:
-            assert rt.compile_graph(paths, jobs=4, mode="thread").ok
+            assert rt.compile_graph(paths, jobs=4).ok
 
         serial = artifact_digests(tmp_path / "serial")
         assert len(serial) == len(paths)
@@ -499,7 +500,7 @@ class TestBindingTableRaceRegressions:
 
 class TestForkedWorkers:
     def test_child_does_not_inherit_in_flight_claims(self):
-        """A process-mode worker forked while a parent thread holds the
+        """A ``compile_graph`` worker forked while a parent thread holds the
         in-flight lock, or has a claim registered, starts with neither: the
         parent's threads do not exist in the child to release them."""
         from repro.modules import cache
@@ -513,3 +514,35 @@ class TestForkedWorkers:
             del cache._INFLIGHT["<parent-claim>"]
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("lock_name", ["TABLE._lock", "_INTERN_LOCK"])
+    def test_fork_waits_for_a_lock_another_thread_holds(self, tmp_path, lock_name):
+        """Regression: a worker forked while another thread held the
+        binding-table or scope-intern lock inherited it held, and blocked
+        forever on its first use, hanging ``compile_graph``. The fork now
+        waits for the holder to let go."""
+        from repro.modules import cache
+
+        lock = TABLE._lock if lock_name == "TABLE._lock" else cache._INTERN_LOCK
+        paths = write_graph(tmp_path / "src", 3)
+        held = threading.Event()
+
+        def hold() -> None:
+            with lock:
+                held.set()
+                time.sleep(1.0)
+
+        reports = []
+        with Runtime(cache_dir=str(tmp_path / "cache")) as rt:
+            holder = threading.Thread(target=hold, daemon=True)
+            holder.start()
+            held.wait()
+            compiler = threading.Thread(
+                target=lambda: reports.append(rt.compile_graph(paths, jobs=2)),
+                daemon=True,
+            )
+            compiler.start()
+            compiler.join(timeout=60)
+            holder.join()
+            assert not compiler.is_alive(), "compile_graph hung on a forked lock"
+        assert reports and reports[0].ok, reports and reports[0].errors

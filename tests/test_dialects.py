@@ -107,18 +107,20 @@ class TestStackedCompilation:
 
 
 class TestCacheIdentity:
-    def test_dialect_module_warm_starts_with_zero_expansions(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["interp", "pyc"])
+    def test_dialect_module_warm_starts_with_zero_expansions(self, tmp_path, backend):
         cache = str(tmp_path / "cache")
-        with Runtime(cache_dir=cache) as rt:
+        with Runtime(cache_dir=cache, backend=backend) as rt:
             rt.register_module("m", INFIX_MOD)
             assert rt.run("m") == "49\n"
             assert rt.stats.expansion_steps > 0
-        with Runtime(cache_dir=cache) as rt2:
+        with Runtime(cache_dir=cache, backend=backend) as rt2:
             rt2.register_module("m", INFIX_MOD)
             # warm: the artifact replays — no reread, no dialect rewrite,
             # no expansion, no codegen
             assert rt2.run("m") == "49\n"
             assert rt2.stats.expansion_steps == 0
+            assert rt2.stats.pyc_codegens == 0
             assert rt2.stats.cache_hits >= 1
             assert rt2.stats.cache_misses == 0
 
@@ -279,8 +281,7 @@ class TestTransparency:
             encoding="utf-8",
         )
         with Runtime(cache_dir=str(tmp_path / "cache")) as rt:
-            report = rt.compile_graph([str(lib), str(use)], jobs=2,
-                                      mode="thread")
+            report = rt.compile_graph([str(lib), str(use)], jobs=2)
             assert report.ok, report.errors
             assert rt.run_file(str(use)) == "42\n"
 

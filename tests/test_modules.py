@@ -164,6 +164,21 @@ class TestSeparateCompilation:
         rt.register_module("lib", "#lang racket\n(define v 5)\n(provide v)")
         assert rt.compile("lib") is rt.compile("lib")
 
+    def test_unregister_forgets_the_module(self, rt):
+        reg = rt.registry
+        rt.register_module("lib", "#lang racket\n(define v 5)\n(provide v)")
+        first = rt.compile("lib")
+        reg.source_hash("lib")
+        reg.unregister("lib")
+        assert "lib" not in reg.sources
+        assert "lib" not in reg.compiled
+        assert "lib" not in reg._source_hashes
+        with pytest.raises(ModuleError):
+            rt.compile("lib")
+        rt.register_module("lib", "#lang racket\n(define v 5)\n(provide v)")
+        again = rt.compile("lib")
+        assert again is not first and again.exports.keys() == first.exports.keys()
+
     def test_instantiation_per_namespace(self, rt):
         rt.register_module(
             "counter",

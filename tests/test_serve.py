@@ -201,7 +201,7 @@ class TestValidation:
         {"paths": "not-a-list"},
         {"paths": [1, 2]},
         {"paths": [], "jobs": 0},
-        {"paths": [], "mode": "warp"},
+        {"paths": [], "tenant": ""},
     ])
     def test_bad_graph_bodies(self, srv, body):
         with pytest.raises(_BadRequest):
@@ -233,7 +233,7 @@ class TestGraphEndpoint:
             p.write_text(body, encoding="utf-8")
             paths.append(str(p))
         status, payload = srv.handle(
-            "POST", "/compile", {"paths": paths, "jobs": 2, "mode": "thread"}
+            "POST", "/compile", {"paths": paths, "jobs": 2}
         )
         assert status == 200 and payload["ok"] is True
         assert payload["counts"]["compiled"] == 3
@@ -271,6 +271,24 @@ class TestHTTP:
         status, payload = self._post(srv.url, "/run", {"source": HELLO})
         assert status == 200 and payload["ok"] is True
         assert payload["output"] == "42\n"
+
+    def test_budget_kill_over_http(self, srv):
+        status, payload = self._post(
+            srv.url, "/run", {"source": BUSY, "budget": {"steps": 5}}
+        )
+        assert status == 200 and payload["ok"] is False
+        assert payload["error"]["code"] == "G001"
+
+    def test_cache_fault_over_http(self, srv):
+        self._post(srv.url, "/run", {"source": HELLO, "tenant": "a"})
+        plan = FaultPlan(rules=[FaultRule("cache.read", "garble", times=1)])
+        with use_fault_plan(plan):
+            status, payload = self._post(
+                srv.url, "/run", {"source": HELLO, "tenant": "b"}
+            )
+        assert status == 200 and payload["ok"] is True
+        assert payload["output"] == "42\n"
+        assert payload.get("diagnostics"), payload
 
     def test_bad_request_is_http_400(self, srv):
         status, payload = self._post(srv.url, "/run", {})
