@@ -27,6 +27,7 @@ compilation transaction) already handles them.
 from __future__ import annotations
 
 import contextvars
+import sys
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
@@ -36,6 +37,28 @@ from repro.errors import BudgetExhausted, EvaluationCancelled
 #: steps between slow checkpoints (clock read + cancellation flag); chosen
 #: so a deadline is noticed within ~a millisecond of object-language work
 DEFAULT_CHECK_INTERVAL = 1024
+
+#: the limit dimensions a Budget governs
+LIMITS = ("steps", "seconds", "max_depth", "allocations")
+
+
+def _check_limit(name: str, value: Any) -> Any:
+    """``value`` if it is a valid ``name`` limit, else ValueError: None
+    (unlimited) or a non-negative number — an int for the counted
+    dimensions, any finite real for ``seconds``. Bools are not numbers
+    here, however Python treats them."""
+    if value is None:
+        return value
+    if name == "seconds":  # a deadline is a float: NaN, inf and 10**400 are not
+        ok = isinstance(value, (int, float)) and 0 <= value <= sys.float_info.max
+    else:
+        ok = isinstance(value, int) and value >= 0
+    if ok and not isinstance(value, bool):
+        return value
+    kind = "a finite real" if name == "seconds" else "an integer"
+    raise ValueError(
+        f"budget limit {name} must be None or {kind} >= 0, got {value!r}"
+    )
 
 
 class CancelToken:
@@ -103,10 +126,10 @@ class Budget:
     ) -> None:
         if check_interval < 1:
             raise ValueError("check_interval must be >= 1")
-        self.steps = steps
-        self.seconds = seconds
-        self.max_depth = max_depth
-        self.allocations = allocations
+        self.steps = _check_limit("steps", steps)
+        self.seconds = _check_limit("seconds", seconds)
+        self.max_depth = _check_limit("max_depth", max_depth)
+        self.allocations = _check_limit("allocations", allocations)
         self.check_interval = check_interval
         self.cancel = cancel if cancel is not None else CancelToken()
         self.steps_used = 0
@@ -119,13 +142,16 @@ class Budget:
     # -- configuration -------------------------------------------------------
 
     def configure(self, **limits: Any) -> None:
-        """Adjust limits in place (used by the REPL's ``,budget``)."""
-        for name in ("steps", "seconds", "max_depth", "allocations",
-                     "check_interval"):
+        """Adjust limits in place (used by the REPL's ``,budget``); an
+        invalid limit raises before any is changed."""
+        unknown = set(limits) - {*LIMITS, "check_interval"}
+        if unknown:
+            raise TypeError(f"unknown budget limit(s): {sorted(unknown)}")
+        for name in LIMITS:
             if name in limits:
-                setattr(self, name, limits.pop(name))
-        if limits:
-            raise TypeError(f"unknown budget limit(s): {sorted(limits)}")
+                _check_limit(name, limits[name])
+        for name, value in limits.items():
+            setattr(self, name, value)
         self.next_check = self._compute_next_check()
 
     def reset(self) -> None:

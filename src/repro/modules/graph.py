@@ -1,44 +1,53 @@
 """Parallel module-graph compilation.
 
 ``compile_graph`` compiles a set of modules (and their dependencies) by
-fanning independent modules out across a ``concurrent.futures`` pool. The
+spreading them over a ``concurrent.futures`` process pool. The
 content-hashed artifact cache (:mod:`repro.modules.cache`) is the single
-coordination point: every worker builds its own Runtime against the shared
-cache directory, compiled artifacts land there atomically, and two workers
-that race to the same module are reconciled by the cache's writer-claim
-protocol (the loser waits for the winner's artifact instead of duplicating
-the compile). The scheduler is therefore an *optimization*, not a
-correctness mechanism — a module the dependency scan missed is simply
-compiled transitively by whichever worker requires it first.
+coordination point: every worker compiles in its own Runtime against the
+shared cache directory, compiled artifacts land there atomically, and a
+worker that reaches a module another worker is still compiling waits for
+that winner's artifact through the cache's writer-claim protocol instead of
+duplicating the compile. The order modules are handed out in is therefore
+an *optimization*, not a correctness mechanism — a module the dependency
+scan missed is simply compiled transitively by whichever worker requires it
+first.
 
-Scheduling: a cheap top-level scan of each module's ``require`` forms
-produces a dependency graph; Kahn's algorithm layers it into *waves* of
-mutually independent modules, and each wave is chunked across the pool.
-The scan is best-effort by design (a macro that expands into a ``require``
-is invisible to it) — see the module-graph note above.
+Order: a cheap top-level scan of each module's ``require`` forms produces a
+dependency graph, and a depth-first post-order over it puts every module
+after the modules it requires. The scan is best-effort by design (a macro
+that expands into a ``require`` is invisible to it).
 
 ``jobs`` alone chooses the path. ``jobs == 1`` compiles serially in the
-calling registry (the differential baseline). ``jobs > 1`` runs a
-``ProcessPoolExecutor`` (fork start method when the platform offers it,
-else spawn): compilation is pure Python, so only processes buy wall-clock
-speedup, and the workers coordinate through the cache's cross-process
-protocol (PID-stamped lock files). A fork from a threaded caller (the
-serve process) is safe because the process-global locks a worker's
-Runtime needs are acquired around every fork (see
-``repro.syn.binding`` and ``repro.modules.cache``).
+calling registry, in that order (the differential baseline). ``jobs > 1``
+runs a ``ProcessPoolExecutor`` of at most ``min(jobs, on-disk modules)``
+workers (fork start method when the platform offers it, else spawn):
+compilation is pure Python, so only processes buy wall-clock speedup. Each
+on-disk module is one task, submitted dependency-first, with no barrier
+between tasks. Each worker builds one Runtime when it starts and keeps it
+for the whole call, so the modules it compiled stay in memory for the later
+tasks that require them. A fork from a threaded caller (the serve process)
+is safe because the process-global locks a worker's Runtime needs are
+acquired around every fork (see ``repro.syn.binding`` and
+``repro.modules.cache``).
 
-Only on-disk modules are dispatched to workers (a worker re-registers the
-file by path); in-memory modules (``register_module`` sources) are compiled
-in the calling Runtime, since only it holds their source forms.
+The calling registry compiles what the pool does not take, after the pool:
+in-memory modules (``register_module`` sources), since only it holds their
+source forms, and every module on or above a scan-visible require cycle —
+two workers each holding one cycle member's writer claim would wait on
+each other until the cache's winner timeout, while one registry reports the
+cycle as M003 at once. The same pass cache-loads every module the workers
+compiled into the calling registry.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ReproError
+from repro.runtime.stats import current_stats, use_stats
 
 if TYPE_CHECKING:
     from repro.modules.registry import ModuleRegistry
@@ -47,21 +56,19 @@ if TYPE_CHECKING:
 class ModuleResult:
     """Outcome of one module's compilation within a graph run."""
 
-    __slots__ = ("path", "status", "seconds", "wave", "error")
+    __slots__ = ("path", "status", "seconds", "error")
 
     def __init__(
         self,
         path: str,
         status: str,
         seconds: float,
-        wave: int,
         error: Optional[str] = None,
     ) -> None:
         self.path = path
         #: "compiled" | "cache-hit" | "failed"
         self.status = status
         self.seconds = seconds
-        self.wave = wave
         self.error = error
 
     def __repr__(self) -> str:
@@ -69,11 +76,10 @@ class ModuleResult:
 
 
 class GraphReport:
-    """What ``compile_graph`` did: per-module outcomes plus the schedule."""
+    """What ``compile_graph`` did: per-module outcomes, dependency-first."""
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self.waves: list[list[str]] = []
         self.results: dict[str, ModuleResult] = {}
         self.seconds = 0.0
 
@@ -105,13 +111,11 @@ class GraphReport:
             "jobs": self.jobs,
             "mode": self.mode,
             "seconds": self.seconds,
-            "waves": [list(w) for w in self.waves],
             "counts": self.counts(),
             "modules": {
                 path: {
                     "status": r.status,
                     "seconds": r.seconds,
-                    "wave": r.wave,
                     **({"error": r.error} if r.error else {}),
                 }
                 for path, r in self.results.items()
@@ -188,109 +192,107 @@ def scan_requires(registry: "ModuleRegistry", path: str) -> list[str]:
     return deps
 
 
-def plan_waves(
+def plan_order(
     registry: "ModuleRegistry", paths: list[str]
-) -> tuple[list[list[str]], dict[str, list[str]]]:
-    """Layer the (scanned) dependency graph into waves of independent
-    modules — Kahn's algorithm, with deterministic ordering inside each
-    wave. Returns ``(waves, deps)`` where ``deps`` maps each discovered
-    module to its scanned in-graph dependencies. A scan-visible dependency
-    cycle puts its members into one final wave (the compile itself then
-    reports M003 with the precise chain)."""
-    deps: dict[str, list[str]] = {}
+) -> tuple[list[str], set[str]]:
+    """Order the (scanned) dependency graph dependency-first: a depth-first
+    post-order, so every module comes after the modules it requires.
+    Returns ``(order, cyclic)``, where ``cyclic`` holds every module on a
+    scan-visible require cycle or requiring one; compiling any of them
+    reports M003 with the precise chain."""
     order: list[str] = []
-    stack = list(paths)
-    while stack:
-        path = stack.pop()
-        if path in deps:
-            continue
-        scanned = scan_requires(registry, path)
-        deps[path] = scanned
-        order.append(path)
-        stack.extend(d for d in scanned if d not in deps)
+    seen: set[str] = set()
+    open_: set[str] = set()
+    cyclic: set[str] = set()
 
-    remaining = {p: set(d for d in ds if d in deps) for p, ds in deps.items()}
-    waves: list[list[str]] = []
-    while remaining:
-        ready = sorted(p for p, blockers in remaining.items() if not blockers)
-        if not ready:
-            # cycle: flush the rest in one wave; compilation raises M003
-            waves.append(sorted(remaining))
-            break
-        waves.append(ready)
-        for p in ready:
-            del remaining[p]
-        for blockers in remaining.values():
-            blockers.difference_update(ready)
-    return waves, deps
+    def visit(path: str) -> None:
+        seen.add(path)
+        open_.add(path)
+        for dep in scan_requires(registry, path):
+            if dep not in seen:
+                visit(dep)
+            if dep in open_ or dep in cyclic:
+                cyclic.add(path)
+        open_.discard(path)
+        order.append(path)
+
+    for path in paths:
+        if path not in seen:
+            visit(path)
+    return order, cyclic
+
+
+def _compile_one(registry: "ModuleRegistry", path: str) -> ModuleResult:
+    """Compile ``path`` in ``registry``, labelled from the counters the
+    compile bumps: a cache miss means the module was compiled here, no miss
+    means it was cache-loaded or already held. Without a cache, a module
+    the registry did not already hold was compiled."""
+    stats = current_stats()
+    t0 = time.perf_counter()
+    held = path in registry.compiled
+    misses = stats.cache_misses
+    try:
+        registry.get_compiled(path)
+    except ReproError as err:
+        return ModuleResult(path, "failed", time.perf_counter() - t0, str(err))
+    except OSError as err:
+        return ModuleResult(
+            path, "failed", time.perf_counter() - t0,
+            f"cannot read {path}: {err.strerror or err}",
+        )
+    if registry.cache is not None:
+        compiled = stats.cache_misses > misses
+    else:
+        compiled = not held
+    return ModuleResult(
+        path, "compiled" if compiled else "cache-hit", time.perf_counter() - t0
+    )
 
 
 # -- the pool worker ---------------------------------------------------------
 
+#: this pool worker's Runtime, built once by :func:`_start_worker`
+_WORKER: Any = None
 
-def _compile_batch(
-    paths: list[str],
+
+def _start_worker(
     cache_dir: str,
     backend: str,
     expansion_fuel: Optional[int],
     inline_primitives: bool,
     optimizer_rules: frozenset[str],
-) -> dict[str, tuple[str, float, Optional[str]]]:
-    """Compile a batch of on-disk modules into the shared cache.
-
-    Module-level (hence picklable) so it runs in a ProcessPoolExecutor.
-    Builds one fresh Runtime per batch — the artifacts it publishes into
-    ``cache_dir`` are the result; the Runtime itself is torn down before
-    returning.
-    """
+) -> None:
+    """Pool initializer: build the one Runtime this worker compiles in for
+    the whole ``compile_graph`` call, with the caller's compile profile."""
     from repro.tools.runner import Runtime
 
-    results: dict[str, tuple[str, float, Optional[str]]] = {}
-    rt = Runtime(
+    global _WORKER
+    _WORKER = Runtime(
         cache_dir=cache_dir,
         backend=backend,
         expansion_fuel=expansion_fuel,
         inline_primitives=inline_primitives,
         optimizer_rules=optimizer_rules,
     )
-    try:
-        for path in paths:
-            t0 = time.perf_counter()
-            try:
-                canon = rt.register_file(path)
-                before = rt.stats.cache_misses
-                rt.compile(canon)
-                status = "compiled" if rt.stats.cache_misses > before else "cache-hit"
-                results[path] = (status, time.perf_counter() - t0, None)
-            except ReproError as err:
-                results[path] = ("failed", time.perf_counter() - t0, str(err))
-            except OSError as err:
-                results[path] = (
-                    "failed",
-                    time.perf_counter() - t0,
-                    f"cannot read {path}: {err.strerror or err}",
-                )
-    finally:
-        rt.close()
-    return results
 
 
-def _chunk(items: list[str], jobs: int) -> list[list[str]]:
-    """Split a wave into at most ``jobs`` contiguous, balanced batches."""
-    n = min(jobs, len(items))
-    if n <= 0:
-        return []
-    size, extra = divmod(len(items), n)
-    out: list[list[str]] = []
-    start = 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
+def _compile_in_worker(path: str) -> ModuleResult:
+    """Pool task (module-level, hence picklable): compile one on-disk
+    module in this worker's Runtime. The artifact it publishes into the
+    shared cache is the result; the modules it compiled stay in the
+    Runtime for the later tasks that require them."""
+    # re-intern the unpickled path: module paths must be the one interned
+    # object the registry uses, or the artifact bytes differ (see
+    # ``canonical_path``)
+    with use_stats(_WORKER.stats):
+        return _compile_one(_WORKER.registry, sys.intern(path))
 
 
-def _make_executor(jobs: int) -> Any:
+def _run_pool(
+    registry: "ModuleRegistry", paths: list[str], jobs: int, report: GraphReport
+) -> None:
+    """Compile ``paths`` (on-disk, dependency-first) on a process pool of at
+    most ``jobs`` workers, one task per module and no barrier between them."""
     import concurrent.futures
     import multiprocessing
 
@@ -298,7 +300,28 @@ def _make_executor(jobs: int) -> Any:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork
         ctx = multiprocessing.get_context("spawn")
-    return concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+    profile = (
+        registry.cache.dir,
+        registry.backend,
+        registry.expansion_fuel,
+        registry.inline_primitives,
+        registry.optimizer_rules,
+    )
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(jobs, len(paths)),
+        mp_context=ctx,
+        initializer=_start_worker,
+        initargs=profile,
+    ) as pool:
+        futures = {pool.submit(_compile_in_worker, path): path for path in paths}
+        for future in concurrent.futures.as_completed(futures):
+            path = futures[future]
+            try:
+                report.results[path] = future.result()
+            except Exception as err:  # worker died (crash, kill)
+                report.results[path] = ModuleResult(
+                    path, "failed", 0.0, f"worker failed: {err}"
+                )
 
 
 # -- the driver --------------------------------------------------------------
@@ -310,15 +333,16 @@ def compile_graph(
     *,
     jobs: Optional[int] = None,
 ) -> GraphReport:
-    """Compile ``paths`` (and their dependencies), fanning independent
-    modules across a worker pool; see the module docstring for the model.
+    """Compile ``paths`` (and their dependencies), spreading on-disk modules
+    over a worker pool; see the module docstring for the model.
 
     ``jobs=None`` uses ``os.cpu_count()``; ``jobs=1`` compiles serially in
     the calling registry (the differential baseline); ``jobs > 1`` compiles
     on a process pool and requires an artifact cache — it is the only
-    channel through which workers hand their results back. After the fan-out the calling registry cache-loads
-    every artifact, so on return the modules are compiled *in this
-    registry* exactly as if it had done all the work itself.
+    channel through which workers hand their results back. After the pool
+    the calling registry cache-loads every artifact, so on return the
+    modules are compiled *in this registry* exactly as if it had done all
+    the work itself.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -344,109 +368,25 @@ def compile_graph(
             resolved.append(canon)
 
     with rec.span("graph", f"plan {len(resolved)} roots"):
-        waves, _deps = plan_waves(registry, resolved)
+        order, cyclic = plan_order(registry, resolved)
     report = GraphReport(jobs)
-    report.waves = waves
 
-    def _serial_compile(path: str, wave_no: int) -> None:
-        t0 = time.perf_counter()
-        try:
-            before = (
-                registry.compiled.get(path) is not None
-                or _has_artifact(registry, path)
-            )
-            registry.get_compiled(path)
-            status = "cache-hit" if before else "compiled"
-            report.results[path] = ModuleResult(
-                path, status, time.perf_counter() - t0, wave_no
-            )
-        except ReproError as err:
-            report.results[path] = ModuleResult(
-                path, "failed", time.perf_counter() - t0, wave_no, str(err)
-            )
+    if jobs > 1:
+        pooled = [p for p in order if p not in cyclic and os.path.exists(p)]
+        if pooled:
+            with rec.span("graph", f"pool {len(pooled)} modules"):
+                _run_pool(registry, pooled, jobs, report)
 
-    if jobs == 1:
-        for wave_no, wave in enumerate(waves):
-            for path in wave:
-                _serial_compile(path, wave_no)
-        report.seconds = time.perf_counter() - t_start
-        return report
-
-    import concurrent.futures
-
-    executor = _make_executor(jobs)
-    try:
-        for wave_no, wave in enumerate(waves):
-            disk = [p for p in wave if os.path.exists(p)]
-            local = [p for p in wave if p not in disk]
-            # in-memory modules: only this registry holds their forms
-            for path in local:
-                _serial_compile(path, wave_no)
-            if not disk:
+    # the calling registry, deps first: cache-load what the pool compiled,
+    # compile the rest (in-memory and cycle modules; everything for jobs=1)
+    with rec.span("graph", f"compile {len(order)} modules in the caller"):
+        for path in order:
+            pooled_result = report.results.get(path)
+            if pooled_result is not None and pooled_result.status == "failed":
                 continue
-            with rec.span("graph", f"wave {wave_no} ({len(disk)} modules)"):
-                futures = {
-                    executor.submit(
-                        _compile_batch,
-                        batch,
-                        registry.cache.dir,
-                        registry.backend,
-                        registry.expansion_fuel,
-                        registry.inline_primitives,
-                        registry.optimizer_rules,
-                    ): batch
-                    for batch in _chunk(disk, jobs)
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    batch = futures[future]
-                    try:
-                        outcomes = future.result()
-                    except BaseException as err:  # worker died (crash, kill)
-                        for path in batch:
-                            report.results[path] = ModuleResult(
-                                path, "failed", 0.0, wave_no,
-                                f"worker failed: {err}",
-                            )
-                        continue
-                    for path, (status, seconds, error) in outcomes.items():
-                        report.results[path] = ModuleResult(
-                            path, status, seconds, wave_no, error
-                        )
-    finally:
-        executor.shutdown(wait=True)
-
-    # adopt the workers' artifacts: cache-load every successfully compiled
-    # module into *this* registry (deps first — get_compiled recurses, so
-    # plain topo order suffices)
-    with rec.span("graph", "adopt artifacts"):
-        for wave_no, wave in enumerate(waves):
-            for path in wave:
-                result = report.results.get(path)
-                if result is None or result.status == "failed":
-                    continue
-                if registry.compiled.get(path) is not None:
-                    continue
-                try:
-                    registry.get_compiled(path)
-                except ReproError as err:
-                    report.results[path] = ModuleResult(
-                        path, "failed", result.seconds, wave_no, str(err)
-                    )
+            result = _compile_one(registry, path)
+            if pooled_result is None or result.status == "failed":
+                report.results[path] = result
+    report.results = {path: report.results[path] for path in order}
     report.seconds = time.perf_counter() - t_start
     return report
-
-
-def _has_artifact(registry: "ModuleRegistry", path: str) -> bool:
-    """Whether the cache already holds an artifact for ``path`` (used only
-    to label serial results compiled vs cache-hit)."""
-    cache = registry.cache
-    if cache is None:
-        return False
-    try:
-        lang, _forms = registry.sources[path]
-        file = cache.artifact_path(
-            path, registry.cache_lang_key(lang), registry.source_hash(path)
-        )
-    except (KeyError, OSError, ReproError):
-        return False
-    return os.path.exists(file)

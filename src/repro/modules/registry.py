@@ -610,8 +610,8 @@ class ModuleRegistry:
         *,
         jobs: Optional[int] = None,
     ) -> Any:
-        """Compile a module graph, fanning independent modules across a
-        worker pool coordinated through the artifact cache; returns a
+        """Compile a module graph dependency-first on a worker pool
+        coordinated through the artifact cache; returns a
         :class:`repro.modules.graph.GraphReport`. See
         :func:`repro.modules.graph.compile_graph`."""
         from repro.modules.graph import compile_graph

@@ -47,7 +47,7 @@ CATEGORIES = frozenset(
         "run",             # executing a module body form
         "instantiate",     # whole-module instantiation driver
         "import",          # a Python import of a #lang module (import hook)
-        "graph",           # compile_graph planning and parallel waves
+        "graph",           # compile_graph planning, worker pool, caller pass
         "serve",           # one compile-and-eval service request
         "guard",           # budget exhaustion and cancellation instants
     }

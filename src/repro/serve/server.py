@@ -52,13 +52,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 
 from repro.errors import ReproError
-from repro.guard.budget import resolve_budget
+from repro.guard.budget import LIMITS, resolve_budget
 from repro.observe.events import TRACE_SCHEMA
 from repro.observe.recorder import Tracer, current_recorder, use_recorder
 from repro.serve.pool import RuntimePool
@@ -66,7 +67,7 @@ from repro.serve.pool import RuntimePool
 _REQ_IDS = itertools.count(1)
 
 #: budget keys a request may set; anything else in "budget" is rejected
-_BUDGET_KEYS = frozenset({"steps", "seconds", "max_depth", "allocations"})
+_BUDGET_KEYS = frozenset(LIMITS)
 
 #: the longest request body accepted; a longer Content-Length is S413
 MAX_BODY_BYTES = 1 << 20
@@ -380,8 +381,10 @@ class ReproServer:
         if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
             raise _BadRequest('"paths" must be a list of strings')
         jobs = body.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 1:
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise _BadRequest('"jobs" must be a positive integer')
+        # no request forks more workers than the host has CPUs
+        jobs = min(jobs, os.cpu_count() or 1)
         tenant = body.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise _BadRequest('"tenant" must be a non-empty string')
@@ -565,6 +568,11 @@ def serve_command(args: list[str]) -> int:
         else:
             budget[key] = value
         i += 1
+    try:
+        resolve_budget(dict(budget))
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     from repro.modules.cache import default_cache_dir
 
     server = ReproServer(

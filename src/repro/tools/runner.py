@@ -270,9 +270,10 @@ class Runtime:
         jobs: Optional[int] = None,
     ) -> Any:
         """Compile a module graph in parallel (see
-        :func:`repro.modules.graph.compile_graph`): independent modules fan
-        out across a worker pool (``jobs=None`` → ``os.cpu_count()``), the
-        artifact cache is the coordination point, and on return every
+        :func:`repro.modules.graph.compile_graph`): modules go
+        dependency-first to a pool of long-lived workers (``jobs=None`` →
+        ``os.cpu_count()``), the artifact cache is the coordination point,
+        and on return every
         module is compiled in *this* Runtime exactly as if it had compiled
         the graph serially. ``jobs > 1`` requires the cache."""
         with self._observed():
@@ -671,8 +672,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ValueError:
             print(f"error: {name} requires a number, got {raw!r}", file=sys.stderr)
             return False
-        if value <= 0:
-            print(f"error: {name} must be positive", file=sys.stderr)
+        if not 0 < value < float("inf"):
+            print(f"error: {name} must be positive and finite", file=sys.stderr)
             return False
         budget_limits[
             {"--steps": "steps", "--time-limit": "seconds",

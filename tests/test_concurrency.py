@@ -546,3 +546,56 @@ class TestForkedWorkers:
             holder.join()
             assert not compiler.is_alive(), "compile_graph hung on a forked lock"
         assert reports and reports[0].ok, reports and reports[0].errors
+
+
+class TestGraphScheduling:
+    def test_pool_worker_keeps_the_modules_it_compiled(self, tmp_path):
+        """A pool worker builds one Runtime and keeps it for the whole call:
+        handed a chain dependency-first, it loads no artifact from the
+        cache, because every dependency is still in memory. (A fresh
+        Runtime per module cache-loads 0 + 1 + ... + 5 = 15 here.)"""
+        from repro.langs.typed.optimizer import ALL_RULES
+        from repro.modules import graph
+
+        paths = write_graph(tmp_path / "src", 6)
+        graph._start_worker(str(tmp_path / "cache"), "interp", None, True, ALL_RULES)
+        try:
+            results = [graph._compile_in_worker(path) for path in paths]
+            assert [r.status for r in results] == ["compiled"] * 6
+            assert graph._WORKER.stats.cache_hits == 0
+        finally:
+            graph._WORKER.close()
+            graph._WORKER = None
+        assert len(artifact_digests(tmp_path / "cache")) == 6
+
+    def test_require_cycle_on_the_pool_fails_fast(self, tmp_path):
+        """``a.rkt`` <-> ``b.rkt`` under ``jobs=2``: both report the cycle
+        (M003) at once, instead of two workers each waiting out the cache's
+        winner timeout for the other's claim (C106); an independent module
+        still compiles on the pool."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.rkt").write_text(
+            '#lang racket\n(require "b.rkt")\n(define x 1)\n(provide x)\n',
+            encoding="utf-8",
+        )
+        (src / "b.rkt").write_text(
+            '#lang racket\n(require "a.rkt")\n(define y 2)\n(provide y)\n',
+            encoding="utf-8",
+        )
+        (src / "c.rkt").write_text(
+            "#lang racket\n(define z 3)\n(provide z)\n", encoding="utf-8"
+        )
+        paths = [str(src / name) for name in ("a.rkt", "b.rkt", "c.rkt")]
+        with Runtime(cache_dir=str(tmp_path / "cache")) as rt:
+            t0 = time.monotonic()
+            report = rt.compile_graph(paths, jobs=2)
+            elapsed = time.monotonic() - t0
+            warnings = [d.code for d in rt.cache.diagnostics]
+        assert elapsed < rt.cache.winner_timeout / 3, elapsed
+        assert "C106" not in warnings
+        statuses = {os.path.basename(p): r.status for p, r in report.results.items()}
+        assert statuses == {"a.rkt": "failed", "b.rkt": "failed", "c.rkt": "compiled"}
+        for name in ("a.rkt", "b.rkt"):
+            error = report.errors[os.path.realpath(src / name)]
+            assert "module dependency cycle" in error, error

@@ -247,6 +247,20 @@ class TestResolveBudget:
         with pytest.raises(TypeError):
             resolve_budget("lots")
 
+    @pytest.mark.parametrize("limits", [
+        {"steps": -5}, {"steps": True}, {"steps": 1.5}, {"max_depth": "a"},
+        {"allocations": "z"}, {"seconds": "x"}, {"seconds": float("inf")},
+        {"seconds": float("nan")}, {"seconds": -0.5}, {"seconds": 10**400},
+    ])
+    def test_rejects_bad_limits(self, limits):
+        with pytest.raises(ValueError):
+            Budget(**limits)
+        budget = Budget(steps=7)
+        with pytest.raises(ValueError):
+            budget.configure(**{"allocations": 9, **limits})
+        # nothing changed, not even the valid limit
+        assert (budget.steps, budget.allocations) == (7, None)
+
 
 class TestCLI:
     def test_steps_flag_reports_g001(self, tmp_path, capsys):

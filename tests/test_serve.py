@@ -192,6 +192,12 @@ class TestValidation:
         {"source": HELLO, "tenant": ""},
         {"source": HELLO, "budget": {"bogus": 1}},
         {"source": HELLO, "budget": "fast"},
+        {"source": HELLO, "budget": {"seconds": "x"}},
+        {"source": HELLO, "budget": {"max_depth": "a"}},
+        {"source": HELLO, "budget": {"steps": -5}},
+        {"source": HELLO, "budget": {"steps": True}},
+        {"source": HELLO, "budget": {"steps": 1.5}},
+        {"source": HELLO, "budget": {"allocations": "z"}},
     ])
     def test_bad_run_bodies(self, srv, body):
         with pytest.raises(_BadRequest):
@@ -201,6 +207,7 @@ class TestValidation:
         {"paths": "not-a-list"},
         {"paths": [1, 2]},
         {"paths": [], "jobs": 0},
+        {"paths": [], "jobs": True},
         {"paths": [], "tenant": ""},
     ])
     def test_bad_graph_bodies(self, srv, body):
@@ -238,7 +245,21 @@ class TestGraphEndpoint:
         assert status == 200 and payload["ok"] is True
         assert payload["counts"]["compiled"] == 3
         assert payload["counts"]["failed"] == 0
-        assert len(payload["waves"]) >= 1
+        assert [m["status"] for m in payload["modules"].values()] == [
+            "compiled"
+        ] * 3
+
+    def test_jobs_clamped_to_cpu_count(self, srv, tmp_path, monkeypatch):
+        """No request forks more workers than the host has CPUs; the reply
+        reports the jobs actually used."""
+        p = tmp_path / "m.rkt"
+        p.write_text("#lang racket\n(define v 1)\n", encoding="utf-8")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        status, payload = srv.handle(
+            "POST", "/compile", {"paths": [str(p)], "jobs": 64}
+        )
+        assert status == 200 and payload["ok"] is True
+        assert (payload["jobs"], payload["mode"]) == (1, "serial")
 
     def test_graph_failure_reports_x100(self, srv, tmp_path):
         bad = tmp_path / "bad.rkt"
