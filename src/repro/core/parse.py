@@ -1,8 +1,8 @@
 """Parse fully-expanded syntax into the core AST.
 
-Identifiers are resolved through the global binding table — the scopes on the
-expanded syntax still carry all binding structure, so no environment needs to
-be threaded (§4.3's observation that expanded identifiers are unique).
+Identifiers are resolved through their scopes, which still carry all binding
+structure on the expanded syntax, so no environment needs to be threaded
+(§4.3's observation that expanded identifiers are unique).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.syn.binding import (
     CoreFormBinding,
     LocalBinding,
     ModuleBinding,
-    TABLE,
+    resolve,
 )
 from repro.syn.syntax import (
     ImproperList,
@@ -48,14 +48,14 @@ def core_form_of(stx: Syntax, phase: int = 0) -> Optional[str]:
     head = stx.e[0]
     if not head.is_identifier():
         return None
-    binding = TABLE.resolve(head, phase)
+    binding = resolve(head, phase)
     if isinstance(binding, CoreFormBinding):
         return binding.name
     return None
 
 
 def _resolve_var(ident: Syntax, phase: int) -> Binding:
-    binding = TABLE.resolve(ident, phase)
+    binding = resolve(ident, phase)
     if binding is None:
         raise _error(f"unbound identifier {ident.e}", ident)
     if isinstance(binding, CoreFormBinding):
@@ -130,7 +130,7 @@ def _parse_formals(
     def resolve_formal(ident: Syntax) -> LocalBinding:
         if not ident.is_identifier():
             raise _error("lambda: formal is not an identifier", ident)
-        binding = TABLE.resolve(ident, phase)
+        binding = resolve(ident, phase)
         if not isinstance(binding, LocalBinding):
             raise _error(f"lambda: formal {ident.e} has no local binding", ident)
         return binding
@@ -171,7 +171,7 @@ def _parse_let_values(
         ids = _items(parts[0], "let-values: bad identifier list")
         locals_: list[LocalBinding] = []
         for ident in ids:
-            binding = TABLE.resolve(ident, phase)
+            binding = resolve(ident, phase)
             if not isinstance(binding, LocalBinding):
                 raise _error(f"let-values: {ident.e} has no local binding", ident)
             locals_.append(binding)
@@ -197,7 +197,7 @@ def parse_module_level_form(stx: Syntax, phase: int = 0) -> Optional[ast.ModuleF
         bindings: list[ModuleBinding] = []
         names: list[str] = []
         for ident in ids:
-            binding = TABLE.resolve(ident, phase)
+            binding = resolve(ident, phase)
             if not isinstance(binding, ModuleBinding):
                 raise _error(f"define-values: {ident.e} not module-bound", ident)
             bindings.append(binding)

@@ -132,10 +132,6 @@ class PycUnit:
     def __setstate__(self, state: dict[str, Any]) -> None:
         for name in self.__slots__:
             setattr(self, name, state.get(name))
-        if self.code is None:
-            # written by the older two-variant codegen: stale, regenerated
-            # like a unit from another CPython version
-            self.py_tag = None
 
     def __repr__(self) -> str:
         return f"#<pyc-unit forms={self.nforms}>"

@@ -85,8 +85,6 @@ class ExpandContext:
         self.poisoned: set[Any] = set()
         self.meanings: dict[Any, Meaning] = {}
         self.module_scope: Scope = Scope("module")
-        # the owning registry reclaims bindings in this scope at teardown
-        registry.owned_scopes.add(self.module_scope)
         self.phase1_ns: "Namespace" = registry.make_phase1_namespace(module_path)
         #: compile-time stores for language libraries, keyed by library name
         self.stores: dict[str, Any] = {}

@@ -48,8 +48,10 @@ from repro.syn.binding import (
     CoreFormBinding,
     LocalBinding,
     ModuleBinding,
-    TABLE,
+    bind,
+    bind_identifier,
     bound_identifier_eq,
+    resolve,
 )
 from repro.syn.scopes import Scope
 from repro.syn.syntax import ImproperList, Syntax
@@ -213,7 +215,7 @@ class Expander:
     def _implicit_hook(self, name: str, stx: Syntax, phase: int) -> Optional[Any]:
         hook = Syntax(Symbol(name), stx.scopes, stx.srcloc)
         try:
-            binding = TABLE.resolve(hook, phase)
+            binding = resolve(hook, phase)
         except SyntaxExpansionError:
             return None
         return self._transformer_of(binding)
@@ -250,7 +252,7 @@ class Expander:
     def _expand_identifier(
         self, stx: Syntax, phase: int, stop: Optional[frozenset]
     ) -> Any:
-        binding = TABLE.resolve(stx, phase)
+        binding = resolve(stx, phase)
         if binding is None:
             raise UnboundIdentifierError(
                 f"unbound identifier: {stx.e} (phase {phase})", stx
@@ -271,7 +273,7 @@ class Expander:
     ) -> Any:
         head = stx.e[0]
         if head.is_identifier():
-            binding = TABLE.resolve(head, phase)
+            binding = resolve(head, phase)
             if binding is not None:
                 if stop is not None and binding.key() in stop:
                     return stx
@@ -370,7 +372,7 @@ class Expander:
         if len(stx.e) != 3 or not stx.e[1].is_identifier():
             raise SyntaxExpansionError("set!: bad syntax", stx)
         target = stx.e[1]
-        binding = TABLE.resolve(target, phase)
+        binding = resolve(target, phase)
         if binding is None:
             raise UnboundIdentifierError(f"set!: unbound identifier: {target.e}", stx)
         if self._transformer_of(binding) is not None:
@@ -407,7 +409,7 @@ class Expander:
         formals = stx.e[1].add_scope(sc)
         body = [b.add_scope(sc) for b in stx.e[2:]]
         for ident in self._formal_ids(formals):
-            TABLE.bind_identifier(ident, LocalBinding(ident.e), phase)
+            bind_identifier(ident, LocalBinding(ident.e), phase)
         new_body = self.expand_body(body, phase, stx)
         return self._rebuild(stx, (stx.e[0], formals, *new_body))
 
@@ -439,7 +441,7 @@ class Expander:
                             f"let-values: duplicate identifier: {ident.e}", stx
                         )
                 all_ids.append(ident)
-                TABLE.bind_identifier(ident, LocalBinding(ident.e), phase)
+                bind_identifier(ident, LocalBinding(ident.e), phase)
             if recursive:
                 rhs = rhs.add_scope(sc)
                 clauses.append((clause, new_ids, rhs))
@@ -474,7 +476,7 @@ class Expander:
         while True:
             e = stx.e
             if isinstance(e, Symbol):
-                binding = TABLE.resolve(stx, phase)
+                binding = resolve(stx, phase)
                 transformer = self._transformer_of(binding)
                 if transformer is None:
                     return stx
@@ -485,7 +487,7 @@ class Expander:
             head = e[0]
             if not head.is_identifier():
                 return stx
-            binding = TABLE.resolve(head, phase)
+            binding = resolve(head, phase)
             if binding is None or isinstance(binding, CoreFormBinding):
                 return stx
             transformer = self._transformer_of(binding)
@@ -499,7 +501,7 @@ class Expander:
         head = stx.e[0]
         if not head.is_identifier():
             return None
-        binding = TABLE.resolve(head, phase)
+        binding = resolve(head, phase)
         if isinstance(binding, CoreFormBinding):
             return binding.name
         return None
@@ -544,7 +546,7 @@ class Expander:
                             raise SyntaxExpansionError(
                                 "define-values: not an identifier", ident
                             )
-                        TABLE.bind_identifier(ident, LocalBinding(ident.e), phase)
+                        bind_identifier(ident, LocalBinding(ident.e), phase)
                     saw_define = True
                     items.append(("def", (ids, form.e[2], form)))
                     continue
@@ -719,7 +721,7 @@ class Expander:
                 continue
             binding = ModuleBinding(ctx.module_path, ident.e, phase)
             ctx.defined_names[ident.e.name] = ident
-            TABLE.bind_identifier(ident, binding, phase)
+            bind_identifier(ident, binding, phase)
             ctx.poisoned.add(binding.key())
 
     def _module_define_values(self, form: Syntax, phase: int) -> tuple[str, Any]:
@@ -742,7 +744,7 @@ class Expander:
                     f"define-values: duplicate definition of {name}", form
                 )
             ctx.defined_names[name] = ident
-            TABLE.bind_identifier(ident, binding, phase)
+            bind_identifier(ident, binding, phase)
             new_ids.append(ident)
         ids_stx = Syntax(tuple(new_ids), form.e[1].scopes, form.e[1].srcloc)
         marked = form.property_put(_PHASE1_DONE_PROP, True)
@@ -769,7 +771,7 @@ class Expander:
                 binding: Binding = ModuleBinding(ctx.module_path, ident.e, phase)
             else:
                 binding = LocalBinding(ident.e)
-            TABLE.bind_identifier(ident, binding, phase)
+            bind_identifier(ident, binding, phase)
             bindings.append(binding)
         rhs = form.e[2]
         values, core, py_value = self._eval_transformer_rhs(rhs, phase, len(bindings))
@@ -794,7 +796,7 @@ class Expander:
         # transformer over our pattern/template engine.
         head_binding = None
         if isinstance(rhs.e, tuple) and rhs.e and rhs.e[0].is_identifier():
-            head_binding = TABLE.resolve(rhs.e[0], phase + 1)
+            head_binding = resolve(rhs.e[0], phase + 1)
         if head_binding is not None and head_binding == SYNTAX_RULES_BINDING:
             from repro.expander.syntax_rules import make_syntax_rules_transformer
 
@@ -897,7 +899,7 @@ class Expander:
         if renames is None:
             scopes = self._strip_use_site(mod_spec).scopes
             for export_name, export in compiled.exports.items():
-                TABLE.add(Symbol(export_name), scopes, export.binding, phase)
+                bind(Symbol(export_name), scopes, export.binding, phase)
                 if export.transformer is not None:
                     ctx.set_meaning(export.binding, TransformerMeaning(export.transformer))
         else:
@@ -908,7 +910,7 @@ class Expander:
                         f"require: {orig_name} is not provided by {path}", spec
                     )
                 local_id = self._strip_use_site(local_id)
-                TABLE.add(local_id.e, local_id.scopes, export.binding, phase)
+                bind(local_id.e, local_id.scopes, export.binding, phase)
                 if export.transformer is not None:
                     ctx.set_meaning(export.binding, TransformerMeaning(export.transformer))
 
@@ -965,7 +967,7 @@ class Expander:
             if stop_ids:
                 keys = []
                 for ident in stop_ids:
-                    binding = TABLE.resolve(ident, phase)
+                    binding = resolve(ident, phase)
                     if binding is not None:
                         keys.append(binding.key())
                 stop = frozenset(keys)

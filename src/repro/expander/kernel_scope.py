@@ -9,7 +9,7 @@ from repro.expander.core_forms import CORE_FORMS
 from repro.modules.registry import KERNEL_PATH
 from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.values import Symbol
-from repro.syn.binding import ModuleBinding, TABLE
+from repro.syn.binding import ModuleBinding, bind
 from repro.syn.scopes import Scope
 from repro.syn.srcloc import NO_SRCLOC, SrcLoc
 from repro.syn.syntax import Syntax
@@ -24,15 +24,15 @@ SYNTAX_RULES_BINDING = ModuleBinding(KERNEL_PATH, Symbol("syntax-rules"))
 def _install() -> None:
     for name, binding in CORE_FORMS.items():
         sym = Symbol(name)
-        TABLE.add(sym, _CORE_SCOPES, binding, phase=0)
-        TABLE.add(sym, _CORE_SCOPES, binding, phase=1)
+        bind(sym, _CORE_SCOPES, binding, phase=0)
+        bind(sym, _CORE_SCOPES, binding, phase=1)
     for name in PRIMITIVES:
         sym = Symbol(name)
         binding = ModuleBinding(KERNEL_PATH, sym)
-        TABLE.add(sym, _CORE_SCOPES, binding, phase=0)
-        TABLE.add(sym, _CORE_SCOPES, binding, phase=1)
+        bind(sym, _CORE_SCOPES, binding, phase=0)
+        bind(sym, _CORE_SCOPES, binding, phase=1)
     for phase in (0, 1):
-        TABLE.add(Symbol("syntax-rules"), _CORE_SCOPES, SYNTAX_RULES_BINDING, phase=phase)
+        bind(Symbol("syntax-rules"), _CORE_SCOPES, SYNTAX_RULES_BINDING, phase=phase)
 
 
 _install()

@@ -20,8 +20,8 @@ codes, see :mod:`repro.diagnostics.codes`) carrying the steps consumed and
 a best-effort location (the name of the procedure being applied); host
 cancellation raises :class:`~repro.errors.EvaluationCancelled`. Both are
 :class:`~repro.errors.RuntimeReproError` subclasses, so every existing
-recovery path (REPL, ``diagnostics=True``, the CLI's renderer, PR 1's
-compilation transaction) already handles them.
+recovery path (REPL, ``diagnostics=True``, the CLI's renderer, a failed
+compile registering nothing) already handles them.
 """
 
 from __future__ import annotations

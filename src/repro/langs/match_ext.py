@@ -46,7 +46,7 @@ from repro.modules.registry import KERNEL_PATH, Language, ModuleRegistry
 from repro.observe import current_recorder
 from repro.runtime.primitives import add_prim
 from repro.runtime.values import Symbol
-from repro.syn.binding import TABLE, ModuleBinding
+from repro.syn.binding import ModuleBinding, resolve
 from repro.syn.syntax import Syntax, best_srcloc
 
 #: bound recursion for expander-rewrites-to-expander chains
@@ -137,7 +137,7 @@ class _ExtMatchCompiler(_MatchCompiler):
         if not head.is_identifier():
             return None
         try:
-            binding = TABLE.resolve(head, 0)
+            binding = resolve(head, 0)
         except SyntaxExpansionError:
             return None
         if binding is None:

@@ -21,7 +21,7 @@ from repro.core.parse import core_form_of
 from repro.langs.typed_common import env as tenv
 from repro.langs.typed_common import types as ty
 from repro.runtime.values import Symbol
-from repro.syn.binding import TABLE
+from repro.syn.binding import resolve
 from repro.syn.syntax import ImproperList, Syntax
 
 TYPE_ANNOTATION_KEY = "type-annotation"
@@ -40,7 +40,7 @@ class SimpleChecker:
     # -- the two fig. 3 helpers -------------------------------------------
 
     def lookup_type(self, ident: Syntax) -> ty.Type:
-        binding = TABLE.resolve(ident, 0)
+        binding = resolve(ident, 0)
         if binding is None:
             raise TypeCheckError(f"unbound variable {ident.e}", ident)
         t = self.types.get(binding.key())
@@ -53,7 +53,7 @@ class SimpleChecker:
         return t
 
     def add_type(self, ident: Syntax, t: ty.Type) -> None:
-        binding = TABLE.resolve(ident, 0)
+        binding = resolve(ident, 0)
         if binding is None:
             raise TypeCheckError(f"unbound variable {ident.e}", ident)
         self.types[binding.key()] = t
@@ -95,7 +95,7 @@ class SimpleChecker:
         if not isinstance(ids, tuple):
             return
         for ident in ids:
-            binding = TABLE.resolve(ident, 0)
+            binding = resolve(ident, 0)
             if binding is not None and binding.key() not in self.types:
                 self.types[binding.key()] = ty.NOTHING
 

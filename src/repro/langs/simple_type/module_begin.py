@@ -28,7 +28,7 @@ from repro.langs.typed_common import env as tenv
 from repro.langs.typed_common import types as ty
 from repro.modules.registry import Language
 from repro.runtime.values import Symbol
-from repro.syn.binding import TABLE
+from repro.syn.binding import resolve
 from repro.syn.syntax import Syntax, datum_to_syntax
 
 
@@ -137,7 +137,7 @@ def _rewrite_one_provide(
     else:
         raise SyntaxExpansionError("provide: unsupported spec in typed module", spec)
 
-    binding = TABLE.resolve(internal, 0)
+    binding = resolve(internal, 0)
     if binding is None:
         raise SyntaxExpansionError(
             f"provide: unbound identifier {internal.e}", spec

@@ -18,7 +18,7 @@ from repro.langs.typed_common import env as tenv
 from repro.langs.typed_common import types as ty
 from repro.modules.registry import KERNEL_PATH
 from repro.observe.recorder import current_recorder
-from repro.syn.binding import ModuleBinding, TABLE
+from repro.syn.binding import ModuleBinding, resolve
 from repro.syn.syntax import Syntax
 
 #: generic operation name -> unsafe float-specialized name (binary cases)
@@ -75,7 +75,7 @@ class SimpleOptimizer:
     def _kernel_op_name(self, op: Syntax) -> Optional[str]:
         if not op.is_identifier():
             return None
-        binding = TABLE.resolve(op, 0)
+        binding = resolve(op, 0)
         if isinstance(binding, ModuleBinding) and binding.module_path == KERNEL_PATH:
             return binding.name.name
         return None

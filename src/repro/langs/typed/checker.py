@@ -22,7 +22,7 @@ from repro.langs.typed_common import env as tenv
 from repro.langs.typed_common import types as ty
 from repro.modules.registry import KERNEL_PATH
 from repro.runtime.values import Keyword, Symbol
-from repro.syn.binding import ModuleBinding, TABLE
+from repro.syn.binding import ModuleBinding, resolve
 from repro.syn.syntax import ImproperList, Syntax, VectorDatum
 
 DECLARED_STORE = "typed:declared"
@@ -246,7 +246,7 @@ class FullChecker(SimpleChecker):
         args = t.e[2:]
         # delta rules: the kernel's variadic / polymorphic operations
         if op.is_identifier():
-            binding = TABLE.resolve(op, 0)
+            binding = resolve(op, 0)
             if (
                 isinstance(binding, ModuleBinding)
                 and binding.module_path == KERNEL_PATH

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 from repro.core.parse import core_form_of
 from repro.langs.typed_common import types as ty
 from repro.modules.registry import KERNEL_PATH
-from repro.syn.binding import Binding, ModuleBinding, TABLE
+from repro.syn.binding import Binding, ModuleBinding, resolve
 from repro.syn.syntax import Syntax
 
 
@@ -123,7 +123,7 @@ PREDICATE_REFINERS: dict[str, Callable[[ty.Type], tuple[ty.Type, ty.Type]]] = {
 def _kernel_name(ident: Syntax) -> Optional[str]:
     if not ident.is_identifier():
         return None
-    binding = TABLE.resolve(ident, 0)
+    binding = resolve(ident, 0)
     if isinstance(binding, ModuleBinding) and binding.module_path == KERNEL_PATH:
         return binding.name.name
     return None
@@ -152,7 +152,7 @@ def analyze_test(
                 return None
             continue
         if name in PREDICATE_REFINERS and len(args) == 1 and args[0].is_identifier():
-            binding = TABLE.resolve(args[0], 0)
+            binding = resolve(args[0], 0)
             if binding is None:
                 return None
             current = current_type_of(binding)

@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from repro.expander.env import ExpandContext, current_context
 from repro.langs.typed_common.types import Type
-from repro.syn.binding import Binding, TABLE
+from repro.syn.binding import Binding, resolve
 from repro.syn.syntax import Syntax
 
 TYPES_STORE = "typed:types"
@@ -54,7 +54,7 @@ def lookup_type(binding: Binding, ctx: Optional[ExpandContext] = None) -> Option
 
 def lookup_type_of_id(ident: Syntax, phase: int = 0,
                       ctx: Optional[ExpandContext] = None) -> Optional[Type]:
-    binding = TABLE.resolve(ident, phase)
+    binding = resolve(ident, phase)
     if binding is None:
         return None
     return lookup_type(binding, ctx)

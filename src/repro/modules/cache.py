@@ -7,9 +7,9 @@ code into ``compiled/*.zo`` files, and a later run (or a different process)
 requires the module without re-expanding it. This module reproduces that:
 
 - a :class:`ModuleCache` stores each :class:`~repro.modules.registry.CompiledModule`
-  (core AST, export table, replayable :class:`SyntaxDecl` list, and the
-  module's binding-table fragment) as one ``<hash>.zo`` file under a cache
-  directory (default ``.repro-cache/``);
+  (core AST, export table, replayable :class:`SyntaxDecl` list) plus the
+  bindings a client can reach through it as one ``<hash>.zo`` file under a
+  cache directory (default ``.repro-cache/``);
 - artifacts are keyed by a **content hash** of (cache-format version, module
   path, ``#lang``, source text), and validated against the **full keys** of
   every dependency — the full key folds the dependencies' own full keys in
@@ -56,6 +56,15 @@ platform's hygiene machinery is identity-based:
   artifacts that share a scope (a module and its requirer, compiled in the
   same session) agree on its identity after both are loaded.
 
+Bindings live on scopes (:func:`repro.syn.binding.bind`), so an artifact
+carries bindings by reachability: after the module, the pickle holds the
+bindings stored on every token-named scope it met, closed over the scopes
+those bindings name. The core and language scopes are the loader's own and
+keep their own bindings. A load installs bindings only on the scopes it has
+just created — a scope already live in this process has its bindings — and
+does so under ``_INTERN_LOCK``, before any other thread can intern the
+scope.
+
 ``LocalBinding`` uids are re-minted on load (see ``LocalBinding.__reduce__``)
 to avoid key collisions with bindings created in the loading process.
 """
@@ -78,12 +87,13 @@ except ImportError:  # pragma: no cover - non-posix fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.diagnostics.diagnostic import Diagnostic
+from repro.expander.core_forms import CORE_FORMS
 from repro.faults import fault_bytes, fault_point
 from repro.observe.recorder import current_recorder
 from repro.runtime.stats import current_stats
 from repro.runtime.values import Keyword, Symbol
-from repro.syn.binding import TABLE
-from repro.syn.scopes import Scope
+from repro.syn.binding import CoreFormBinding, ModuleBinding
+from repro.syn.scopes import EMPTY_SCOPES, Scope
 
 if TYPE_CHECKING:
     from repro.modules.registry import CompiledModule, ModuleRegistry
@@ -92,19 +102,21 @@ if TYPE_CHECKING:
 #: part of every content hash, so old artifacts simply stop matching.
 #: v3: modules may carry a ``pyc`` code-object unit (marshalled CPython
 #: bytecode emitted by the pyc backend) alongside the core AST
-FORMAT_VERSION = 3
+#: v4: the bindings stored on the scopes a module names follow it as a
+#: second pickle, instead of every binding its compile added
+FORMAT_VERSION = 4
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x03"
+MAGIC = b"REPROZO\x04"
 
 #: envelope magics of earlier format versions. Artifacts carrying one are
 #: *old*, not corrupt: their content-hashed filenames fold the old version
 #: in, so loads never open them — ``doctor`` reports them instead of
 #: quarantining (deleting a postmortem-worthy file for merely being stale
 #: would be wrong, and quarantine is reserved for detected corruption)
-HISTORIC_MAGICS = (b"REPROZO\x02",)
+HISTORIC_MAGICS = (b"REPROZO\x02", b"REPROZO\x03")
 _DIGEST_LEN = 32
 
 #: subdirectory that corrupt artifacts are moved into (never deleted, so a
@@ -129,7 +141,8 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 _SCOPE_INTERN: "weakref.WeakValueDictionary[str, Scope]" = weakref.WeakValueDictionary()
 
 #: guards token minting and interning: two threads serializing (or loading)
-#: artifacts concurrently must agree on one token per scope object
+#: artifacts concurrently must agree on one token per scope object, and a
+#: load holds it until the scopes it created carry their bindings
 _INTERN_LOCK = threading.Lock()
 
 #: artifact files some thread of THIS process is currently compiling toward:
@@ -198,6 +211,10 @@ class _ArtifactPickler(pickle.Pickler):
         # sets alive, so ids stay unique for the pickler's lifetime)
         self._scope_sets: dict[int, tuple] = {}
         self._scope_sets_alive: list[frozenset] = []
+        #: token-named scopes met so far, in first-met order
+        self._named: dict[Scope, None] = {}
+        #: ModuleBinding key -> its one pid in this artifact
+        self._module_bindings: dict[tuple, tuple] = {}
 
     def persistent_id(self, obj: Any) -> Optional[tuple]:
         if isinstance(obj, Scope):
@@ -211,11 +228,25 @@ class _ArtifactPickler(pickle.Pickler):
                         self._seq += 1
                         obj.token = f"{self._token_prefix}#{self._seq}"
                         _SCOPE_INTERN[obj.token] = obj
+            self._named[obj] = None
             return ("scope", obj.token, obj.kind)
         if isinstance(obj, Symbol):
             return ("sym", obj.name)
         if isinstance(obj, Keyword):
             return ("kw", obj.name)
+        # bindings are shared by key, not by object: a dependency loaded
+        # from its artifact binds its names to copies of the bindings a
+        # natively compiled one would share with its language, and the
+        # bytes must not tell the two apart
+        if type(obj) is ModuleBinding:
+            key = obj.key()
+            pid = self._module_bindings.get(key)
+            if pid is None:
+                pid = ("module-binding", obj.module_path, obj.name, obj.phase)
+                self._module_bindings[key] = pid
+            return pid
+        if type(obj) is CoreFormBinding:
+            return ("core-form", obj.name)
         # scope sets: frozensets iterate in hash (= address) order, so one
         # pickled as-is bakes the process's allocation history into the
         # artifact bytes — the same module compiled by two Runtimes (or a
@@ -224,9 +255,7 @@ class _ArtifactPickler(pickle.Pickler):
         # exact-type fast path skips reducer_override and dispatch_table
         # for builtin frozensets), so scope sets become ("scopes", sorted
         # tuple) pids and artifact bytes a pure function of content.
-        if type(obj) is frozenset and obj and all(
-            isinstance(s, Scope) for s in obj
-        ):
+        if type(obj) is frozenset and all(isinstance(s, Scope) for s in obj):
             pid = self._scope_sets.get(id(obj))
             if pid is None:
                 pid = ("scopes", tuple(sorted(obj, key=self._scope_order)))
@@ -234,6 +263,22 @@ class _ArtifactPickler(pickle.Pickler):
                 self._scope_sets_alive.append(obj)
             return pid
         return None
+
+    def dump_bindings(self) -> None:
+        """Pickle, after the artifact, ``[(scope, its bindings), ...]`` for
+        every token-named scope met so far and, transitively, every such
+        scope those bindings name."""
+        order = list(self._named)
+        for scope in order:
+            for entries in (scope.bindings or {}).values():
+                for rest, _ in entries:
+                    for other in sorted(rest, key=self._scope_order):
+                        if other in self._named or other.kind == "core":
+                            continue
+                        if not other.kind.startswith("lang:"):
+                            self._named[other] = None
+                            order.append(other)
+        self.dump([(scope, scope.bindings) for scope in order if scope.bindings])
 
     @staticmethod
     def _scope_order(scope: Scope) -> tuple:
@@ -258,6 +303,20 @@ class _ArtifactUnpickler(pickle.Unpickler):
         self._registry = registry
         self._scope_sets: dict[int, frozenset] = {}
         self._scope_sets_alive: list[tuple] = []
+        #: scopes this load created (not already live in the process)
+        self._fresh: set[Scope] = set()
+        #: one ModuleBinding per (memo-shared) pid tuple
+        self._module_bindings: dict[int, ModuleBinding] = {}
+        self._module_bindings_alive: list[tuple] = []
+
+    def load_artifact(self) -> Any:
+        """Load the artifact and install the bindings that follow it on the
+        scopes this load created. The caller holds ``_INTERN_LOCK``."""
+        artifact = self.load()
+        for scope, table in self.load():
+            if scope in self._fresh:
+                scope.bindings = table
+        return artifact
 
     def persistent_load(self, pid: tuple) -> Any:
         tag = pid[0]
@@ -274,18 +333,32 @@ class _ArtifactUnpickler(pickle.Unpickler):
             return lang.scope
         if tag == "scope":
             token, kind = pid[1], pid[2]
-            with _INTERN_LOCK:
-                scope = _SCOPE_INTERN.get(token)
-                if scope is None:
-                    scope = Scope(kind)
-                    scope.token = token
-                    _SCOPE_INTERN[token] = scope
+            scope = _SCOPE_INTERN.get(token)
+            if scope is None:
+                scope = Scope(kind)
+                scope.token = token
+                _SCOPE_INTERN[token] = scope
+                self._fresh.add(scope)
             return scope
+        if tag == "module-binding":
+            binding = self._module_bindings.get(id(pid))
+            if binding is None:
+                binding = ModuleBinding(pid[1], pid[2], pid[3])
+                self._module_bindings[id(pid)] = binding
+                self._module_bindings_alive.append(pid)
+            return binding
+        if tag == "core-form":
+            return CORE_FORMS[pid[1]]
         if tag == "sym":
             return Symbol(pid[1])
         if tag == "kw":
             return Keyword(pid[1])
         if tag == "scopes":
+            if not pid[1]:
+                # every empty set loads as the one a native compile binds
+                # with, so a loaded scope's bindings pickle like a native
+                # one's when a later artifact names it
+                return EMPTY_SCOPES
             # pid tuples are memo-shared by the pickler, so identical set
             # occurrences arrive as the same tuple — rebuild one frozenset
             # per tuple to restore the stored graph's sharing
@@ -587,9 +660,9 @@ class ModuleCache:
 
         Validates the envelope checksum, the artifact header, and every
         recorded dependency's full key (compiling or cache-loading the
-        dependencies in the process); on success installs the module's
-        binding-table fragment and counts a hit. All failure modes count a
-        miss and return None; invalid artifacts are quarantined (C104).
+        dependencies in the process); on success counts a hit. All failure
+        modes count a miss and return None; invalid artifacts are
+        quarantined (C104).
         """
         source_hash = registry.source_hash(path)
         file = self.artifact_path(path, lang, source_hash)
@@ -605,7 +678,9 @@ class ModuleCache:
         try:
             data = self._retrying("cache.read", read)
             payload = self._verify_envelope(data)
-            artifact = _ArtifactUnpickler(io.BytesIO(payload), registry).load()
+            with _INTERN_LOCK:
+                unpickler = _ArtifactUnpickler(io.BytesIO(payload), registry)
+                artifact = unpickler.load_artifact()
             if (
                 not isinstance(artifact, dict)
                 or artifact.get("format") != FORMAT_VERSION
@@ -659,7 +734,6 @@ class ModuleCache:
                 return None
 
         module: "CompiledModule" = artifact["module"]
-        TABLE.install_entries(module.table_fragment)
         registry.set_full_key(path, artifact["key"])
         current_stats().cache_hits += 1
         self._instant("hit", path)
@@ -715,7 +789,9 @@ class ModuleCache:
             # unpicklable module (e.g. one re-exporting a Python-implemented
             # macro) leaves no partial file behind
             buf = io.BytesIO()
-            _ArtifactPickler(buf, token_prefix=full_key[:16]).dump(artifact)
+            pickler = _ArtifactPickler(buf, token_prefix=full_key[:16])
+            pickler.dump(artifact)
+            pickler.dump_bindings()
             payload = buf.getvalue()
             envelope = MAGIC + hashlib.sha256(payload).digest() + payload
         except Exception as err:

@@ -24,7 +24,7 @@ from repro.expander.env import ExpandContext, TransformerMeaning, pop_context, p
 from repro.expander.expander import Expander
 from repro.modules.registry import CompiledModule, Export, ModuleRegistry
 from repro.runtime.values import Symbol
-from repro.syn.binding import TABLE
+from repro.syn.binding import bind, resolve
 from repro.syn.syntax import Syntax
 
 
@@ -45,13 +45,7 @@ def compile_module(
     session = ctx.diagnostics
     rec = current_recorder()
     push_context(ctx)
-    # Record every binding-table entry this compilation adds (language
-    # imports into the module scope, definitions, macro expansions) as the
-    # module's *table fragment*: it ships inside the compiled artifact so a
-    # cache load can reinstall exactly these entries, and module eviction
-    # can remove exactly them. The recorder stack is innermost-only, so a
-    # nested dependency compile records into its own fragment, not ours.
-    with rec.span("compile", path), TABLE.record_additions() as fragment:
+    with rec.span("compile", path):
         try:
             expander = Expander(ctx)
             scopes = frozenset({ctx.module_scope})
@@ -61,13 +55,13 @@ def compile_module(
             # phase 1, so transformer bodies can use the language's own forms.
             for name, export in lang.exports.items():
                 sym = Symbol(name)
-                TABLE.add(sym, scopes, export.binding, phase=0)
-                TABLE.add(sym, scopes, export.binding, phase=1)
+                bind(sym, scopes, export.binding, phase=0)
+                bind(sym, scopes, export.binding, phase=1)
                 if export.transformer is not None:
                     ctx.set_meaning(export.binding, TransformerMeaning(export.transformer))
             for name, export in registry.kernel_exports.items():
                 if name not in lang.exports:
-                    TABLE.add(Symbol(name), scopes, export.binding, phase=1)
+                    bind(Symbol(name), scopes, export.binding, phase=1)
 
             if dialects:
                 # dialects rewrite the whole body on reader output — before
@@ -122,7 +116,7 @@ def compile_module(
                     provides.append(spec)
             for spec in provides:
                 try:
-                    binding = TABLE.resolve(spec.internal_id, spec.phase)
+                    binding = resolve(spec.internal_id, spec.phase)
                     if binding is None:
                         raise SyntaxExpansionError(
                             f"provide: unbound identifier: {spec.internal_id.e}",
@@ -150,7 +144,6 @@ def compile_module(
                 body=CoreModuleBody(body_forms),
                 exports=exports,
                 syntax_decls=list(ctx.syntax_decls),
-                table_fragment=fragment,
             )
         finally:
             pop_context()

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.errors import ModuleError
 from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.values import Symbol
-from repro.syn.binding import Binding, CoreFormBinding, ModuleBinding
+from repro.syn.binding import Binding, CoreFormBinding, ModuleBinding, bind
 from repro.expander.core_forms import CORE_FORMS
 
 if TYPE_CHECKING:
@@ -136,7 +136,6 @@ class CompiledModule:
         body: "CoreModuleBody",
         exports: dict[str, Export],
         syntax_decls: list[SyntaxDecl],
-        table_fragment: Optional[list] = None,
     ) -> None:
         self.path = path
         self.language = language
@@ -144,11 +143,6 @@ class CompiledModule:
         self.body = body
         self.exports = exports
         self.syntax_decls = syntax_decls
-        #: the binding-table entries added while compiling this module — the
-        #: part of the global TABLE the module owns. Persisted into its
-        #: compiled artifact (clients resolve the module's macro templates
-        #: through these) and removed when the module is evicted.
-        self.table_fragment: list = table_fragment if table_fragment is not None else []
         #: the pyc backend's code-object unit (:class:`repro.core.pyc.PycUnit`),
         #: generated on demand and persisted with the artifact; None until the
         #: module is compiled under (or upgraded for) the pyc backend
@@ -166,8 +160,6 @@ class CompiledModule:
         import sys
 
         self.__dict__.update(state)
-        # artifacts from before the pyc backend lack the attribute
-        self.__dict__.setdefault("pyc", None)
         # re-intern paths (see canonical_path): keeps pickle identity
         # sharing — and hence artifact bytes — equal between natively
         # compiled and artifact-loaded dependency graphs
@@ -206,10 +198,6 @@ class Language:
         self.exports: dict[str, Export] = {}
         self.scope = Scope(f"lang:{name}")
         self._anchor: Any = None
-        #: the TABLE entries this language added (one pair per export), so a
-        #: Runtime teardown can reclaim them — without this every Language
-        #: instance leaked its whole export table into the global TABLE
-        self._table_entries: list = []
         if exports:
             for export_name, export in exports.items():
                 self.export(export_name, export.binding, export.transformer)
@@ -227,23 +215,11 @@ class Language:
         return self._anchor
 
     def export(self, name: str, binding: Binding, transformer: Any = None) -> None:
-        from repro.syn.binding import TABLE
-
         self.exports[name] = Export(name, binding, transformer)
         scopes = frozenset({self.scope})
         sym = Symbol(name)
-        TABLE.add(sym, scopes, binding, phase=0)
-        TABLE.add(sym, scopes, binding, phase=1)
-        self._table_entries.append((sym, 0, scopes, binding))
-        self._table_entries.append((sym, 1, scopes, binding))
-
-    def release_bindings(self) -> int:
-        """Remove this language's TABLE entries; returns how many."""
-        from repro.syn.binding import TABLE
-
-        removed = TABLE.remove_entries(self._table_entries)
-        self._table_entries.clear()
-        return removed
+        bind(sym, scopes, binding, phase=0)
+        bind(sym, scopes, binding, phase=1)
 
     def export_macro(self, name: str, transformer: Callable[..., Any]) -> None:
         self.export(name, ModuleBinding(self.path, Symbol(name)), transformer)
@@ -320,16 +296,12 @@ class ModuleRegistry:
         #: full content keys (source + transitive dependency keys), set once
         #: a module has been compiled or cache-loaded
         self._full_keys: dict[str, str] = {}
-        #: scopes owned by this registry (language anchors, module scopes) —
-        #: released wholesale on teardown
-        self.owned_scopes: set[Any] = set()
         self.kernel_exports: dict[str, Export] = _kernel_exports()
 
     # -- registration ------------------------------------------------------
 
     def register_language(self, lang: Language) -> Language:
         self.languages[lang.name] = lang
-        self.owned_scopes.add(lang.scope)
         return lang
 
     def register_dialect(self, dialect: Any) -> Any:
@@ -360,18 +332,10 @@ class ModuleRegistry:
         self.sources[path] = (lang, forms)
 
     def evict_module(self, path: str) -> None:
-        """Drop a module's compiled form and reclaim its TABLE entries.
-
-        Re-registering a module evicts its previous compilation; without the
-        reclamation every recompile stacked another copy of the module's
-        bindings onto the global table.
-        """
-        compiled = self.compiled.pop(path, None)
+        """Drop a module's compiled form. Its bindings live on its scopes,
+        so they go as soon as nothing else reaches them."""
+        self.compiled.pop(path, None)
         self._full_keys.pop(path, None)
-        if compiled is not None:
-            from repro.syn.binding import TABLE
-
-            TABLE.remove_entries(compiled.table_fragment)
 
     def unregister(self, path: str) -> None:
         """Forget a module entirely: evict its compilation and drop its
@@ -484,13 +448,12 @@ class ModuleRegistry:
         requirer: Optional[str] = None,
         srcloc: Any = None,
     ) -> CompiledModule:
-        """Compile (or fetch) a module — *transactionally*.
+        """Compile (or fetch) a module.
 
-        The outermost compilation snapshots the global binding TABLE and the
-        registry's compiled-module cache; if compilation fails, both roll
-        back, so a failed compile leaves no half-registered bindings behind
-        and re-registering fixed source compiles cleanly in the same
-        registry.
+        A failed compile registers nothing for ``path``: its bindings live
+        on its own fresh scopes, which the failure leaves unreachable, so
+        re-registering fixed source compiles cleanly in the same registry.
+        Dependencies that compiled successfully stay compiled.
 
         ``requirer``/``srcloc`` name the module (and source location) whose
         require triggered this compilation, for error messages.
@@ -527,22 +490,6 @@ class ModuleRegistry:
                 )
         lang_name, forms = source
         from repro.modules.compiler import compile_module
-        from repro.syn.binding import TABLE
-
-        # only the outermost compilation opens a transaction: a nested
-        # (dependency) compile that succeeds must keep its bindings even if
-        # the outer module later fails — the outer rollback then also evicts
-        # the freshly compiled dependencies, whose macro-template bindings
-        # it removes, so a retry recompiles them from scratch. Cache loads
-        # run inside the same transaction, so a failure after a load also
-        # rolls the loaded fragments back. The rollback is a precise
-        # transaction log (this context's additions only), so a concurrent
-        # Runtime compiling on another thread is never collateral damage.
-        transactional = not self._compiling
-        if transactional:
-            txn = TABLE.transaction()
-            txn.__enter__()
-            compiled_before = set(self.compiled)
         from repro.observe.recorder import current_recorder
 
         rec = current_recorder()
@@ -588,19 +535,10 @@ class ModuleRegistry:
                 # cache hit from an interp-only (or other-Python) session:
                 # upgrade the artifact in place
                 self.ensure_pyc_unit(compiled)
-        except BaseException:
-            if transactional:
-                txn.rollback()
-                for newly in set(self.compiled) - compiled_before:
-                    del self.compiled[newly]
-                    self._full_keys.pop(newly, None)
-            raise
         finally:
             if claim is not None:
                 self.cache.release_writer(claim)
             self._compiling.pop()
-            if transactional:
-                txn.__exit__(None, None, None)
         self.compiled[path] = compiled
         return compiled
 
@@ -688,27 +626,6 @@ class ModuleRegistry:
             self.source_hash(path),
             *dep_keys,
         )
-
-    # -- teardown -------------------------------------------------------------
-
-    def release_bindings(self) -> int:
-        """Reclaim every global-TABLE entry this registry is responsible
-        for: each compiled module's fragment, each language's exports, and
-        (belt-and-braces) anything else bound in an owned scope. Called when
-        the owning Runtime is closed or garbage-collected; returns the
-        number of entries removed."""
-        from repro.syn.binding import TABLE
-
-        removed = 0
-        for compiled in self.compiled.values():
-            removed += TABLE.remove_entries(compiled.table_fragment)
-        self.compiled.clear()
-        self._full_keys.clear()
-        for lang in self.languages.values():
-            removed += lang.release_bindings()
-        removed += TABLE.release_scopes(self.owned_scopes)
-        self.owned_scopes.clear()
-        return removed
 
     def resolve_module_path(
         self,

@@ -5,7 +5,7 @@ port*, a dynamically scoped stack so tests and the benchmark harness can
 capture program output.
 
 The stack is context-local (a :class:`~contextvars.ContextVar`, like the
-binding table's recorder and transaction stacks): concurrent
+expander's context stack): concurrent
 ``Runtime.run`` calls on different threads — e.g. two ``repro serve``
 requests — each capture their own program's output. A shared list here
 let one request's ``displayln`` land in whichever capture was pushed

@@ -35,11 +35,11 @@ def _register() -> None:
         from repro.langs.typed_common import env as tenv
         from repro.langs.typed_common.types import parse_type_datum
         from repro.runtime.values import VOID
-        from repro.syn.binding import TABLE
+        from repro.syn.binding import resolve_or_raise
 
         if not (isinstance(ident, Syntax) and ident.is_identifier()):
             raise WrongTypeError("add-type!", "identifier syntax", ident)
-        binding = TABLE.resolve_or_raise(ident, 0)
+        binding = resolve_or_raise(ident, 0)
         tenv.add_type(binding, parse_type_datum(serialized), current_context())
         return VOID
 
@@ -47,11 +47,11 @@ def _register() -> None:
         from repro.expander.env import current_context
         from repro.langs.typed_common import env as tenv
         from repro.langs.typed_common.types import serialize_to_value
-        from repro.syn.binding import TABLE
+        from repro.syn.binding import resolve
 
         if not (isinstance(ident, Syntax) and ident.is_identifier()):
             raise WrongTypeError("lookup-type", "identifier syntax", ident)
-        binding = TABLE.resolve(ident, 0)
+        binding = resolve(ident, 0)
         if binding is None:
             return False
         t = tenv.lookup_type(binding, current_context())

@@ -10,8 +10,8 @@ running the service long-lived.
 
 The pool bounds idle Runtimes per tenant (``max_idle``); a burst of
 concurrent requests above the bound builds throwaway Runtimes that are
-closed on check-in instead of pooled. Closing a Runtime releases its slice
-of the global binding table, so bursts do not permanently grow the
+closed on check-in instead of pooled. A closed Runtime's bindings live
+on its own scopes and go with it, so bursts do not permanently grow the
 process.
 """
 

@@ -2,13 +2,15 @@
 
 from repro.syn.binding import (
     Binding,
-    BindingTable,
     CoreFormBinding,
     LocalBinding,
     ModuleBinding,
-    TABLE,
+    bind,
+    bind_identifier,
     bound_identifier_eq,
     free_identifier_eq,
+    resolve,
+    resolve_or_raise,
 )
 from repro.syn.scopes import EMPTY_SCOPES, Scope, ScopeSet
 from repro.syn.srcloc import NO_SRCLOC, SrcLoc
@@ -24,8 +26,9 @@ from repro.syn.syntax import (
 )
 
 __all__ = [
-    "Binding", "BindingTable", "CoreFormBinding", "LocalBinding",
-    "ModuleBinding", "TABLE", "bound_identifier_eq", "free_identifier_eq",
+    "Binding", "CoreFormBinding", "LocalBinding", "ModuleBinding", "bind",
+    "bind_identifier", "bound_identifier_eq", "free_identifier_eq",
+    "resolve", "resolve_or_raise",
     "EMPTY_SCOPES", "Scope", "ScopeSet", "NO_SRCLOC", "SrcLoc",
     "ImproperList", "Syntax", "VectorDatum", "datum_to_syntax",
     "datum_to_value", "syntax_to_datum", "syntax_to_list", "write_datum",

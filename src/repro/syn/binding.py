@@ -1,11 +1,12 @@
-"""Bindings and the global binding table.
+"""Bindings, stored on the scopes that can reach them.
 
-A *binding* is what an identifier resolves to. The table maps
-``(symbol, phase)`` to a list of ``(scope set, binding)`` entries. Resolution
-of a reference finds all entries whose scope set is a subset of the
-reference's scopes and picks the one with the largest scope set; if no single
-candidate's scopes are a superset of every other candidate's, the reference is
-ambiguous (a hygiene error).
+A *binding* is what an identifier resolves to. Each binding is recorded on
+one scope of its binder's scope set (see :func:`bind`) under
+``(symbol, phase)``. Resolution of a reference finds all entries whose scope
+set is a subset of the reference's scopes and picks the one with the largest
+scope set; if no single candidate's scopes are a superset of every other
+candidate's, the reference is ambiguous (a hygiene error). A binding lives
+exactly as long as its scope.
 
 Two binding flavours exist:
 
@@ -21,16 +22,14 @@ Two binding flavours exist:
 
 from __future__ import annotations
 
-import contextvars
 import itertools
-import os
+import operator
 import sys
-import threading
 from typing import Any, Optional
 
 from repro.errors import AmbiguousBindingError, UnboundIdentifierError
 from repro.runtime.values import Symbol
-from repro.syn.scopes import ScopeSet
+from repro.syn.scopes import EMPTY_SCOPES, ScopeSet
 from repro.syn.syntax import Syntax
 
 
@@ -82,11 +81,6 @@ class ModuleBinding(Binding):
     def key(self) -> Any:
         return ("module", self.module_path, self.name.name, self.phase)
 
-    def __reduce__(self):
-        # route unpickling through __init__, so a loaded binding's path is
-        # re-interned in this process
-        return (ModuleBinding, (self.module_path, self.name, self.phase))
-
     def __repr__(self) -> str:
         return f"#<module-binding:{self.module_path}:{self.name}>"
 
@@ -112,275 +106,87 @@ class CoreFormBinding(Binding):
         return f"#<core:{self.name}>"
 
 
-#: One recorded table addition: (symbol, phase, scope set, binding). The
-#: list of entries added while compiling a module is that module's *table
-#: fragment* — persisted into its compiled artifact and replayed on cache
-#: load, and removed again when the module is evicted (leak reclamation).
-TableEntry = tuple[Symbol, int, ScopeSet, Binding]
+_scope_id = operator.attrgetter("id")
 
 
-class BindingTable:
-    """The global (symbol, phase) -> [(scope set, binding)] table.
+def bind(name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> None:
+    """Record that ``name`` with exactly ``scopes`` refers to ``binding``.
 
-    Thread-safety (one table is shared by every Runtime in the process):
-
-    - **Readers never lock.** :meth:`resolve` grabs a bucket reference and
-      iterates it; concurrent appends are safe under the GIL, and the
-      removal paths are *copy-on-write* (they build a new list and swap it
-      in), so an in-flight reader keeps iterating a consistent snapshot.
-    - **Writers serialize** on ``_lock`` — without it, a bucket rebuilt by
-      one thread's :meth:`remove_entries` could silently drop an entry a
-      second thread appended between the rebuild and the swap.
-    - **Recorders are context-local.** The fragment-recorder stack lives in
-      a contextvar, so two modules compiling on two threads each capture
-      exactly their own additions (a process-global stack handed thread
-      A's bindings to whichever thread pushed a recorder last).
+    The entry lives on the binder's newest scope (its *home*: the highest
+    :attr:`Scope.id`), as in Racket's expander; a reference can only see the
+    binding if it carries that scope, so :func:`resolve` looks nowhere else.
+    The entry stores the binder's scopes *minus* the home: every other scope
+    in it is older than the home, so a binding never keeps its home alive
+    and a scope that nothing else reaches is freed by refcounting, bindings
+    and all. Only the compile (or artifact load) that created a scope binds
+    on it, so no lock is needed.
     """
+    if not scopes:
+        raise ValueError(f"bind: {name} has no scopes to bind in")
+    home = max(scopes, key=_scope_id)
+    # one shared empty set, as artifact loads produce: pickling shares sets
+    # by identity, so natively bound and loaded entries must agree
+    rest = scopes - {home} if len(scopes) > 1 else EMPTY_SCOPES
+    table = home.bindings
+    if table is None:
+        table = home.bindings = {}
+    table.setdefault((name, phase), []).append((rest, binding))
 
-    def __init__(self) -> None:
-        self._entries: dict[tuple[Symbol, int], list[tuple[ScopeSet, Binding]]] = {}
-        #: serializes structural mutation (add/install/remove/release);
-        #: reads stay lock-free
-        self._lock = threading.RLock()
-        #: active addition recorders, innermost last; only the innermost
-        #: records, so nested module compilations each capture exactly
-        #: their own additions. Context-local: each thread/task compiling
-        #: concurrently sees only its own stack.
-        self._recorders: "contextvars.ContextVar[Optional[list[list[TableEntry]]]]" = (
-            contextvars.ContextVar("repro_table_recorders", default=None)
-        )
-        #: active *transaction logs*, also context-local. Unlike fragment
-        #: recorders, every add/install in the dynamic extent lands in every
-        #: active log (nesting included): a failed outermost compilation
-        #: rolls back by removing exactly the entries it logged, never by
-        #: truncating buckets to a snapshotted length (which would destroy
-        #: entries a concurrent thread appended in the meantime).
-        self._txn_logs: "contextvars.ContextVar[Optional[list[list[TableEntry]]]]" = (
-            contextvars.ContextVar("repro_table_txn_logs", default=None)
-        )
 
-    def _recorder_stack(self) -> list[list[TableEntry]]:
-        stack = self._recorders.get()
-        if stack is None:
-            stack = []
-            self._recorders.set(stack)
-        return stack
+def bind_identifier(ident: Syntax, binding: Binding, phase: int = 0) -> None:
+    if not ident.is_identifier():
+        raise ValueError(f"bind_identifier: not an identifier: {ident!r}")
+    bind(ident.e, ident.scopes, binding, phase)
 
-    def _txn_stack(self) -> list[list[TableEntry]]:
-        stack = self._txn_logs.get()
-        if stack is None:
-            stack = []
-            self._txn_logs.set(stack)
-        return stack
 
-    def add(self, name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> None:
-        with self._lock:
-            self._entries.setdefault((name, phase), []).append((scopes, binding))
-        recorders = self._recorders.get()
-        if recorders:
-            recorders[-1].append((name, phase, scopes, binding))
-        logs = self._txn_logs.get()
-        if logs:
-            entry = (name, phase, scopes, binding)
-            for log in logs:
-                log.append(entry)
+def resolve(ident: Syntax, phase: int = 0, exactly: bool = False) -> Optional[Binding]:
+    """Resolve an identifier; None when unbound.
 
-    def bind_identifier(self, ident: Syntax, binding: Binding, phase: int = 0) -> None:
-        if not ident.is_identifier():
-            raise ValueError(f"bind_identifier: not an identifier: {ident!r}")
-        self.add(ident.e, ident.scopes, binding, phase)
-
-    def resolve(
-        self, ident: Syntax, phase: int = 0, exactly: bool = False
-    ) -> Optional[Binding]:
-        """Resolve an identifier; None when unbound.
-
-        ``exactly`` requires the binding's scope set to equal the reference's
-        (used when checking for duplicate definitions).
-        """
-        entries = self._entries.get((ident.e, phase))
-        if not entries:
-            return None
-        ref_scopes = ident.scopes
-        candidates = [(s, b) for (s, b) in entries if s <= ref_scopes]
-        if not candidates:
-            return None
-        best_scopes, best = max(candidates, key=lambda sb: len(sb[0]))
+    Candidates are the bindings, stored on the reference's own scopes, whose
+    scope sets are subsets of the reference's; the one with the largest set
+    wins, and it must contain every other candidate's set unless both
+    denote the same binding. ``exactly`` requires the winner's scope set to
+    equal the reference's (used when checking for duplicate definitions).
+    """
+    ref_scopes = ident.scopes
+    key = (ident.e, phase)
+    candidates = []
+    for home in ref_scopes:
+        table = home.bindings
+        if table is not None:
+            entries = table.get(key)
+            if entries:
+                for rest, binding in entries:
+                    if rest <= ref_scopes:
+                        candidates.append((rest, home, binding))
+    if not candidates:
+        return None
+    best_rest, best_home, best = max(candidates, key=lambda c: len(c[0]))
+    if len(candidates) > 1:
+        best_scopes = best_rest | {best_home}
         best_key = best.key()
-        for s, b in candidates:
-            if not (s <= best_scopes) and b.key() != best_key:
+        for rest, home, binding in candidates:
+            if not (home in best_scopes and rest <= best_scopes) and binding.key() != best_key:
                 raise AmbiguousBindingError(
                     f"identifier's binding is ambiguous: {ident.e}", ident
                 )
-        if exactly and best_scopes != ref_scopes:
-            return None
-        return best
-
-    # -- transactional compilation -----------------------------------------
-
-    def snapshot(self) -> dict[tuple[Symbol, int], int]:
-        """An O(keys) snapshot of the table's shape (diagnostic use only —
-        rollback is transaction-log based, see :meth:`transaction`)."""
-        with self._lock:
-            return {key: len(entries) for key, entries in self._entries.items()}
-
-    def transaction(self) -> "_Transaction":
-        """Log every addition (add *and* install_entries) made in this
-        context while active; ``rollback()`` removes exactly those entries.
-
-        Replaces the earlier snapshot/length-truncation rollback, which was
-        not safe under concurrent Runtimes: truncating a bucket to its
-        snapshotted length also destroyed entries another thread appended
-        after the snapshot. The log removes only this context's additions.
-        """
-        return _Transaction(self)
-
-    def resolve_or_raise(self, ident: Syntax, phase: int = 0) -> Binding:
-        binding = self.resolve(ident, phase)
-        if binding is None:
-            raise UnboundIdentifierError(f"unbound identifier: {ident.e}", ident)
-        return binding
-
-    # -- fragment recording / reclamation ----------------------------------
-
-    def record_additions(self) -> "_Recorder":
-        """Record every :meth:`add` made while the context is active.
-
-        Used by module compilation to capture the module's table fragment:
-        ``with TABLE.record_additions() as fragment: ...``. Nested recorders
-        shadow outer ones, so a dependency compiled mid-way through its
-        requirer records into its own fragment only.
-        """
-        return _Recorder(self)
-
-    def install_entries(self, entries: list[TableEntry]) -> None:
-        """Re-add a previously recorded fragment (bypassing recorders).
-
-        Used when loading a compiled artifact: the loaded module's bindings
-        must not be charged to whichever module's compilation triggered the
-        load. Installed entries *are* logged to active transactions, so a
-        compilation that fails after a cache load rolls the load back too.
-        """
-        with self._lock:
-            for name, phase, scopes, binding in entries:
-                self._entries.setdefault((name, phase), []).append((scopes, binding))
-        logs = self._txn_logs.get()
-        if logs:
-            for log in logs:
-                log.extend(entries)
-
-    def remove_entries(self, entries: list[TableEntry]) -> int:
-        """Remove previously recorded additions; returns how many were found.
-
-        Entries already gone (e.g. dropped by a transactional rollback) are
-        skipped silently. Buckets are rebuilt, not mutated in place, so a
-        concurrent lock-free reader keeps a consistent view.
-        """
-        removed = 0
-        with self._lock:
-            for name, phase, scopes, binding in entries:
-                bucket = self._entries.get((name, phase))
-                if not bucket:
-                    continue
-                target = (scopes, binding)
-                if target not in bucket:
-                    continue
-                kept = list(bucket)
-                kept.remove(target)
-                removed += 1
-                if kept:
-                    self._entries[(name, phase)] = kept
-                else:
-                    del self._entries[(name, phase)]
-        return removed
-
-    def release_scopes(self, scopes: "set | frozenset") -> int:
-        """Drop every entry whose scope set intersects ``scopes``.
-
-        The scope-set-based reclamation path: releasing a module's (or a
-        whole Runtime's) scopes unbinds everything that could only ever be
-        referenced through them. Returns the number of entries dropped.
-        """
-        if not scopes:
-            return 0
-        removed = 0
-        with self._lock:
-            for key in list(self._entries):
-                bucket = self._entries[key]
-                kept = [(s, b) for (s, b) in bucket if not (s & scopes)]
-                removed += len(bucket) - len(kept)
-                if kept:
-                    self._entries[key] = kept
-                else:
-                    del self._entries[key]
-        return removed
-
-    def entry_count(self) -> int:
-        """Total number of live entries (the leak regression metric)."""
-        with self._lock:
-            return sum(len(bucket) for bucket in self._entries.values())
+    if exactly and len(best_rest) + 1 != len(ref_scopes):
+        return None
+    return best
 
 
-class _Recorder:
-    """Context manager yielding the list of additions made while active."""
-
-    def __init__(self, table: BindingTable) -> None:
-        self._table = table
-        self.entries: list[TableEntry] = []
-
-    def __enter__(self) -> list[TableEntry]:
-        self._table._recorder_stack().append(self.entries)
-        return self.entries
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._table._recorder_stack().pop()
-
-
-class _Transaction:
-    """Context-local log of every table addition made while active.
-
-    ``rollback()`` removes exactly the logged entries — precise under
-    concurrent Runtimes, where a shape snapshot would not be.
-    """
-
-    def __init__(self, table: BindingTable) -> None:
-        self._table = table
-        self.entries: list[TableEntry] = []
-
-    def __enter__(self) -> "_Transaction":
-        self._table._txn_stack().append(self.entries)
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._table._txn_stack().remove(self.entries)
-
-    def rollback(self) -> int:
-        """Remove every entry this transaction logged; returns the count."""
-        removed = self._table.remove_entries(self.entries)
-        self.entries.clear()
-        return removed
-
-
-#: The single global binding table (scopes are globally unique, so sharing
-#: one table across all compilations is safe — this mirrors Racket, where
-#: binding information lives on the scopes themselves).
-TABLE = BindingTable()
-
-if hasattr(os, "register_at_fork"):
-    # A fork (a ``compile_graph`` worker) waits for any thread mid-mutation
-    # to finish, so the child inherits a consistent table and a free lock.
-    os.register_at_fork(
-        before=TABLE._lock.acquire,
-        after_in_parent=TABLE._lock.release,
-        after_in_child=TABLE._lock.release,
-    )
+def resolve_or_raise(ident: Syntax, phase: int = 0) -> Binding:
+    binding = resolve(ident, phase)
+    if binding is None:
+        raise UnboundIdentifierError(f"unbound identifier: {ident.e}", ident)
+    return binding
 
 
 def free_identifier_eq(a: Syntax, b: Syntax, phase: int = 0) -> bool:
     """The paper's ``free-identifier=?``: do two identifiers refer to the
     same binding? Unbound identifiers compare by symbolic name."""
-    ba = TABLE.resolve(a, phase)
-    bb = TABLE.resolve(b, phase)
+    ba = resolve(a, phase)
+    bb = resolve(b, phase)
     if ba is None and bb is None:
         return a.e is b.e
     if ba is None or bb is None:

@@ -2,9 +2,9 @@
 
 We use the sets-of-scopes model (Flatt, POPL 2016), the modern formulation of
 the Racket macro expander that the paper relies on. Every syntax object
-carries a set of scopes; every binding is recorded together with the scope set
-of its binder; a reference resolves to the binding whose scope set is the
-largest subset of the reference's scopes.
+carries a set of scopes; every binding is recorded, together with the scope set
+of its binder, on the newest scope of that set; a reference resolves to the
+binding whose scope set is the largest subset of the reference's scopes.
 """
 
 from __future__ import annotations
@@ -26,9 +26,13 @@ class Scope:
     (see :mod:`repro.modules.cache`) so that separately loaded artifacts can
     agree on scope identity across process boundaries. Scopes compare and
     hash by object identity; tokens only name them in the artifact format.
+
+    ``bindings`` maps ``(symbol, phase)`` to the ``(other scopes, binding)``
+    entries whose newest scope this is (see :func:`repro.syn.binding.bind`);
+    ``None`` until the first binding lands here.
     """
 
-    __slots__ = ("id", "kind", "token", "__weakref__")
+    __slots__ = ("id", "kind", "token", "bindings", "__weakref__")
     #: atomic id source (``next()`` is safe under the GIL; the old
     #: ``_counter += 1`` could mint duplicate ids on concurrent threads)
     _counter = itertools.count(1)
@@ -41,6 +45,7 @@ class Scope:
         # source literal or reconstructed from an artifact
         self.kind = sys.intern(kind)
         self.token: "str | None" = None
+        self.bindings: "dict | None" = None
 
     def __repr__(self) -> str:
         return f"#<scope:{self.kind}:{self.id}>"

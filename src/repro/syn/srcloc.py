@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,13 @@ class SrcLoc:
     def __str__(self) -> str:
         return f"{self.source}:{self.line}:{self.column}"
 
+    def __reduce__(self):
+        # load with the source re-interned: pickle shares strings by
+        # identity, so a location loaded from one artifact must hold the
+        # same path object as one read in this process for the artifacts
+        # stored after it to come out byte-identical
+        return (_load_srcloc, (self.source, self.line, self.column, self.position, self.span))
+
     def merge(self, other: Optional["SrcLoc"]) -> "SrcLoc":
         """Produce a location spanning from ``self`` to the end of ``other``."""
         if other is None or other.source != self.source:
@@ -36,6 +44,10 @@ class SrcLoc:
             position=self.position,
             span=end - self.position,
         )
+
+
+def _load_srcloc(source: str, line: int, column: int, position: int, span: int) -> SrcLoc:
+    return SrcLoc(sys.intern(source), line, column, position, span)
 
 
 #: Placeholder location for syntax constructed programmatically.

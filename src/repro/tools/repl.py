@@ -358,8 +358,8 @@ class Repl:
             except KeyboardInterrupt:
                 # ctrl-C mid-evaluation: the input is committed to the
                 # accumulated body only after a successful run, and a
-                # killed compilation rolled back transactionally, so the
-                # session continues with state intact
+                # killed compilation registers nothing, so the session
+                # continues with state intact
                 stdout.write("\n; interrupted (session state intact)\n")
             except Exception as error:  # never let one input kill the REPL
                 stdout.write(f"error: internal: {type(error).__name__}: {error}\n")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import weakref
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Optional
 
@@ -91,10 +90,10 @@ class Runtime:
     application (the ``baseline`` configuration, DESIGN.md §3); an empty
     ``optimizer_rules`` skips the typed optimizer (``typed/no-opt``).
 
-    Each Runtime owns its instrumentation counters (``rt.stats``) and its
-    slice of the global binding table; ``close()`` (or garbage collection,
-    or use as a context manager) reclaims the table entries so repeated
-    fresh Runtimes do not grow process memory.
+    Each Runtime owns its instrumentation counters (``rt.stats``). Its
+    bindings live on its own scopes, so dropping the Runtime frees them;
+    ``close()`` (or use as a context manager) drops its compiled modules
+    at once.
     """
 
     def __init__(
@@ -133,26 +132,12 @@ class Runtime:
                 self.cache = ModuleCache(resolved)
         self.registry.cache = self.cache
         self._install_languages()
-        # reclaim this Runtime's binding-table entries even if the user
-        # never calls close(); the finalizer must not reference `self`
-        self._finalizer = weakref.finalize(
-            self, Runtime._reclaim, self.registry
-        )
 
-    @staticmethod
-    def _reclaim(registry: ModuleRegistry) -> int:
-        return registry.release_bindings()
-
-    def close(self) -> int:
-        """Release this Runtime's global binding-table entries.
-
-        Returns the number of entries reclaimed. Idempotent; the Runtime
-        must not be used afterwards.
-        """
-        if self._finalizer.alive:
-            self._finalizer.detach()
-            return Runtime._reclaim(self.registry)
-        return 0
+    def close(self) -> None:
+        """Drop every compiled module, and with them the bindings on their
+        scopes. Idempotent; the Runtime must not be used afterwards."""
+        for path in list(self.registry.compiled):
+            self.registry.evict_module(path)
 
     def __enter__(self) -> "Runtime":
         return self

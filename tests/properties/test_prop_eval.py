@@ -136,7 +136,7 @@ def run_program():
 
     The Runtime is closed when the module's tests end: it registers a
     module per example, and an open Runtime keeps every one of their
-    binding-table entries alive for the rest of the session.
+    bindings alive for the rest of the session.
     """
     counter = itertools.count(1)
     with Runtime() as rt:

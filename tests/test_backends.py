@@ -429,14 +429,17 @@ class TestPycCache:
         with pyc_cached_runtime(tmp_path, m=SOURCE) as rt:
             assert rt.run("m") == EXPECTED
             payload = b"stale pickle bytes from an earlier release"
-            old = (b"REPROZO\x02"
-                   + hashlib.sha256(payload).digest() + payload)
-            stale_path = os.path.join(rt.cache.dir, "0" * 64 + ".zo")
-            with open(stale_path, "wb") as f:
-                f.write(old)
+            stale_paths = []
+            for digit, magic in (("0", b"REPROZO\x02"), ("1", b"REPROZO\x03")):
+                old = magic + hashlib.sha256(payload).digest() + payload
+                stale_path = os.path.join(rt.cache.dir, digit * 64 + ".zo")
+                with open(stale_path, "wb") as f:
+                    f.write(old)
+                stale_paths.append(stale_path)
             report = rt.cache.doctor()
             assert [name for name, _ in report["old_version"]] == [
-                "0" * 64 + ".zo"
+                "0" * 64 + ".zo", "1" * 64 + ".zo"
             ]
             assert report["quarantined"] == []
-            assert os.path.exists(stale_path)  # reported, never deleted
+            for stale_path in stale_paths:
+                assert os.path.exists(stale_path)  # reported, never deleted

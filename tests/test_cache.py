@@ -9,17 +9,19 @@ surface.
 
 from __future__ import annotations
 
+import gc
+import json
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro import BudgetExhausted, Runtime
-from repro.core.pyc import PycUnit
 from repro.errors import TypeCheckError
 from repro.modules.cache import ModuleCache
-from repro.syn.binding import TABLE
 
 RACKET_LIB = """#lang racket
 (define-syntax swap!
@@ -125,8 +127,6 @@ class TestWarmStart:
         )
         source = f"#lang racket\n{defs}\n(displayln (f399 1))\n"
 
-        import gc
-
         # collect before each timed region: a gen-2 collection of garbage
         # left by *earlier tests* landing inside the ~10ms warm window
         # would swamp the load itself
@@ -142,6 +142,85 @@ class TestWarmStart:
             warm = time.perf_counter() - t0
             assert rt2.stats.cache_hits == 1
         assert warm * 5 <= cold, f"warm {warm:.4f}s not 5x faster than cold {cold:.4f}s"
+
+
+#: a macro whose template reaches a library-private helper and binds a
+#: ``let`` temporary: a client expanding it resolves both through the
+#: bindings on the library's scopes
+HELPER_LIB = """#lang racket
+(define (scale x) (* 10 x))
+(define-syntax add-scaled!
+  (syntax-rules ()
+    [(_ var e) (let ([tmp (scale e)]) (set! var (+ var tmp)))]))
+(provide add-scaled!)
+"""
+
+HELPER_CLIENT = """#lang racket
+(require "hlib")
+(define tmp 1)
+(add-scaled! tmp 4)
+(displayln tmp)
+"""
+
+#: runs one module in a fresh interpreter against a cache directory and
+#: prints its output and cache counters as JSON
+FRESH_PROCESS = """
+import json, sys
+from repro import Runtime
+from repro.modules.cache import _SCOPE_INTERN
+
+spec = json.load(sys.stdin)
+assert len(_SCOPE_INTERN) == 0
+with Runtime(cache_dir=spec["cache"]) as rt:
+    for path, source in spec["modules"].items():
+        rt.register_module(path, source)
+    out = rt.run(spec["main"])
+    print(json.dumps({"out": out, "hits": rt.stats.cache_hits,
+                      "misses": rt.stats.cache_misses}))
+"""
+
+
+def run_in_fresh_process(cache: str, main: str, **modules: str) -> dict:
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS],
+        input=json.dumps({"cache": cache, "main": main, "modules": modules}),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestFreshProcess:
+    """A new client compiled in a fresh process, where no scope is live
+    yet, reaches a cached library's bindings only through its artifact."""
+
+    def test_macro_with_private_helper_and_temporary(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        with Runtime(cache_dir=cache) as rt:
+            rt.register_module("hlib", HELPER_LIB)
+            rt.compile("hlib")
+            assert rt.stats.cache_stores == 1
+        result = run_in_fresh_process(
+            cache, "client", hlib=HELPER_LIB, client=HELPER_CLIENT
+        )
+        assert result == {"out": "41\n", "hits": 1, "misses": 1}
+
+    @pytest.mark.parametrize("client", [
+        TYPED_CLIENT,
+        '#lang racket\n(require "tlib")\n(displayln (twice 21))\n',
+    ], ids=["typed-client", "untyped-client"])
+    def test_typed_export(self, tmp_path, client):
+        cache = str(tmp_path / "cache")
+        with Runtime(cache_dir=cache) as rt:
+            rt.register_module("tlib", TYPED_LIB)
+            rt.compile("tlib")
+            assert rt.stats.cache_stores == 1
+        result = run_in_fresh_process(cache, "client", tlib=TYPED_LIB, client=client)
+        assert result == {"out": "42\n", "hits": 1, "misses": 1}
 
 
 class TestInvalidation:
@@ -349,20 +428,24 @@ class TestCompileProfile:
 
 
 class TestTransactionality:
-    def test_failed_compile_after_cache_load_rolls_back(self, tmp_path):
-        """PR 1's transactional semantics must hold across cache loads: a
-        failing requirer leaves no half-installed fragments behind."""
+    def test_failed_compile_after_cache_load_rolls_back(self, tmp_path, module_scopes):
+        """A requirer that fails after its dependency was cache-loaded
+        registers nothing and leaves its module scope unreachable; the
+        loaded dependency stays, and a fixed retry uses it."""
         with cached_runtime(tmp_path, lib=RACKET_LIB) as rt:
             rt.compile("lib")
         bad_client = '#lang racket\n(require "lib")\n(swap! only-one)\n'
         with cached_runtime(tmp_path, lib=RACKET_LIB, client=bad_client) as rt2:
-            before = TABLE.entry_count()
+            del module_scopes[:]
             with pytest.raises(Exception):
                 rt2.compile("client")
-            assert TABLE.entry_count() == before
+            gc.collect()
+            assert [ref() for ref in module_scopes] == [None]
+            assert set(rt2.registry.compiled) == {"lib"}
             # retry after fixing the source works in the same Runtime
             rt2.register_module("client", RACKET_CLIENT)
             assert rt2.run("client") == "(2 1 15)\n"
+            assert rt2.stats.cache_hits == 1
 
 
 #: a non-tail-recursive top-level function (hoisted; its calls take the
@@ -408,28 +491,3 @@ class TestSinglePycUnit:
         interp, interp_stats = _exhaustion("interp", budget)
         assert pyc == interp and pyc[0] == code
         assert stats["eval_steps"] == interp_stats["eval_steps"]
-
-    def test_older_two_variant_unit_is_regenerated_once(self, tmp_path, monkeypatch):
-        cache = str(tmp_path / "cache")
-
-        def two_variant_state(unit):
-            state = {name: getattr(unit, name) for name in PycUnit.__slots__}
-            code = state.pop("code")
-            # the older format: one code object per governance mode
-            state.update({f"code_{mode}": code for mode in ("plain", "governed")})
-            return state
-
-        with monkeypatch.context() as patch:
-            patch.setattr(PycUnit, "__getstate__", two_variant_state)
-            self._store_ungoverned(cache)
-        snaps = []
-        for _ in range(2):
-            with Runtime(backend="pyc", cache_dir=cache) as rt:
-                rt.register_module("m", GOVERNED_PROGRAM)
-                assert rt.run("m") == "600\n100\n"
-                snaps.append(rt.stats.snapshot())
-        first, second = snaps
-        assert first["cache_hits"] == 1 and first["expansion_steps"] == 0
-        assert first["pyc_codegens"] == 1 and first["cache_stores"] == 1
-        assert second["cache_hits"] == 1 and second["pyc_codegens"] == 0
-        assert second["cache_stores"] == 0

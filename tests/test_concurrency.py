@@ -6,16 +6,16 @@ a single shared artifact-cache directory. The pinned properties:
 - **single writer per content hash** — across all concurrent Runtimes each
   artifact is stored exactly once; losers wait for the winner and load its
   artifact instead of duplicating the work;
-- **flat binding table** — the global TABLE returns to its baseline entry
-  count once every Runtime closes, no matter how the compiles interleaved;
+- **flat bindings** — the bindings alive in the process return to their
+  baseline count once every Runtime closes, no matter how the compiles
+  interleaved (each module uses its predecessor's macro, so loads install
+  bindings on scopes that several artifacts share);
 - **no torn artifacts** — an injected crash mid-parallel-compile
   (``repro.faults``) leaves debris only in ``.tmp`` files; every committed
   ``.zo`` still verifies, and recovery recompiles cleanly;
 - **parallel ≡ serial** — outputs and artifact bytes are identical to a
   one-Runtime serial compile, under both backends;
-- ``repro cache doctor`` is safe to run while compiles are in flight;
-- regression tests for the binding-table races found in this PR's audit
-  (recorder/transaction context-locality, copy-on-write removal).
+- ``repro cache doctor`` is safe to run while compiles are in flight.
 """
 
 from __future__ import annotations
@@ -32,14 +32,12 @@ import pytest
 from repro import Runtime
 from repro.faults import FaultPlan, FaultRule, InjectedCrash, use_fault_plan
 from repro.modules.cache import ModuleCache
-from repro.runtime.values import Symbol
-from repro.syn.binding import LocalBinding, TABLE
-from repro.syn.scopes import Scope
 
 
 def write_graph(root, n: int) -> list[str]:
     """A diamond-layered module graph: ``m_i`` requires ``m_{i-1}`` and
-    ``m_{i-2}``; every module defines a macro and a provided value."""
+    ``m_{i-2}``; every module provides a macro and a value, and ``f_i``
+    uses its predecessor's macro."""
     os.makedirs(root, exist_ok=True)
     paths = []
     for i in range(n):
@@ -51,8 +49,8 @@ def write_graph(root, n: int) -> list[str]:
             f"{requires}\n"
             f"(define-syntax twice{i} (syntax-rules () [(_ e) (+ e e)]))\n"
             f"(define v{i} (+ {terms}))\n"
-            f"(define (f{i} x) (twice{i} (+ x v{i})))\n"
-            f"(provide v{i} f{i})\n"
+            f"(define (f{i} x) (twice{max(i - 1, 0)} (+ x v{i})))\n"
+            f"(provide v{i} f{i} twice{i})\n"
         )
         path = os.path.join(str(root), f"m{i}.rkt")
         with open(path, "w", encoding="utf-8") as f:
@@ -99,7 +97,9 @@ N_THREADS = 4
 
 
 class TestConcurrentRuntimes:
-    def test_threads_by_runtimes_single_writer_flat_table(self, tmp_path, backend):
+    def test_threads_by_runtimes_single_writer_flat_table(
+        self, tmp_path, backend, live_bindings
+    ):
         """The headline stress: N threads × N Runtimes, one cache dir."""
         paths = write_graph(tmp_path / "src", N_MODULES)
         top = write_top(tmp_path / "src", N_MODULES)
@@ -108,50 +108,71 @@ class TestConcurrentRuntimes:
         # serial reference run in its own cache
         with Runtime(cache_dir=str(tmp_path / "serial"), backend=backend) as rt:
             assert rt.run(rt.register_file(top)) == expected
+        del rt
         serial_digests = artifact_digests(tmp_path / "serial")
         assert len(serial_digests) == N_MODULES + 1
 
-        gc.collect()
-        baseline = TABLE.entry_count()
+        baseline = live_bindings()
         shared = str(tmp_path / "shared")
-        outputs: list[str] = []
-        stores: list[int] = []
-        errors: list[BaseException] = []
         barrier = threading.Barrier(N_THREADS)
 
-        def worker() -> None:
-            try:
-                with Runtime(cache_dir=shared, backend=backend) as rt:
-                    module = rt.register_file(top)
-                    barrier.wait(timeout=30)
-                    out = rt.run(module)
-                    outputs.append(out)
-                    stores.append(rt.stats.cache_stores)
-            except BaseException as err:  # noqa: BLE001 - collected for assert
-                errors.append(err)
+        def run_threads(mains: list[str]) -> list[tuple[str, int]]:
+            """Run ``mains[k]`` on thread k, each in its own Runtime on the
+            shared cache; returns each thread's (output, stores)."""
+            results: list[tuple[str, int]] = []
+            errors: list[BaseException] = []
 
-        threads = [threading.Thread(target=worker) for _ in range(N_THREADS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=300)
-        assert not errors, errors
+            def worker(main: str) -> None:
+                try:
+                    with Runtime(cache_dir=shared, backend=backend) as rt:
+                        module = rt.register_file(main)
+                        barrier.wait(timeout=30)
+                        out = rt.run(module)
+                        results.append((out, rt.stats.cache_stores))
+                except BaseException as err:  # noqa: BLE001 - collected for assert
+                    errors.append(err)
+
+            threads = [threading.Thread(target=worker, args=(m,)) for m in mains]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+            assert not errors, errors
+            return results
+
+        cold = run_threads([top] * N_THREADS)
 
         # every Runtime computed the same answer as the serial reference
-        assert outputs == [expected] * N_THREADS
+        assert [out for out, _ in cold] == [expected] * N_THREADS
 
         # single writer per content hash: the graph has N+1 artifacts and
         # exactly N+1 stores happened across all four Runtimes combined —
         # contending writers waited for the winner instead of re-storing
-        assert sum(stores) == N_MODULES + 1
+        assert sum(stores for _, stores in cold) == N_MODULES + 1
 
         # no torn/odd artifacts: the shared cache holds exactly the serial
         # reference's artifacts, byte for byte
         assert artifact_digests(shared) == serial_digests
 
-        # every Runtime closed → the global table is back to baseline
-        gc.collect()
-        assert TABLE.entry_count() == baseline
+        # every Runtime closed → the live bindings are back to baseline
+        assert live_bindings() == baseline
+
+        # warm graph, no scope of it live: each thread compiles a new client
+        # of the last module's macro, so the threads race to create the
+        # graph's scopes from its artifacts, and every expansion resolves
+        # through the bindings a load installed
+        last = N_MODULES - 1
+        clients = []
+        for k in range(N_THREADS):
+            client = tmp_path / "src" / f"client{k}.rkt"
+            client.write_text(
+                f'#lang racket\n(require "m{last}.rkt")\n(displayln (twice{last} {k}))\n',
+                encoding="utf-8",
+            )
+            clients.append(str(client))
+        warm = run_threads(clients)
+        assert sorted(warm) == [(f"{2 * k}\n", 1) for k in range(N_THREADS)]
+        assert live_bindings() == baseline
 
     def test_doctor_is_safe_mid_flight(self, tmp_path):
         """`repro cache doctor` while compiles are in flight: reports, never
@@ -272,7 +293,14 @@ class TestConcurrentRuntimes:
         mods = {
             "m0.rkt": "#lang racket\n\n(define v0 (+ 7))\n"
                       "(define-syntax tw0 (syntax-rules () [(_ e) (+ e e)]))\n"
-                      "(define (f0 x) (tw0 (+ x v0)))\n(provide v0 f0)\n",
+                      "(define (f0 x) (tw0 (+ x v0)))\n"
+                      # a macro-defining macro: m3's macro template carries
+                      # m0's and m3's scopes, so m3's artifact holds the
+                      # bindings on both
+                      "(define-syntax def-tw (syntax-rules ()\n"
+                      "  [(_ name x) (define-syntax name\n"
+                      "                (syntax-rules () [(_ e) (+ e x v0)]))]))\n"
+                      "(provide v0 f0 def-tw)\n",
             "m1.rkt": '#lang racket/infix\n(require "m0.rkt")\n'
                       "(define v1 {7 + v0})\n(define (f1 x) (* x v1))\n"
                       "(provide v1 f1)\n",
@@ -282,7 +310,8 @@ class TestConcurrentRuntimes:
             "m3.rkt": '#lang racket/infix\n(require "m0.rkt")\n'
                       '(require "m1.rkt")\n(require "m2.rkt")\n'
                       "(define v3 {5 + v0 + v1 + v2})\n"
-                      "(define (f3 x) (* x v3))\n(provide v3 f3)\n",
+                      "(def-tw tw3 v3)\n"
+                      "(define (f3 x) (* x (tw3 v3)))\n(provide v3 f3 tw3)\n",
         }
         src = tmp_path / "src"
         os.makedirs(src, exist_ok=True)
@@ -301,6 +330,10 @@ class TestConcurrentRuntimes:
         with Runtime(cache_dir=split, backend=backend) as rt:
             for path in paths[:3]:
                 rt.compile(rt.register_file(path))
+        del rt
+        # no scope of the compiles above may outlive them: the loads below
+        # must create every scope, and its bindings, from the artifacts
+        gc.collect()
         with Runtime(cache_dir=split, backend=backend) as rt:
             rt.compile(rt.register_file(paths[3]))
 
@@ -419,85 +452,6 @@ class TestCompileProfiles:
         assert artifact_digests(tmp_path / "parallel") == serial
 
 
-class TestBindingTableRaceRegressions:
-    """Pin the fixes from this PR's thread-safety audit of the table."""
-
-    def test_recorders_are_context_local_across_threads(self):
-        """Two threads recording additions concurrently: each recorder
-        captures only its own thread's entries (the old module-global
-        recorder stack interleaved them)."""
-        results: dict[str, list] = {}
-        barrier = threading.Barrier(2)
-        added: list[tuple] = []
-
-        def worker(tag: str) -> None:
-            scope = frozenset([Scope("local")])
-            with TABLE.record_additions() as fragment:
-                barrier.wait(timeout=30)
-                for i in range(200):
-                    name = Symbol(f"race-{tag}-{i}")
-                    TABLE.add(name, scope, LocalBinding(name))
-            results[tag] = list(fragment)
-            added.extend(fragment)
-
-        threads = [
-            threading.Thread(target=worker, args=(tag,)) for tag in ("a", "b")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        try:
-            assert len(results["a"]) == 200 and len(results["b"]) == 200
-            assert all(e[0].name.startswith("race-a-") for e in results["a"])
-            assert all(e[0].name.startswith("race-b-") for e in results["b"])
-        finally:
-            TABLE.remove_entries(added)
-
-    def test_rollback_does_not_destroy_concurrent_additions(self):
-        """Thread A rolls back its transaction while thread B appends to the
-        *same buckets*: B's entries must survive (the old snapshot/truncate
-        rollback destroyed them)."""
-        shared_names = [Symbol(f"shared-{i}") for i in range(50)]
-        scope_a = frozenset([Scope("local")])
-        scope_b = frozenset([Scope("local")])
-        b_entries: list[tuple] = []
-        barrier = threading.Barrier(2)
-
-        def txn_thread() -> None:
-            txn = TABLE.transaction()
-            with txn:
-                barrier.wait(timeout=30)
-                for name in shared_names:
-                    TABLE.add(name, scope_a, LocalBinding(name))
-                txn.rollback()
-
-        def adder_thread() -> None:
-            barrier.wait(timeout=30)
-            with TABLE.record_additions() as fragment:
-                for name in shared_names:
-                    TABLE.add(name, scope_b, LocalBinding(name))
-            b_entries.extend(fragment)
-
-        threads = [
-            threading.Thread(target=txn_thread),
-            threading.Thread(target=adder_thread),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        try:
-            # every one of B's bindings is still resolvable in the table
-            snapshot = TABLE.snapshot()
-            for name, _phase, scopes, binding in b_entries:
-                bucket_key = (name, 0)
-                assert bucket_key in snapshot, f"{name} lost by A's rollback"
-        finally:
-            removed = TABLE.remove_entries(b_entries)
-            assert removed == len(b_entries)
-
-
 class TestForkedWorkers:
     def test_child_does_not_inherit_in_flight_claims(self):
         """A ``compile_graph`` worker forked while a parent thread holds the
@@ -515,15 +469,15 @@ class TestForkedWorkers:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
-    @pytest.mark.parametrize("lock_name", ["TABLE._lock", "_INTERN_LOCK"])
+    @pytest.mark.parametrize("lock_name", ["_INTERN_LOCK"])
     def test_fork_waits_for_a_lock_another_thread_holds(self, tmp_path, lock_name):
         """Regression: a worker forked while another thread held the
-        binding-table or scope-intern lock inherited it held, and blocked
-        forever on its first use, hanging ``compile_graph``. The fork now
-        waits for the holder to let go."""
+        scope-intern lock inherited it held, and blocked forever on its
+        first use, hanging ``compile_graph``. The fork now waits for the
+        holder to let go."""
         from repro.modules import cache
 
-        lock = TABLE._lock if lock_name == "TABLE._lock" else cache._INTERN_LOCK
+        lock = getattr(cache, lock_name)
         paths = write_graph(tmp_path / "src", 3)
         held = threading.Event()
 

@@ -9,7 +9,6 @@ result.
 
 from __future__ import annotations
 
-import gc
 import os
 
 import pytest
@@ -25,7 +24,6 @@ from repro.faults import (
     use_fault_plan,
 )
 from repro.modules.cache import MAGIC, ModuleCache, QUARANTINE_DIR
-from repro.syn.binding import TABLE
 
 SOURCE = "#lang racket\n(define (sq x) (* x x))\n(displayln (sq 7))\n"
 EXPECTED = "49\n"
@@ -212,10 +210,9 @@ class TestLocking:
 
 class TestCrash:
     def test_crash_between_write_and_rename_leaves_recoverable_debris(
-        self, tmp_path
+        self, tmp_path, live_bindings
     ):
-        gc.collect()
-        before = TABLE.entry_count()
+        before = live_bindings()
         rt = cached_runtime(tmp_path, m=SOURCE)
         with pytest.raises(InjectedCrash):
             with use_fault_plan(FaultPlan().rule("cache.replace", "crash")):
@@ -225,10 +222,10 @@ class TestCrash:
         debris = [n for n in os.listdir(cache_dir) if ".tmp." in n]
         assert debris
         assert not [n for n in os.listdir(cache_dir) if n.endswith(".zo")]
-        # the compilation transaction rolled the global table back
+        # the crashed compile left no bindings alive behind it
         rt.close()
-        gc.collect()
-        assert TABLE.entry_count() == before
+        del rt
+        assert live_bindings() == before
         # the debris names this (live) process as its writer, so doctor
         # reports it instead of sweeping — safe to run mid-flight
         report = ModuleCache(cache_dir).doctor()

@@ -3,13 +3,12 @@
 The acceptance property: an adversarial program (infinite loop, runaway
 recursion, allocation bomb) under a budget terminates with a structured
 ``G``-coded error, and the platform's global state is left exactly as a
-successful run would leave it — the Runtime, registry, and binding table
+successful run would leave it — the Runtime, registry, and live bindings
 all stay usable.
 """
 
 from __future__ import annotations
 
-import gc
 import threading
 import time
 
@@ -23,7 +22,6 @@ from repro import (
     Runtime,
 )
 from repro.guard import resolve_budget
-from repro.syn.binding import TABLE
 
 LOOP = "#lang racket\n(define (loop) (loop))\n(loop)\n"
 
@@ -170,16 +168,15 @@ class TestCancellation:
 class TestStateIntegrity:
     """Satellite 3: a killed run leaves the platform exactly as it was."""
 
-    def test_killed_run_leaves_binding_table_clean(self):
-        gc.collect()
-        before = TABLE.entry_count()
+    def test_killed_run_leaves_binding_table_clean(self, live_bindings):
+        before = live_bindings()
         rt = Runtime(budget={"steps": 2_000})
         rt.register_module("victim", LOOP)
         with pytest.raises(BudgetExhausted):
             rt.run("victim")
         rt.close()
-        gc.collect()
-        assert TABLE.entry_count() == before
+        del rt
+        assert live_bindings() == before
 
     def test_runtime_usable_after_exhaustion(self):
         with Runtime(budget={"steps": 2_000}) as rt:

@@ -8,10 +8,11 @@ from repro.errors import AmbiguousBindingError
 from repro.reader import read_string_one
 from repro.runtime.values import NULL, Pair, Symbol
 from repro.syn.binding import (
-    BindingTable,
     LocalBinding,
     ModuleBinding,
+    bind,
     bound_identifier_eq,
+    resolve,
 )
 from repro.syn.scopes import Scope
 from repro.syn.syntax import (
@@ -112,55 +113,48 @@ class TestConversions:
 
 class TestBindingResolution:
     def test_resolve_simple(self):
-        table = BindingTable()
         sc = Scope()
         binding = LocalBinding(Symbol("x"))
-        table.add(Symbol("x"), frozenset({sc}), binding)
-        assert table.resolve(ident("x", sc)) is binding
+        bind(Symbol("x"), frozenset({sc}), binding)
+        assert resolve(ident("x", sc)) is binding
 
     def test_unbound_returns_none(self):
-        table = BindingTable()
-        assert table.resolve(ident("nope")) is None
+        assert resolve(ident("nope")) is None
 
     def test_subset_rule(self):
-        table = BindingTable()
         outer, inner = Scope(), Scope()
         b_outer = LocalBinding(Symbol("x"))
-        table.add(Symbol("x"), frozenset({outer}), b_outer)
+        bind(Symbol("x"), frozenset({outer}), b_outer)
         # reference with extra scopes still sees outer binding
-        assert table.resolve(ident("x", outer, inner)) is b_outer
+        assert resolve(ident("x", outer, inner)) is b_outer
 
     def test_shadowing_prefers_larger_scope_set(self):
-        table = BindingTable()
         outer, inner = Scope(), Scope()
         b_outer = LocalBinding(Symbol("x"))
         b_inner = LocalBinding(Symbol("x"))
-        table.add(Symbol("x"), frozenset({outer}), b_outer)
-        table.add(Symbol("x"), frozenset({outer, inner}), b_inner)
-        assert table.resolve(ident("x", outer, inner)) is b_inner
-        assert table.resolve(ident("x", outer)) is b_outer
+        bind(Symbol("x"), frozenset({outer}), b_outer)
+        bind(Symbol("x"), frozenset({outer, inner}), b_inner)
+        assert resolve(ident("x", outer, inner)) is b_inner
+        assert resolve(ident("x", outer)) is b_outer
 
     def test_binding_with_more_scopes_invisible(self):
-        table = BindingTable()
         sc = Scope()
-        table.add(Symbol("x"), frozenset({sc}), LocalBinding(Symbol("x")))
-        assert table.resolve(ident("x")) is None
+        bind(Symbol("x"), frozenset({sc}), LocalBinding(Symbol("x")))
+        assert resolve(ident("x")) is None
 
     def test_ambiguity_detected(self):
-        table = BindingTable()
         a, b = Scope(), Scope()
-        table.add(Symbol("x"), frozenset({a}), LocalBinding(Symbol("x")))
-        table.add(Symbol("x"), frozenset({b}), LocalBinding(Symbol("x")))
+        bind(Symbol("x"), frozenset({a}), LocalBinding(Symbol("x")))
+        bind(Symbol("x"), frozenset({b}), LocalBinding(Symbol("x")))
         with pytest.raises(AmbiguousBindingError):
-            table.resolve(ident("x", a, b))
+            resolve(ident("x", a, b))
 
     def test_same_binding_not_ambiguous(self):
-        table = BindingTable()
         a, b = Scope(), Scope()
         binding = ModuleBinding("m", Symbol("x"))
-        table.add(Symbol("x"), frozenset({a}), binding)
-        table.add(Symbol("x"), frozenset({b}), ModuleBinding("m", Symbol("x")))
-        assert table.resolve(ident("x", a, b)) == binding
+        bind(Symbol("x"), frozenset({a}), binding)
+        bind(Symbol("x"), frozenset({b}), ModuleBinding("m", Symbol("x")))
+        assert resolve(ident("x", a, b)) == binding
 
     def test_module_binding_key_stability(self):
         assert ModuleBinding("m", Symbol("x")).key() == ModuleBinding(
