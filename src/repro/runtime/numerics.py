@@ -63,6 +63,32 @@ def normalize(x: Any) -> Any:
     return x
 
 
+def to_flonum(x: Any) -> float:
+    """The flonum for the real ``x``: Racket's exact->inexact conversion.
+
+    An exact number beyond the flonum range becomes ``±inf.0``, where
+    Python's ``float()`` raises ``OverflowError``. Every exact→flonum
+    conversion in this module goes through here; comparisons never
+    convert (Python compares ``int``/``Fraction`` with ``float`` exactly).
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _inexact_contagion(a: Any, b: Any) -> tuple[Any, Any]:
+    """When one operand is inexact (flonum or float-complex) and the other
+    exact, convert the exact one with :func:`to_flonum`, as Racket does
+    before it computes; Python would convert it itself, and overflow."""
+    if isinstance(a, (float, complex)):
+        if isinstance(b, (int, Fraction)):
+            b = to_flonum(b)
+    elif isinstance(b, (float, complex)) and isinstance(a, (int, Fraction)):
+        a = to_flonum(a)
+    return a, b
+
+
 def _check_number(who: str, x: Any) -> None:
     if not is_number(x):
         raise WrongTypeError(who, "number?", x)
@@ -80,21 +106,33 @@ def generic_add(a: Any, b: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_number("+", a)
     _check_number("+", b)
-    return normalize(a + b)
+    try:
+        return normalize(a + b)
+    except OverflowError:
+        a, b = _inexact_contagion(a, b)
+        return a + b
 
 
 def generic_sub(a: Any, b: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_number("-", a)
     _check_number("-", b)
-    return normalize(a - b)
+    try:
+        return normalize(a - b)
+    except OverflowError:
+        a, b = _inexact_contagion(a, b)
+        return a - b
 
 
 def generic_mul(a: Any, b: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_number("*", a)
     _check_number("*", b)
-    return normalize(a * b)
+    try:
+        return normalize(a * b)
+    except OverflowError:
+        a, b = _inexact_contagion(a, b)
+        return a * b
 
 
 def generic_div(a: Any, b: Any) -> Any:
@@ -111,17 +149,22 @@ def generic_div(a: Any, b: Any) -> Any:
         if b == 0:
             raise WrongTypeError("/", "non-zero number", b)
         return normalize(Fraction(a) / Fraction(b))
-    if isinstance(b, complex) and not isinstance(b, float):
+    a, b = _inexact_contagion(a, b)
+    if isinstance(b, complex):
         return a / b
-    if float(abs(b)) == 0.0 and not isinstance(a, complex):
+    if b == 0.0:
         # flonum division by zero yields infinities, like Racket
         if isinstance(a, complex):
-            return a / b  # pragma: no cover - complex/0.0 raises below
-        af = float(a)
-        if af == 0.0:
-            return math.nan
-        return math.copysign(math.inf, af) * math.copysign(1.0, float(b))
+            return complex(_fl_div_zero(a.real, b), _fl_div_zero(a.imag, b))
+        return _fl_div_zero(a, b)
     return a / b
+
+
+def _fl_div_zero(a: float, b: float) -> float:
+    """``a / b`` for a flonum ``a`` and a zero flonum ``b``."""
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def generic_neg(a: Any) -> Any:
@@ -203,7 +246,7 @@ def generic_min(a: Any, b: Any) -> Any:
     _cmp_args("min", a, b)
     result = a if a <= b else b
     if isinstance(a, float) or isinstance(b, float):
-        return float(result)
+        return to_flonum(result)
     return result
 
 
@@ -211,7 +254,7 @@ def generic_max(a: Any, b: Any) -> Any:
     _cmp_args("max", a, b)
     result = a if a >= b else b
     if isinstance(a, float) or isinstance(b, float):
-        return float(result)
+        return to_flonum(result)
     return result
 
 
@@ -236,7 +279,7 @@ def generic_sqrt(a: Any) -> Any:
             return math.sqrt(a)
         # negative exact -> exact-ish complex, matching Racket's (sqrt -4) = 2i
         pos = generic_sqrt(-a)
-        return complex(0.0, float(pos))
+        return complex(0.0, to_flonum(pos))
     if a < 0:
         return complex(0.0, math.sqrt(-a))
     return math.sqrt(a)
@@ -371,7 +414,7 @@ def generic_make_rectangular(re: Any, im: Any) -> Any:
     _check_real("make-rectangular", im)
     if im == 0 and not isinstance(im, float):
         return re
-    return complex(float(re), float(im))
+    return complex(to_flonum(re), to_flonum(im))
 
 
 def generic_exact_to_inexact(a: Any) -> Any:
@@ -379,7 +422,7 @@ def generic_exact_to_inexact(a: Any) -> Any:
     _check_number("exact->inexact", a)
     if isinstance(a, complex) and not isinstance(a, float):
         return a
-    return float(a)
+    return to_flonum(a)
 
 
 def generic_inexact_to_exact(a: Any) -> Any:
@@ -450,9 +493,7 @@ def unsafe_fl_mul(a: float, b: float) -> float:
 def unsafe_fl_div(a: float, b: float) -> float:
     current_stats().unsafe_ops += 1
     if b == 0.0:
-        if a == 0.0:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+        return _fl_div_zero(a, b)
     return a / b
 
 

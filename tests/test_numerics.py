@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import Runtime
 from repro.errors import WrongTypeError
 from repro.runtime import numerics as num
 from repro.runtime.stats import Stats, use_stats
@@ -221,3 +222,57 @@ class TestUnsafeOps:
         a, b = complex(1.0, 2.0), complex(3.0, -1.0)
         assert num.unsafe_fc_mul(a, b) == num.generic_mul(a, b)
         assert num.unsafe_fc_magnitude(a) == num.generic_magnitude(a)
+
+
+BIG = "(expt 10 400)"
+
+
+class TestExactToFlonumOverflow:
+    """An exact operand beyond the flonum range meets a flonum: Racket
+    converts it to ``±inf.0`` first, where Python's conversion raises
+    ``OverflowError`` (which is not a ReproError)."""
+
+    @pytest.mark.parametrize("backend", ["interp", "pyc"])
+    @pytest.mark.parametrize("expr, expected", [
+        (f"(+ {BIG} 1.5)", "+inf.0"),
+        (f"(- 1.5 {BIG})", "-inf.0"),
+        (f"(* {BIG} 0.5)", "+inf.0"),
+        (f"(/ {BIG} 2.0)", "+inf.0"),
+        (f"(/ 2.0 {BIG})", "0.0"),
+        (f"(max {BIG} 1.5)", "+inf.0"),
+        (f"(exact->inexact {BIG})", "+inf.0"),
+        (f"(+ (/ {BIG} 3) 1.5)", "+inf.0"),
+        (f"(- (- {BIG}) 1.5)", "-inf.0"),
+        (f"(/ {BIG} 0.0)", "+inf.0"),
+    ])
+    def test_program(self, backend, expr, expected):
+        with Runtime(backend=backend) as rt:
+            out = rt.run_source(f"#lang racket\n(displayln {expr})\n")
+        assert out == expected + "\n"
+
+    def test_to_flonum_saturates(self):
+        assert num.to_flonum(10**400) == math.inf
+        assert num.to_flonum(-(10**400)) == -math.inf
+        assert num.to_flonum(Fraction(10**400, 3)) == math.inf
+        assert num.to_flonum(3) == 3.0
+
+    def test_comparisons_stay_exact(self):
+        assert num.generic_lt(1e308, 10**400)
+        assert not num.generic_num_eq(10**400, math.inf)
+        assert num.generic_gt(10**400 + 1, float(10**300))
+
+    def test_charges_once(self):
+        with use_stats(Stats()) as s:
+            assert num.generic_add(10**400, 1.5) == math.inf
+        assert s.generic_dispatches == 1
+
+
+class TestFlonumDivisionByZero:
+    def test_nan_over_zero_is_nan(self):
+        assert math.isnan(num.generic_div(math.nan, 0.0))
+        assert math.isnan(num.unsafe_fl_div(math.nan, 0.0))
+
+    def test_complex_over_flonum_zero(self):
+        assert num.generic_div(complex(1.0, -2.0), 0.0) == complex(
+            math.inf, -math.inf
+        )

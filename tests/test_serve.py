@@ -78,6 +78,12 @@ class TestEnvelope:
         assert status == 200 and payload["ok"] is False
         assert payload["error"]["code"] == "S500"
 
+    def test_exact_to_flonum_overflow_is_a_value(self, srv):
+        source = "#lang racket\n(displayln (+ (expt 10 400) 1.5))\n"
+        status, payload = srv.handle("POST", "/run", {"source": source})
+        assert status == 200 and payload["ok"] is True, payload
+        assert payload["output"] == "+inf.0\n"
+
     def test_routing_errors(self, srv):
         status, payload = srv.handle("GET", "/nope", None)
         assert status == 404 and payload["error"]["code"] == "S404"
