@@ -9,8 +9,17 @@ Applications whose operator is a module-level binding already holding a
 :class:`Primitive` compile to direct Python calls — the equivalent of the
 inlining Racket's compiler performs for kernel primitives. This is what makes
 the generic/unsafe distinction measurable: a safe ``(+ x y)`` becomes one
-``generic_add`` call, an optimized ``(unsafe-fl+ x y)`` one ``unsafe_fl_add``
-call.
+``generic_add`` call (the primitive's two-operand entry in
+``BINARY_ENTRIES``, reading ``x`` and ``y`` in place when they are
+constants or locals of the innermost frame), an optimized ``(unsafe-fl+ x
+y)`` one ``unsafe_fl_add`` call.
+
+The :class:`Compiler` runs under the owning Runtime's guard and captures
+it, so it picks the trampoline when it compiles, as the pyc backend does
+at link time: under no guard, application sites call
+:func:`~repro.core.interp.apply_ungoverned` directly and never read the
+guard context variable; under a guard they call
+:func:`~repro.core.interp.apply_procedure`, which charges steps and depth.
 """
 
 from __future__ import annotations
@@ -18,9 +27,17 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core import ast
-from repro.core.interp import UNDEFINED, TailCall, apply_procedure, tail_apply
+from repro.core.interp import (
+    UNDEFINED,
+    TailCall,
+    apply_procedure,
+    apply_ungoverned,
+    tail_apply,
+    tail_ungoverned,
+)
 from repro.core.namespace import Namespace
 from repro.errors import RuntimeReproError
+from repro.runtime.primitives import BINARY_ENTRIES
 from repro.runtime.values import Closure, Primitive, Values
 from repro.syn.binding import LocalBinding, ModuleBinding
 
@@ -255,8 +272,7 @@ class Compiler:
         return set_module
 
     def _compile_app(self, node: ast.App, cenv: Optional[CEnv], tail: bool) -> Compiled:
-        compiled_args = tuple(self.compile_expr(a, cenv, False) for a in node.args)
-        nargs = len(compiled_args)
+        nargs = len(node.args)
 
         # Fast path: operator is a module binding already holding a primitive
         # of compatible arity (kernel primitives are pre-installed, so generic
@@ -280,30 +296,83 @@ class Compiler:
                         _guard.charge_alloc()
                         return _raw(*args)
 
+                elif nargs == 2:
+                    pyfn = BINARY_ENTRIES.get(value, pyfn)
+                if nargs == 2:
+                    return self._binary_site(pyfn, node.args, cenv)
+                compiled_args = tuple(
+                    self.compile_expr(a, cenv, False) for a in node.args
+                )
                 if nargs == 0:
                     return lambda env: pyfn()
                 if nargs == 1:
                     a0 = compiled_args[0]
                     return lambda env: pyfn(a0(env))
-                if nargs == 2:
-                    a0, a1 = compiled_args
-                    return lambda env: pyfn(a0(env), a1(env))
                 if nargs == 3:
                     a0, a1, a2 = compiled_args
                     return lambda env: pyfn(a0(env), a1(env), a2(env))
                 return lambda env: pyfn(*[a(env) for a in compiled_args])
 
+        compiled_args = tuple(self.compile_expr(a, cenv, False) for a in node.args)
         fn = self.compile_expr(node.fn, cenv, False)
+        # the guard is fixed for this compilation (see __init__), so an
+        # ungoverned one binds the ungoverned trampoline here, once
         if tail:
+            tail_fn = tail_apply if self.guard is not None else tail_ungoverned
+
             def app_tail(env: Any) -> Any:
-                return tail_apply(fn(env), [a(env) for a in compiled_args])
+                return tail_fn(fn(env), [a(env) for a in compiled_args])
 
             return app_tail
 
+        apply = apply_procedure if self.guard is not None else apply_ungoverned
+
         def app(env: Any) -> Any:
-            return apply_procedure(fn(env), [a(env) for a in compiled_args])
+            return apply(fn(env), [a(env) for a in compiled_args])
 
         return app
+
+    def _frame_slot(self, node: ast.CoreExpr, cenv: Optional[CEnv]) -> Optional[int]:
+        """The innermost-frame index of ``node`` when it is a local that the
+        lower pass proves initialized (read as ``env[0][i]``, no check)."""
+        if (
+            type(node) is ast.LocalRef
+            and cenv is not None
+            and self.analysis is not None
+            and node.binding.uid in self.analysis.initialized_uids
+        ):
+            return cenv.mapping.get(node.binding.uid)
+        return None
+
+    def _binary_site(
+        self, pyfn: Callable[[Any, Any], Any], args: tuple[ast.CoreExpr, ...],
+        cenv: Optional[CEnv],
+    ) -> Compiled:
+        """A two-operand primitive call. A constant operand, or a local of
+        the innermost frame, is read in place instead of through a compiled
+        closure, in the shapes (local, const), (local, local), (const,
+        local), (any, const) and (local, any). Operands still evaluate left
+        to right, and reading either kind has no effect to reorder."""
+        x, y = args
+        i = self._frame_slot(x, cenv)
+        j = self._frame_slot(y, cenv)
+        if i is not None:
+            if type(y) is ast.Quote:
+                k = y.value
+                return lambda env: pyfn(env[0][i], k)
+            if j is not None:
+                return lambda env: pyfn(env[0][i], env[0][j])
+            a1 = self.compile_expr(y, cenv, False)
+            return lambda env: pyfn(env[0][i], a1(env))
+        if type(x) is ast.Quote and j is not None:
+            k = x.value
+            return lambda env: pyfn(k, env[0][j])
+        a0 = self.compile_expr(x, cenv, False)
+        if type(y) is ast.Quote:
+            k = y.value
+            return lambda env: pyfn(a0(env), k)
+        a1 = self.compile_expr(y, cenv, False)
+        return lambda env: pyfn(a0(env), a1(env))
 
     # -- module-level forms -------------------------------------------------
 

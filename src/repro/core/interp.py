@@ -10,8 +10,14 @@ Runtime carries a :class:`~repro.guard.Budget`, applications take a second
 trampoline loop inlined in :func:`apply_procedure` that charges one *step*
 per closure invocation (tail calls included — each trampoline iteration is
 a step) and performs the amortized deadline/cancellation checkpoint.
-Ungoverned Runtimes pay exactly one context-variable read per application
-and keep the original fast loop.
+
+:func:`apply_ungoverned` is the one ungoverned loop. Code generators that
+know the guard when they build their code bind it directly: the interp
+:class:`~repro.core.compile.Compiler` picks it for application sites when
+it compiles under no guard, and the pyc backend's ``link_unit`` binds it
+at link time (DESIGN §8, §9). Such sites skip the guard context-variable
+read; :func:`apply_procedure`, the entry for everything else, reads it
+once and hands ungoverned applications to the same loop.
 """
 
 from __future__ import annotations
@@ -98,24 +104,7 @@ def apply_procedure(fn: Any, args: list[Any]) -> Any:
     """
     guard = current_guard()
     if guard is None:
-        while True:
-            t = type(fn)
-            if t is Closure:
-                env = (_make_frame(fn, args), fn.env)
-                result = fn.body(env)
-                if type(result) is TailCall:
-                    fn = result.fn
-                    args = result.args
-                    continue
-                return result
-            if t is PyClosure:
-                result = fn.fn(*_make_frame(fn, args))
-                if type(result) is TailCall:
-                    fn = result.fn
-                    args = result.args
-                    continue
-                return result
-            return _apply_other(fn, args)
+        return apply_ungoverned(fn, args)
     max_depth = guard.max_depth
     alloc = guard.allocations is not None
     while True:
@@ -159,9 +148,40 @@ def apply_procedure(fn: Any, args: list[Any]) -> Any:
         return _apply_other(fn, args)
 
 
+def apply_ungoverned(fn: Any, args: list[Any]) -> Any:
+    """Apply ``fn`` to ``args``, draining tail calls, charging nothing.
+
+    Bound in place of :func:`apply_procedure` by code compiled or linked
+    for an ungoverned Runtime: the guard is fixed for the whole run, so the
+    per-application context-variable read is paid once, at compile or link
+    time. Closures of both backends interoperate in this one loop.
+    """
+    while True:
+        t = type(fn)
+        if t is Closure:
+            result = fn.body((_make_frame(fn, args), fn.env))
+        elif t is PyClosure:
+            result = fn.fn(*_make_frame(fn, args))
+        else:
+            return _apply_other(fn, args)
+        if type(result) is TailCall:
+            fn = result.fn
+            args = result.args
+            continue
+        return result
+
+
 def tail_apply(fn: Any, args: list[Any]) -> Any:
     """Apply in tail position: defer closures to the caller's trampoline."""
     t = type(fn)
     if t is Closure or t is PyClosure:
         return TailCall(fn, args)
     return apply_procedure(fn, args)
+
+
+def tail_ungoverned(fn: Any, args: list[Any]) -> Any:
+    """:func:`tail_apply` for code bound to :func:`apply_ungoverned`."""
+    t = type(fn)
+    if t is Closure or t is PyClosure:
+        return TailCall(fn, args)
+    return apply_ungoverned(fn, args)

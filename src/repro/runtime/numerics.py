@@ -31,13 +31,25 @@ from repro.runtime.stats import current_stats
 Real = (int, Fraction, float)
 Number = (int, Fraction, float, complex)
 
+# The tower's own classes, for exact-type membership tests. ``Fraction``'s
+# metaclass is ``ABCMeta``, so ``isinstance(x, Number)`` on a flonum runs
+# ``ABCMeta.__instancecheck__``; ``type(x) in`` these sets is one hash
+# lookup. Anything else (``bool``, subclasses, non-numbers) falls back to
+# the ``isinstance`` chain, so its answers and error messages are unchanged.
+_NUMBER_TYPES = frozenset(Number)
+_REAL_TYPES = frozenset(Real)
+
 
 def is_number(x: Any) -> bool:
-    return isinstance(x, Number) and not isinstance(x, bool)
+    return type(x) in _NUMBER_TYPES or (
+        isinstance(x, Number) and not isinstance(x, bool)
+    )
 
 
 def is_real(x: Any) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool)
+    return type(x) in _REAL_TYPES or (
+        isinstance(x, Real) and not isinstance(x, bool)
+    )
 
 
 def is_exact_integer(x: Any) -> bool:
@@ -58,7 +70,7 @@ def is_float_complex(x: Any) -> bool:
 
 def normalize(x: Any) -> Any:
     """Collapse ``Fraction`` with denominator 1 to ``int``."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
 
@@ -104,6 +116,9 @@ def _check_real(who: str, x: Any) -> None:
 
 def generic_add(a: Any, b: Any) -> Any:
     current_stats().generic_dispatches += 1
+    t = type(a)
+    if t is type(b) and (t is int or t is float):
+        return a + b
     _check_number("+", a)
     _check_number("+", b)
     try:
@@ -115,6 +130,9 @@ def generic_add(a: Any, b: Any) -> Any:
 
 def generic_sub(a: Any, b: Any) -> Any:
     current_stats().generic_dispatches += 1
+    t = type(a)
+    if t is type(b) and (t is int or t is float):
+        return a - b
     _check_number("-", a)
     _check_number("-", b)
     try:
@@ -126,6 +144,9 @@ def generic_sub(a: Any, b: Any) -> Any:
 
 def generic_mul(a: Any, b: Any) -> Any:
     current_stats().generic_dispatches += 1
+    t = type(a)
+    if t is type(b) and (t is int or t is float):
+        return a * b
     _check_number("*", a)
     _check_number("*", b)
     try:
@@ -151,6 +172,8 @@ def generic_div(a: Any, b: Any) -> Any:
         return normalize(Fraction(a) / Fraction(b))
     a, b = _inexact_contagion(a, b)
     if isinstance(b, complex):
+        if b == 0:
+            raise WrongTypeError("/", "non-zero number", b)
         return a / b
     if b == 0.0:
         # flonum division by zero yields infinities, like Racket
@@ -205,6 +228,8 @@ def generic_modulo(a: Any, b: Any) -> Any:
 
 def _cmp_args(who: str, a: Any, b: Any) -> None:
     current_stats().generic_dispatches += 1
+    if type(a) in _REAL_TYPES and type(b) in _REAL_TYPES:
+        return
     _check_real(who, a)
     _check_real(who, b)
 
@@ -271,18 +296,31 @@ def generic_sqrt(a: Any) -> Any:
                 root = math.isqrt(a)
                 if root * root == a:
                     return root
-            else:
-                num_root = math.isqrt(a.numerator)
-                den_root = math.isqrt(a.denominator)
-                if num_root * num_root == a.numerator and den_root * den_root == a.denominator:
-                    return normalize(Fraction(num_root, den_root))
-            return math.sqrt(a)
+                return _inexact_sqrt(a)
+            num_root = math.isqrt(a.numerator)
+            den_root = math.isqrt(a.denominator)
+            if num_root * num_root == a.numerator and den_root * den_root == a.denominator:
+                return normalize(Fraction(num_root, den_root))
+            try:
+                return math.sqrt(a)
+            except OverflowError:  # a beyond the flonum range: its floor will do
+                return _inexact_sqrt(a.numerator // a.denominator)
         # negative exact -> exact-ish complex, matching Racket's (sqrt -4) = 2i
         pos = generic_sqrt(-a)
         return complex(0.0, to_flonum(pos))
     if a < 0:
         return complex(0.0, math.sqrt(-a))
     return math.sqrt(a)
+
+
+def _inexact_sqrt(n: int) -> float:
+    """The flonum square root of a non-negative exact integer. One beyond
+    the flonum range goes through ``math.isqrt`` (Racket computes it too,
+    where ``math.sqrt`` would raise ``OverflowError``)."""
+    try:
+        return math.sqrt(n)
+    except OverflowError:
+        return to_flonum(math.isqrt(n))
 
 
 def generic_expt(a: Any, b: Any) -> Any:
@@ -295,7 +333,24 @@ def generic_expt(a: Any, b: Any) -> Any:
         if a == 0:
             raise WrongTypeError("expt", "non-zero base for negative exponent", a)
         return normalize(Fraction(a) ** b)
-    return a**b
+    x, y = _inexact_contagion(a, b)
+    try:
+        return x**y
+    except (OverflowError, ZeroDivisionError) as err:
+        if isinstance(err, ZeroDivisionError) and (
+            type(a) is not float or type(y) is not float
+        ):
+            # an exact zero base, as in Racket's `(expt 0 -1.0)`
+            raise WrongTypeError(
+                "expt", "non-zero base for negative exponent", a
+            ) from None
+        if type(x) is not float or type(y) is not float:
+            raise
+        # a flonum result beyond the range, or a zero flonum base and a
+        # negative exponent: Racket's ±inf.0, negative only for a negative
+        # base and an odd exponent
+        odd = y.is_integer() and math.fmod(y, 2.0) != 0.0
+        return math.copysign(math.inf, x) if odd else math.inf
 
 
 def generic_exp(a: Any) -> Any:
@@ -305,7 +360,13 @@ def generic_exp(a: Any) -> Any:
         import cmath
 
         return cmath.exp(a)
-    return math.exp(a)
+    try:
+        return math.exp(a)
+    except OverflowError:
+        # beyond the flonum range: Racket's +inf.0 (or 0.0 for an exact
+        # argument far below it)
+        x = to_flonum(a)
+        return 0.0 if x < 0 else math.inf
 
 
 def generic_log(a: Any) -> Any:
@@ -336,9 +397,18 @@ def _real_trig(name: str, fn: Any) -> Any:
     return op
 
 
-generic_sin = _real_trig("sin", math.sin)
-generic_cos = _real_trig("cos", math.cos)
-generic_tan = _real_trig("tan", math.tan)
+def _periodic(fn: Any, a: Any) -> float:
+    """``sin``/``cos``/``tan`` of a real: ``+nan.0`` at the infinities,
+    where ``math`` raises a domain error."""
+    a = to_flonum(a)
+    if math.isinf(a):
+        return math.nan
+    return fn(a)
+
+
+generic_sin = _real_trig("sin", lambda a: _periodic(math.sin, a))
+generic_cos = _real_trig("cos", lambda a: _periodic(math.cos, a))
+generic_tan = _real_trig("tan", lambda a: _periodic(math.tan, a))
 generic_asin = _real_trig("asin", math.asin)
 generic_acos = _real_trig("acos", math.acos)
 
@@ -356,7 +426,7 @@ def generic_floor(a: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_real("floor", a)
     if isinstance(a, float):
-        return float(math.floor(a))
+        return float(math.floor(a)) if math.isfinite(a) else a
     return math.floor(a)
 
 
@@ -364,7 +434,7 @@ def generic_ceiling(a: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_real("ceiling", a)
     if isinstance(a, float):
-        return float(math.ceil(a))
+        return float(math.ceil(a)) if math.isfinite(a) else a
     return math.ceil(a)
 
 
@@ -372,7 +442,7 @@ def generic_truncate(a: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_real("truncate", a)
     if isinstance(a, float):
-        return float(math.trunc(a))
+        return float(math.trunc(a)) if math.isfinite(a) else a
     return math.trunc(a)
 
 
@@ -380,7 +450,7 @@ def generic_round(a: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_real("round", a)
     if isinstance(a, float):
-        return float(round(a))
+        return float(round(a)) if math.isfinite(a) else a
     return round(a)  # banker's rounding, same as Racket
 
 
@@ -429,6 +499,8 @@ def generic_inexact_to_exact(a: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_real("inexact->exact", a)
     if isinstance(a, float):
+        if not math.isfinite(a):
+            raise WrongTypeError("inexact->exact", "rational?", a)
         return normalize(Fraction(a))
     return a
 
@@ -549,17 +621,17 @@ def unsafe_fl_sqrt(a: float) -> float:
 
 def unsafe_fl_sin(a: float) -> float:
     current_stats().unsafe_ops += 1
-    return math.sin(a)
+    return _periodic(math.sin, a)
 
 
 def unsafe_fl_cos(a: float) -> float:
     current_stats().unsafe_ops += 1
-    return math.cos(a)
+    return _periodic(math.cos, a)
 
 
 def unsafe_fl_floor(a: float) -> float:
     current_stats().unsafe_ops += 1
-    return float(math.floor(a))
+    return float(math.floor(a)) if math.isfinite(a) else a
 
 
 def unsafe_fx_add(a: int, b: int) -> int:

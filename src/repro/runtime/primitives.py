@@ -103,6 +103,22 @@ add_prim(">", _chain(num.generic_gt), 2)
 add_prim(">=", _chain(num.generic_ge), 2)
 add_prim("=", _chain(num.generic_num_eq), 2)
 
+#: the two-operand entry of each variadic arithmetic primitive: what its
+#: ``fn`` computes for exactly two arguments, without the ``*args`` tuple,
+#: the arity branch or ``_chain``'s ``zip``. Keyed by the kernel's own
+#: :class:`Primitive` object, so only a call site whose operator is that
+#: primitive (not some other procedure of the same name) may bind one.
+BINARY_ENTRIES: dict[v.Primitive, Callable[[Any, Any], Any]] = {
+    PRIMITIVES[name]: fn
+    for name, fn in (
+        ("+", num.generic_add), ("-", num.generic_sub),
+        ("*", num.generic_mul), ("/", num.generic_div),
+        ("<", num.generic_lt), ("<=", num.generic_le),
+        (">", num.generic_gt), (">=", num.generic_ge),
+        ("=", num.generic_num_eq),
+    )
+}
+
 add_prim("quotient", num.generic_quotient, 2, 2)
 add_prim("remainder", num.generic_remainder, 2, 2)
 add_prim("modulo", num.generic_modulo, 2, 2)

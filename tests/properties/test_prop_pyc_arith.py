@@ -39,6 +39,16 @@ PINNED_PAIRS = (
     ("0.0", "-0.0"), ("-0.0", "-0.0"), ("+nan.0", "0.0"),
 )
 
+#: operations and operands where the numeric tower used to escape with a
+#: raw Python exception (Racket answers with a value or a contract error);
+#: every operand runs both as a parameter and as a constant
+EDGE_UNARY = ("floor", "ceiling", "truncate", "round", "sin", "cos", "tan",
+              "exp", "sqrt", "inexact->exact")
+EDGE_OPERANDS = ("+inf.0", "-inf.0", "+nan.0", "1000", str(10**400 + 1))
+EDGE_BINARY = (("expt", "1.5", "100000"), ("expt", "-1.5", "100001"),
+               ("expt", "0.0", "-1"), ("expt", "0", "-1.0"),
+               ("/", "1.0", "0.0+0.0i"))
+
 SEED = 20111
 PAIRS_PER_FORM = 40
 TRIPLES_PER_FORM = 15
@@ -76,6 +86,14 @@ def _cases() -> dict[str, list[str]]:
         groups[f"unary {op}"] = [
             _case([kind], op, (o,)) for kind in ("v", "c") for o in OPERANDS
         ]
+    groups["edge values"] = [
+        _case([kind], op, (o,))
+        for op in EDGE_UNARY for kind in ("v", "c") for o in EDGE_OPERANDS
+    ] + [
+        _case(shape, op, (x, y))
+        for op, x, y in EDGE_BINARY
+        for shape in (["v", "v"], ["c", "v"], ["v", "c"])
+    ]
     triples = list(itertools.product(OPERANDS, repeat=3))
     for op in FOLDED:
         groups[f"3-operand {op}"] = [
@@ -133,4 +151,17 @@ def test_sample_reaches_every_fast_path_edge():
     assert "(f -0.0)" in text
     assert "(f +nan.0 0.0)" in text
     assert str(10**400) in text
+    assert "(inexact->exact +inf.0)" in text
     assert sum(len(c) for c in CASES.values()) > 1000
+
+
+def test_edge_values_never_raise_raw_python_errors(runtimes):
+    """Each edge case answers with a value or a coded error (a ReproError
+    carries a code; a raw Python exception does not)."""
+    interp, _ = runtimes
+    raw = []
+    for i, source in enumerate(CASES["edge values"]):
+        _, error, _ = _observe(interp, source, f"<edge {i}>")
+        if error is not None and error[1] is None:
+            raw.append((source.splitlines()[1], error))
+    assert not raw, raw

@@ -258,6 +258,27 @@ class TestGuardParity:
         _, error, _ = run_under("pyc", bomb, budget={"allocations": 100})
         assert error[1] == "G004"
 
+    #: allocating two-operand primitive sites whose operands are a local
+    #: of the innermost frame and a constant: the shapes the interp
+    #: compiler reads in place, and where pyc calls the primitive directly
+    SPECIALIZED_SITES = """#lang racket
+(define (fill i acc)
+  (if (= i 0)
+      acc
+      (fill (- i 1) (cons (vector i 0) (cons i '())))))
+(displayln (length (fill 300 '())))
+"""
+
+    @pytest.mark.parametrize("budget, code", [
+        ({"allocations": 250}, "G004"),
+        ({"steps": 200}, "G001"),
+    ])
+    def test_specialized_sites_keep_charges(self, budget, code):
+        assert_backends_agree(self.SPECIALIZED_SITES, budget=budget)
+        interp = run_under("interp", self.SPECIALIZED_SITES, budget=budget)
+        assert interp[1] is not None and interp[1][1] == code, interp[1]
+        assert_backends_agree(self.SPECIALIZED_SITES, budget=True)
+
     def test_g005_cancellation_identical(self):
         token = CancelToken()
         token.cancel("host shutdown")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,53 @@ class TestExactToFlonumOverflow:
         with use_stats(Stats()) as s:
             assert num.generic_add(10**400, 1.5) == math.inf
         assert s.generic_dispatches == 1
+
+
+class TestEdgeValuesAnswerLikeRacket:
+    """Operations on infinities, NaN and values beyond the flonum range
+    answer with Racket's value or a coded ``WrongTypeError``, never a raw
+    Python exception (which ``/run`` would report as S500)."""
+
+    @pytest.mark.parametrize("backend", ["interp", "pyc"])
+    @pytest.mark.parametrize("expr, expected", [
+        *[(f"({op} {x})", x)
+          for op in ("floor", "ceiling", "truncate", "round")
+          for x in ("+inf.0", "-inf.0", "+nan.0")],
+        *[(f"({op} {x})", "+nan.0")
+          for op in ("sin", "cos", "tan") for x in ("+inf.0", "-inf.0")],
+        ("(exp 1000)", "+inf.0"),
+        (f"(exp (- {BIG}))", "0.0"),
+        ("(expt 1.5 100000)", "+inf.0"),
+        ("(expt -1.5 100001)", "-inf.0"),
+        ("(expt -1.5 100000)", "+inf.0"),
+        ("(expt 0.0 -1)", "+inf.0"),
+        ("(expt -0.0 -1)", "-inf.0"),
+        (f"(sqrt (+ 1 {BIG}))", "1e+200"),
+        (f"(sqrt (/ (+ 1 {BIG}) 4))", "5e+199"),
+    ])
+    def test_value(self, backend, expr, expected):
+        with Runtime(backend=backend) as rt:
+            out = rt.run_source(f"#lang racket\n(displayln {expr})\n")
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize("backend", ["interp", "pyc"])
+    @pytest.mark.parametrize("expr, who", [
+        ("(inexact->exact +inf.0)", "inexact->exact"),
+        ("(inexact->exact -inf.0)", "inexact->exact"),
+        ("(inexact->exact +nan.0)", "inexact->exact"),
+        ("(/ 1.0 0.0+0.0i)", "/"),
+        ("(expt 0 -1.0)", "expt"),
+    ])
+    def test_wrong_type(self, backend, expr, who):
+        with Runtime(backend=backend) as rt:
+            with pytest.raises(WrongTypeError, match=f"^{re.escape(who)}: "):
+                rt.run_source(f"#lang racket\n(displayln {expr})\n")
+
+    def test_unsafe_flonum_ops_agree(self):
+        assert math.isnan(num.unsafe_fl_sin(math.inf))
+        assert math.isnan(num.unsafe_fl_cos(-math.inf))
+        assert num.unsafe_fl_floor(-math.inf) == -math.inf
+        assert math.isnan(num.unsafe_fl_floor(math.nan))
 
 
 class TestFlonumDivisionByZero:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Runtime
-from repro.runtime.primitives import PRIMITIVES
+from repro.runtime.primitives import BINARY_ENTRIES, PRIMITIVES
 
 FLOAT_LOOP = """#lang racket
 (define (loop i x acc)
@@ -27,17 +27,25 @@ OPEN_CODED = ("+", "-", "*", "/", "<", "add1", "zero?", "sqrt")
 
 @pytest.fixture
 def primitive_calls(monkeypatch):
-    """Count calls of the open-coded primitives' implementations; pyc
-    binds them at link time, so only fallbacks reach the counters."""
+    """Count calls of the open-coded primitives' implementations and
+    two-operand entries; pyc binds them at link time, so only fallbacks
+    reach the counters."""
     calls = dict.fromkeys(OPEN_CODED, 0)
+
+    def counting(fn, name):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
     for name in OPEN_CODED:
         prim = PRIMITIVES[name]
-
-        def counted(*args, _fn=prim.fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(prim, "fn", counted)
+        monkeypatch.setattr(prim, "fn", counting(prim.fn, name))
+        if prim in BINARY_ENTRIES:
+            monkeypatch.setitem(
+                BINARY_ENTRIES, prim, counting(BINARY_ENTRIES[prim], name)
+            )
     return calls
 
 
