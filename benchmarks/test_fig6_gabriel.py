@@ -1,6 +1,7 @@
 """Fig. 6 regeneration: Gabriel & Larceny benchmarks, typed vs untyped
 (smaller is better). Run ``python benchmarks/run_figures.py fig6`` for the
-paper-shaped table."""
+paper-shaped table; the counters and the figure's shape are checked in
+tier-1 by ``tests/test_figure_counters.py``."""
 
 from __future__ import annotations
 
@@ -12,23 +13,7 @@ from benchmarks.programs.gabriel import GABRIEL_PROGRAMS
 _IDS = [p.name for p in GABRIEL_PROGRAMS]
 
 
+@pytest.mark.parametrize("config", ["untyped", "typed/opt", "typed/no-opt"])
 @pytest.mark.parametrize("program", GABRIEL_PROGRAMS, ids=_IDS)
-def test_fig6_untyped(benchmark, program):
-    result = bench_program(benchmark, program, "untyped")
-    assert result.generic_dispatches > 0  # the untyped path is the generic one
-
-
-@pytest.mark.parametrize("program", GABRIEL_PROGRAMS, ids=_IDS)
-def test_fig6_typed_opt(benchmark, program):
-    result = bench_program(benchmark, program, "typed/opt")
-    # the figure's shape: the optimizer eliminated the generic dispatches
-    assert result.unsafe_ops > 0
-    assert result.generic_dispatches == 0
-
-
-@pytest.mark.parametrize("program", GABRIEL_PROGRAMS, ids=_IDS)
-def test_fig6_typed_no_opt(benchmark, program):
-    result = bench_program(benchmark, program, "typed/no-opt")
-    # without the optimizer, typed code runs exactly like untyped code
-    assert result.unsafe_ops == 0
-    assert result.generic_dispatches > 0
+def test_fig6(benchmark, program, config):
+    bench_program(benchmark, program, config)

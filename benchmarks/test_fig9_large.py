@@ -1,49 +1,18 @@
 """Fig. 9 regeneration: large benchmarks (ray tracer, FFT, functional data
-structures), typed vs untyped (smaller is better)."""
+structures), typed vs untyped (smaller is better). The counters and the
+figure's shape are checked in tier-1 by ``tests/test_figure_counters.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import HARNESS, bench_program
+from benchmarks.conftest import bench_program
 from benchmarks.programs.large import LARGE_PROGRAMS
 
 _IDS = [p.name for p in LARGE_PROGRAMS]
 
 
+@pytest.mark.parametrize("config", ["untyped", "typed/opt", "typed/no-opt"])
 @pytest.mark.parametrize("program", LARGE_PROGRAMS, ids=_IDS)
-def test_fig9_untyped(benchmark, program):
-    result = bench_program(benchmark, program, "untyped")
-    assert result.generic_dispatches > 0
-
-
-@pytest.mark.parametrize("program", LARGE_PROGRAMS, ids=_IDS)
-def test_fig9_typed_opt(benchmark, program):
-    result = bench_program(benchmark, program, "typed/opt")
-    assert result.unsafe_ops > 0
-
-
-@pytest.mark.parametrize("program", LARGE_PROGRAMS, ids=_IDS)
-def test_fig9_typed_no_opt(benchmark, program):
-    result = bench_program(benchmark, program, "typed/no-opt")
-    assert result.unsafe_ops == 0
-
-
-def test_fig9_fft_shape():
-    """§7.3 reports a 33% optimizer speedup on fft; our reproduction's claim
-    is the same *direction*: the typed+optimized fft eliminates most generic
-    dispatch, and the outputs agree."""
-    fft = next(p for p in LARGE_PROGRAMS if p.name == "fft")
-    untyped = HARNESS.run(fft, "untyped")
-    typed_opt = HARNESS.run(fft, "typed/opt")
-    assert untyped.output == typed_opt.output
-    assert typed_opt.generic_dispatches < untyped.generic_dispatches
-
-
-def test_fig9_large_apps_benefit():
-    """"The large applications benefit even more from our optimizer than the
-    microbenchmarks": the float-heavy large apps lose nearly all dispatch."""
-    raytrace = next(p for p in LARGE_PROGRAMS if p.name == "raytrace")
-    result = HARNESS.run(raytrace, "typed/opt")
-    baseline = HARNESS.run(raytrace, "untyped")
-    assert result.generic_dispatches < baseline.generic_dispatches / 10
+def test_fig9(benchmark, program, config):
+    bench_program(benchmark, program, config)

@@ -11,7 +11,7 @@ Two backends implement the final stage, selectable per Runtime
     The closure-compiling tree walk (:mod:`repro.core.compile`): each core
     form compiles, at instantiation time with the namespace in hand, to a
     tree of Python closures. Codegen is charged to the ``closure-compile``
-    observe phase, interleaved per form with ``run``.
+    observe phase, before any form runs.
 
 ``pyc``
     The CPython code-object backend (:mod:`repro.core.pyc`): the whole
@@ -29,7 +29,7 @@ may even mix them across modules.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.compile import Compiler
 from repro.core.lower import module_analysis
@@ -45,81 +45,52 @@ def validate_backend(name: str) -> str:
     return name
 
 
-class InterpBackend:
-    """Per-form closure compilation interleaved with execution."""
-
-    name = "interp"
-
-    def __init__(self, registry: Any) -> None:
-        self.registry = registry
-
-    def instantiate(self, compiled: Any, ns: Any, rec: Any, guard: Any) -> None:
+def _interp_forms(registry: Any, compiled: Any, ns: Any, rec: Any,
+                  guard: Any) -> list[Callable[[], Any]]:
+    with rec.span("closure-compile", compiled.path):
         compiler = Compiler(
             ns,
-            inline=self.registry.inline_primitives,
+            inline=registry.inline_primitives,
             analysis=module_analysis(compiled),
         )
-        path = compiled.path
-        if not rec.enabled:
-            if guard is None:
-                for form in compiled.body.forms:
-                    compiler.compile_module_form(form)()
-                return
-            # governed eval loop: a checkpoint between top-level forms
-            # bounds deadline/cancellation latency even for programs that
-            # never apply a closure (straight-line module bodies)
-            for form in compiled.body.forms:
+        return [compiler.compile_module_form(form) for form in compiled.body.forms]
+
+
+def _pyc_forms(registry: Any, compiled: Any, ns: Any, rec: Any,
+               guard: Any) -> list[Callable[[], Any]]:
+    from repro.core.pyc import link_unit
+
+    # normally already generated (module compile time / artifact load);
+    # regenerates only when the backend was switched after compilation
+    # or the artifact came from a different CPython version
+    unit = registry.ensure_pyc_unit(compiled)
+    with rec.span("pyc-link", compiled.path):
+        return link_unit(unit, ns, guard)
+
+
+_FORM_THUNKS = {"interp": _interp_forms, "pyc": _pyc_forms}
+
+
+def run_module_body(registry: Any, compiled: Any, ns: Any, rec: Any,
+                    guard: Any) -> None:
+    """Run ``compiled``'s body in ``ns`` on the registry's backend.
+
+    The backend turns the body into one thunk per top-level form, and this
+    one loop runs them. Nothing a backend compiles depends on run-time
+    state, so every form is compiled before the first one runs.
+    """
+    path = compiled.path
+    form_thunks = _FORM_THUNKS[validate_backend(registry.backend)]
+    traced = rec.enabled
+    with rec.span("instantiate", path):
+        for thunk in form_thunks(registry, compiled, ns, rec, guard):
+            # governed: a checkpoint between top-level forms bounds
+            # deadline/cancellation latency even for programs that never
+            # apply a closure (straight-line module bodies)
+            if guard is not None:
                 guard.checkpoint(path)
-                compiler.compile_module_form(form)()
-            return
-        # traced: keep the compile-then-run interleaving, but charge the
-        # closure-compilation and execution of each form to separate spans
-        with rec.span("instantiate", path):
-            for form in compiled.body.forms:
-                if guard is not None:
-                    guard.checkpoint(path)
-                with rec.span("closure-compile", path):
-                    thunk = compiler.compile_module_form(form)
+            if traced:
                 with rec.span("run", path):
                     thunk()
-
-
-class PycBackend:
-    """Link the module's code-object unit, then run its form functions."""
-
-    name = "pyc"
-
-    def __init__(self, registry: Any) -> None:
-        self.registry = registry
-
-    def instantiate(self, compiled: Any, ns: Any, rec: Any, guard: Any) -> None:
-        from repro.core.pyc import link_unit
-
-        # normally already generated (module compile time / artifact load);
-        # regenerates only when the backend was switched after compilation
-        # or the artifact came from a different CPython version
-        unit = self.registry.ensure_pyc_unit(compiled)
-        path = compiled.path
-        if not rec.enabled:
-            thunks = link_unit(unit, ns, guard)
-            if guard is None:
-                for thunk in thunks:
-                    thunk()
-                return
-            for thunk in thunks:
-                guard.checkpoint(path)
+            else:
                 thunk()
-            return
-        with rec.span("instantiate", path):
-            with rec.span("pyc-link", path):
-                thunks = link_unit(unit, ns, guard)
-            for thunk in thunks:
-                if guard is not None:
-                    guard.checkpoint(path)
-                with rec.span("run", path):
-                    thunk()
-
-
-def make_backend(name: str, registry: Any):
-    pyc = validate_backend(name) == "pyc"
-    return PycBackend(registry) if pyc else InterpBackend(registry)

@@ -5,9 +5,10 @@ runtime environment (a linked chain of frames: ``(frame_list, parent)``).
 Compilation happens at module instantiation, with the target namespace in
 hand, so module-level references resolve to their cells once, not per access.
 
-Applications whose operator is a module-level binding already holding a
-:class:`Primitive` compile to direct Python calls — the equivalent of the
-inlining Racket's compiler performs for kernel primitives. This is what makes
+Applications whose operator denotes a kernel primitive
+(:func:`~repro.core.lower.kernel_primitive`, the test the pyc backend
+shares) compile to direct Python calls — the equivalent of the inlining
+Racket's compiler performs for kernel primitives. This is what makes
 the generic/unsafe distinction measurable: a safe ``(+ x y)`` becomes one
 ``generic_add`` call (the primitive's two-operand entry in
 ``BINARY_ENTRIES``, reading ``x`` and ``y`` in place when they are
@@ -35,10 +36,11 @@ from repro.core.interp import (
     tail_apply,
     tail_ungoverned,
 )
+from repro.core.lower import kernel_primitive
 from repro.core.namespace import Namespace
 from repro.errors import RuntimeReproError
 from repro.runtime.primitives import BINARY_ENTRIES
-from repro.runtime.values import Closure, Primitive, Values
+from repro.runtime.values import Closure, Values
 from repro.syn.binding import LocalBinding, ModuleBinding
 
 Compiled = Callable[[Any], Any]
@@ -163,6 +165,9 @@ class Compiler:
         return refn
 
     def _compile_module_ref(self, node: ast.ModuleRef) -> Compiled:
+        prim = kernel_primitive(node)
+        if prim is not None:
+            return lambda env: prim
         cell = self.ns.cell(node.binding.key())
         name = node.binding.name.name
 
@@ -274,44 +279,35 @@ class Compiler:
     def _compile_app(self, node: ast.App, cenv: Optional[CEnv], tail: bool) -> Compiled:
         nargs = len(node.args)
 
-        # Fast path: operator is a module binding already holding a primitive
-        # of compatible arity (kernel primitives are pre-installed, so generic
-        # and unsafe arithmetic take this route).
-        if self.inline and isinstance(node.fn, ast.ModuleRef):
-            cell = self.ns.cell(node.fn.binding.key())
-            value = cell[0]
-            if (
-                isinstance(value, Primitive)
-                and value.arity_min <= nargs
-                and (value.arity_max is None or nargs <= value.arity_max)
-            ):
-                pyfn = value.fn
-                guard = self.guard
-                if guard is not None and guard.track_allocations and value.allocates:
-                    # charge the allocation budget at this compiled call
-                    # site; the wrapped pyfn keeps the inline fast path
-                    raw = pyfn
+        # Fast path: the operator denotes a kernel primitive of compatible
+        # arity (so generic and unsafe arithmetic take this route)
+        value = kernel_primitive(node.fn, nargs) if self.inline else None
+        if value is not None:
+            pyfn = value.fn
+            guard = self.guard
+            if guard is not None and guard.track_allocations and value.allocates:
+                # charge the allocation budget at this compiled call
+                # site; the wrapped pyfn keeps the inline fast path
+                raw = pyfn
 
-                    def pyfn(*args: Any, _raw: Any = raw, _guard: Any = guard) -> Any:
-                        _guard.charge_alloc()
-                        return _raw(*args)
+                def pyfn(*args: Any, _raw: Any = raw, _guard: Any = guard) -> Any:
+                    _guard.charge_alloc()
+                    return _raw(*args)
 
-                elif nargs == 2:
-                    pyfn = BINARY_ENTRIES.get(value, pyfn)
-                if nargs == 2:
-                    return self._binary_site(pyfn, node.args, cenv)
-                compiled_args = tuple(
-                    self.compile_expr(a, cenv, False) for a in node.args
-                )
-                if nargs == 0:
-                    return lambda env: pyfn()
-                if nargs == 1:
-                    a0 = compiled_args[0]
-                    return lambda env: pyfn(a0(env))
-                if nargs == 3:
-                    a0, a1, a2 = compiled_args
-                    return lambda env: pyfn(a0(env), a1(env), a2(env))
-                return lambda env: pyfn(*[a(env) for a in compiled_args])
+            elif nargs == 2:
+                pyfn = BINARY_ENTRIES.get(value, pyfn)
+            if nargs == 2:
+                return self._binary_site(pyfn, node.args, cenv)
+            compiled_args = tuple(self.compile_expr(a, cenv, False) for a in node.args)
+            if nargs == 0:
+                return lambda env: pyfn()
+            if nargs == 1:
+                a0 = compiled_args[0]
+                return lambda env: pyfn(a0(env))
+            if nargs == 3:
+                a0, a1, a2 = compiled_args
+                return lambda env: pyfn(a0(env), a1(env), a2(env))
+            return lambda env: pyfn(*[a(env) for a in compiled_args])
 
         compiled_args = tuple(self.compile_expr(a, cenv, False) for a in node.args)
         fn = self.compile_expr(node.fn, cenv, False)

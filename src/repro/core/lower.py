@@ -22,7 +22,13 @@ backend needs to emit better code than a naive tree traversal:
 - **mutated bindings**: local uids and module binding keys targeted by
   ``set!`` anywhere in the module — a self call through a mutated binding
   must stay a real (trampolined) call, because the binding may no longer
-  hold the function.
+  hold the function;
+- **kernel primitives** (:func:`kernel_primitive`): which references
+  denote a ``#%kernel`` primitive. That is a static fact: a module-level
+  definition binds the module's own key (it shadows the ``#lang`` import),
+  and ``set!`` of an imported identifier is a syntax error, so nothing
+  writes a kernel cell once a namespace is prefilled. Both backends inline
+  exactly the applications this predicate accepts.
 
 The analysis is purely syntactic, namespace-independent, and cheap (one
 pass, no fixpoints), so it can run either at module-compile time (``pyc``
@@ -35,6 +41,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.core import ast
+from repro.modules.registry import KERNEL_PATH
+from repro.runtime.primitives import PRIMITIVES
+from repro.runtime.values import Primitive
 from repro.syn.binding import LocalBinding, ModuleBinding
 
 
@@ -87,6 +96,31 @@ def module_analysis(compiled) -> ModuleAnalysis:
         cached = analyze_module(compiled.body)
         compiled._analysis = cached
     return cached
+
+
+def kernel_primitive(
+    fn: ast.CoreExpr, nargs: Optional[int] = None
+) -> Optional[Primitive]:
+    """The kernel primitive ``fn`` denotes, or None.
+
+    ``fn`` denotes one when it references a phase-0 ``#%kernel`` binding
+    (see the module docstring for why that is static). With ``nargs`` it
+    is an application's operator, and the primitive's arity must accept
+    ``nargs``; without it, a reference in value position.
+    """
+    if type(fn) is not ast.ModuleRef:
+        return None
+    binding = fn.binding
+    if binding.module_path != KERNEL_PATH or binding.phase != 0:
+        return None
+    prim = PRIMITIVES.get(binding.name.name)
+    if prim is None or nargs is None:
+        return prim
+    if prim.arity_min <= nargs and (
+        prim.arity_max is None or nargs <= prim.arity_max
+    ):
+        return prim
+    return None
 
 
 def _walk(node: ast.CoreExpr, analysis: ModuleAnalysis) -> frozenset[int]:

@@ -377,6 +377,15 @@ class Expander:
             raise UnboundIdentifierError(f"set!: unbound identifier: {target.e}", stx)
         if self._transformer_of(binding) is not None:
             raise SyntaxExpansionError("set!: cannot mutate a macro binding", stx)
+        if (
+            isinstance(binding, ModuleBinding)
+            and binding.module_path != self.ctx.module_path
+        ):
+            # imports are immutable, so a kernel cell keeps its primitive
+            # and a reference to it denotes that primitive statically
+            raise SyntaxExpansionError(
+                "set!: cannot mutate module-required identifier", stx
+            )
         return self._rebuild(
             stx, (stx.e[0], target, self.expand_expr(stx.e[2], phase, stop))
         )

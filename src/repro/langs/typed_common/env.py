@@ -13,8 +13,7 @@ from typing import Any, Optional
 
 from repro.expander.env import ExpandContext, current_context
 from repro.langs.typed_common.types import Type
-from repro.syn.binding import Binding, resolve
-from repro.syn.syntax import Syntax
+from repro.syn.binding import Binding
 
 TYPES_STORE = "typed:types"
 EXPR_TYPES_STORE = "typed:expr-types"
@@ -51,10 +50,3 @@ def add_type(binding: Binding, t: Type, ctx: Optional[ExpandContext] = None) -> 
 def lookup_type(binding: Binding, ctx: Optional[ExpandContext] = None) -> Optional[Type]:
     return type_table(ctx).get(binding.key())
 
-
-def lookup_type_of_id(ident: Syntax, phase: int = 0,
-                      ctx: Optional[ExpandContext] = None) -> Optional[Type]:
-    binding = resolve(ident, phase)
-    if binding is None:
-        return None
-    return lookup_type(binding, ctx)

@@ -104,19 +104,21 @@ if TYPE_CHECKING:
 #: bytecode emitted by the pyc backend) alongside the core AST
 #: v4: the bindings stored on the scopes a module names follow it as a
 #: second pickle, instead of every binding its compile added
-FORMAT_VERSION = 4
+#: v5: a module-level definition binds the module's own key, never a
+#: kernel key, and pyc units no longer emulate kernel-name shadowing
+FORMAT_VERSION = 5
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x04"
+MAGIC = b"REPROZO\x05"
 
 #: envelope magics of earlier format versions. Artifacts carrying one are
 #: *old*, not corrupt: their content-hashed filenames fold the old version
 #: in, so loads never open them — ``doctor`` reports them instead of
 #: quarantining (deleting a postmortem-worthy file for merely being stale
 #: would be wrong, and quarantine is reserved for detected corruption)
-HISTORIC_MAGICS = (b"REPROZO\x02", b"REPROZO\x03")
+HISTORIC_MAGICS = (b"REPROZO\x02", b"REPROZO\x03", b"REPROZO\x04")
 _DIGEST_LEN = 32
 
 #: subdirectory that corrupt artifacts are moved into (never deleted, so a

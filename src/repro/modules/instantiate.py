@@ -9,7 +9,7 @@ checkpoint between top-level forms, and per-phase observe spans.
 
 from __future__ import annotations
 
-from repro.core.backend import make_backend
+from repro.core.backend import run_module_body
 from repro.core.namespace import Namespace
 from repro.guard.budget import current_guard
 from repro.modules.registry import ModuleRegistry
@@ -24,5 +24,4 @@ def instantiate_module(registry: ModuleRegistry, path: str, ns: Namespace) -> No
     ns.instantiated[path] = True
     for req in compiled.requires:
         instantiate_module(registry, req, ns)
-    backend = make_backend(getattr(registry, "backend", "interp"), registry)
-    backend.instantiate(compiled, ns, current_recorder(), current_guard())
+    run_module_body(registry, compiled, ns, current_recorder(), current_guard())

@@ -116,17 +116,6 @@ class ForSyntaxDecl(SyntaxDecl):
         ctx.eval_phase1(self.core)
 
 
-class PyDecl(SyntaxDecl):
-    """A phase-1 declaration implemented in Python (used by Python-implemented
-    languages, e.g. the typed languages' type-environment registration)."""
-
-    def __init__(self, fn: Callable[["ExpandContext"], None]) -> None:
-        self.fn = fn
-
-    def replay(self, ctx: "ExpandContext") -> None:
-        self.fn(ctx)
-
-
 class CompiledModule:
     def __init__(
         self,

@@ -335,6 +335,8 @@ def generic_expt(a: Any, b: Any) -> Any:
         return normalize(Fraction(a) ** b)
     x, y = _inexact_contagion(a, b)
     try:
+        if type(x) is complex and type(b) is int:
+            return _complex_int_power(x, b)
         return x**y
     except (OverflowError, ZeroDivisionError) as err:
         if isinstance(err, ZeroDivisionError) and (
@@ -344,13 +346,48 @@ def generic_expt(a: Any, b: Any) -> Any:
             raise WrongTypeError(
                 "expt", "non-zero base for negative exponent", a
             ) from None
-        if type(x) is not float or type(y) is not float:
-            raise
+        if type(x) is complex or type(y) is complex:
+            return _complex_power(x, y)
         # a flonum result beyond the range, or a zero flonum base and a
         # negative exponent: Racket's ±inf.0, negative only for a negative
         # base and an odd exponent
         odd = y.is_integer() and math.fmod(y, 2.0) != 0.0
         return math.copysign(math.inf, x) if odd else math.inf
+
+
+def _complex_int_power(x: complex, n: int) -> complex:
+    """A float-complex ``x`` to an exact integer power: the product of
+    repeated squares (for ``n`` = 2 or 3, the product ``(* x x x)``).
+    Python's own ``**`` raises ``OverflowError`` when a part leaves the
+    flonum range, where Racket gives infinite or NaN parts."""
+    result = None
+    square = x
+    k = abs(n)
+    while True:
+        if k & 1:
+            result = square if result is None else result * square
+        k >>= 1
+        if not k:
+            break
+        square = square * square
+    if result is None:  # n == 0
+        return 1 + 0j
+    return 1 / result if n < 0 else result
+
+
+def _complex_power(x: Any, y: Any) -> complex:
+    """``x ** y`` for a complex base or exponent, past the flonum range:
+    exp(y log x), with infinite (or NaN) parts where Python raises."""
+    import cmath
+
+    w = y * cmath.log(x)
+    try:
+        magnitude = math.exp(w.real)
+    except OverflowError:
+        magnitude = math.inf
+    if not math.isfinite(w.imag):
+        return complex(math.nan, math.nan)
+    return complex(magnitude * math.cos(w.imag), magnitude * math.sin(w.imag))
 
 
 def generic_exp(a: Any) -> Any:
@@ -409,8 +446,26 @@ def _periodic(fn: Any, a: Any) -> float:
 generic_sin = _real_trig("sin", lambda a: _periodic(math.sin, a))
 generic_cos = _real_trig("cos", lambda a: _periodic(math.cos, a))
 generic_tan = _real_trig("tan", lambda a: _periodic(math.tan, a))
-generic_asin = _real_trig("asin", math.asin)
-generic_acos = _real_trig("acos", math.acos)
+def _asin_off_domain(a: Any) -> complex:
+    """The principal value of asin at a real outside [-1, 1], where ``math``
+    raises a domain error: asin z = -i log(iz + sqrt(1 - z^2))."""
+    import cmath
+
+    z = complex(to_flonum(a))
+    return -1j * cmath.log(1j * z + cmath.sqrt(1 - z * z))
+
+
+def _asin(a: Any) -> Any:
+    return _asin_off_domain(a) if a > 1 or a < -1 else math.asin(a)
+
+
+def _acos(a: Any) -> Any:
+    # acos z = pi/2 - asin z
+    return math.pi / 2 - _asin_off_domain(a) if a > 1 or a < -1 else math.acos(a)
+
+
+generic_asin = _real_trig("asin", _asin)
+generic_acos = _real_trig("acos", _acos)
 
 
 def generic_atan(a: Any, b: Any = None) -> Any:

@@ -120,6 +120,10 @@ def bind(name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> No
     and a scope that nothing else reaches is freed by refcounting, bindings
     and all. Only the compile (or artifact load) that created a scope binds
     on it, so no lock is needed.
+
+    A second bind with exactly the same scope set *replaces* the first, as
+    in Racket: a module-level definition shadows the ``#lang`` import of
+    the same name, because both are bound with the module's scope set.
     """
     if not scopes:
         raise ValueError(f"bind: {name} has no scopes to bind in")
@@ -130,7 +134,12 @@ def bind(name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> No
     table = home.bindings
     if table is None:
         table = home.bindings = {}
-    table.setdefault((name, phase), []).append((rest, binding))
+    entries = table.setdefault((name, phase), [])
+    for i, (other, _old) in enumerate(entries):
+        if other == rest:
+            entries[i] = (rest, binding)
+            return
+    entries.append((rest, binding))
 
 
 def bind_identifier(ident: Syntax, binding: Binding, phase: int = 0) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.syn.scopes import EMPTY_SCOPES, Scope, ScopeSet
 from repro.syn.scopes import add_scope as scopes_add
@@ -74,18 +74,8 @@ class Syntax:
     def is_identifier(self) -> bool:
         return isinstance(self.e, Symbol)
 
-    def is_pair(self) -> bool:
-        return isinstance(self.e, (tuple, ImproperList)) and len(self._items()) > 0
-
     def is_list(self) -> bool:
         return isinstance(self.e, tuple)
-
-    def _items(self) -> tuple["Syntax", ...]:
-        if isinstance(self.e, tuple):
-            return self.e
-        if isinstance(self.e, ImproperList):
-            return self.e.items
-        raise ValueError("not a compound syntax object")
 
     # -- properties (the paper's syntax-property-put / -get) -------------
 
@@ -123,10 +113,6 @@ class Syntax:
     def flip_scope(self, scope: Scope) -> "Syntax":
         return self._map_scopes(lambda s: scopes_flip(s, scope))
 
-    def with_scopes(self, scopes: ScopeSet) -> "Syntax":
-        """Replace this object's (and children's) scope sets wholesale."""
-        return self._map_scopes(lambda _s: scopes)
-
     # -- misc --------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -134,10 +120,6 @@ class Syntax:
 
 
 # --- construction -------------------------------------------------------
-
-
-def syntax_list(items: Iterable[Syntax], srcloc: SrcLoc = NO_SRCLOC) -> Syntax:
-    return Syntax(tuple(items), EMPTY_SCOPES, srcloc)
 
 
 def datum_to_syntax(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import itertools
+import os
+import sys
 import weakref
 
 import pytest
@@ -62,3 +64,25 @@ def module_scopes(monkeypatch):
 
     monkeypatch.setattr(ExpandContext, "__init__", recording_init)
     return refs
+
+
+@pytest.fixture(scope="session")
+def figure_cell():
+    """Run a figure 6-9 program under one configuration on one backend and
+    return its :class:`~benchmarks.harness.BenchResult`. Each cell runs
+    once per session, untimed, however many tests read it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)  # benchmarks/ is a top-level package
+    from benchmarks.harness import Harness
+
+    harnesses = {backend: Harness(backend=backend) for backend in ("interp", "pyc")}
+    results: dict = {}
+
+    def run(backend: str, program, config: str):
+        key = (backend, program.name, config)
+        if key not in results:
+            results[key] = harnesses[backend].run(program, config)
+        return results[key]
+
+    return run

@@ -20,7 +20,7 @@ import pytest
 
 sys.path.insert(0, ".")  # benchmarks/ is a top-level package
 
-from benchmarks.harness import CONFIGURATIONS, Harness
+from benchmarks.harness import CONFIGURATIONS
 from benchmarks.programs import ALL_PROGRAMS
 
 from repro import (
@@ -41,14 +41,18 @@ COUNTERS = (
 )
 
 
-def run_under(backend: str, source: str, *, budget=None, path="<diff>"):
+def run_under(backend: str, source: str, *, budget=None, path="<diff>",
+              modules=None):
     """Run ``source`` on ``backend``; return ``(output, error, stats)``.
 
+    ``modules`` maps module paths ``source`` may require to their text.
     ``error`` is ``None`` on success, else ``(type-name, code, message,
     steps_consumed)`` — everything the two backends must agree on when a
     program fails.
     """
     with Runtime(backend=backend, budget=budget) as rt:
+        for module_path, text in (modules or {}).items():
+            rt.register_module(module_path, text)
         try:
             output = rt.run_source(source, path=path)
             error = None
@@ -65,9 +69,9 @@ def run_under(backend: str, source: str, *, budget=None, path="<diff>"):
         return output, error, rt.stats.snapshot()
 
 
-def assert_backends_agree(source: str, *, budget=None):
-    interp = run_under("interp", source, budget=budget)
-    pyc = run_under("pyc", source, budget=budget)
+def assert_backends_agree(source: str, *, budget=None, modules=None):
+    interp = run_under("interp", source, budget=budget, modules=modules)
+    pyc = run_under("pyc", source, budget=budget, modules=modules)
     assert interp[0] == pyc[0], "output differs between backends"
     assert interp[1] == pyc[1], "diagnostic differs between backends"
     for counter in COUNTERS + (("eval_steps",) if budget is not None else ()):
@@ -81,23 +85,11 @@ def assert_backends_agree(source: str, *, budget=None):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def interp_harness():
-    return Harness(backend="interp")
-
-
-@pytest.fixture(scope="module")
-def pyc_harness():
-    return Harness(backend="pyc")
-
-
 @pytest.mark.parametrize("config", CONFIGURATIONS)
 @pytest.mark.parametrize("program", ALL_PROGRAMS, ids=lambda p: p.name)
-def test_benchmark_program_differential(
-    interp_harness, pyc_harness, program, config
-):
-    interp = interp_harness.run(program, config)
-    pyc = pyc_harness.run(program, config)
+def test_benchmark_program_differential(figure_cell, program, config):
+    interp = figure_cell("interp", program, config)
+    pyc = figure_cell("pyc", program, config)
     assert interp.output == pyc.output
     assert interp.generic_dispatches == pyc.generic_dispatches
     assert interp.tag_checks == pyc.tag_checks
@@ -193,6 +185,81 @@ def test_typed_untyped_contract_boundary():
                                 getattr(err, "code", None), str(err)))
     assert results[0] == results[1]
     assert results[0][0] != "ok"
+
+
+# ---------------------------------------------------------------------------
+# what a reference denotes is fixed when its module compiles: a definition
+# of a kernel name binds the defining module's own key, imports are
+# immutable, and a variable holding a primitive is read when the call runs
+# ---------------------------------------------------------------------------
+
+SHADOWING_LIB = """#lang racket
+(define (even? n) 42)
+(provide even?)
+"""
+
+KERNEL_REFERENCE_PROGRAMS = {
+    "definition-stays-in-its-module": (
+        {"a": SHADOWING_LIB},
+        '#lang racket\n(require (only-in "a"))\n(displayln (even? 3))\n',
+        "#f\n",
+    ),
+    "required-definition-of-kernel-name": (
+        {"a": SHADOWING_LIB},
+        '#lang racket\n(require "a")\n(displayln (even? 3))\n',
+        "42\n",
+    ),
+    "variable-holding-primitive": (
+        {},
+        "#lang racket\n(define add +)\n(define (f) (add 1 2))\n"
+        "(set! add -)\n(displayln (f))\n",
+        "-1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", (None, True), ids=("ungoverned", "governed"))
+@pytest.mark.parametrize("name", sorted(KERNEL_REFERENCE_PROGRAMS))
+def test_kernel_reference_differential(name, budget):
+    modules, source, expected = KERNEL_REFERENCE_PROGRAMS[name]
+    # interp is the oracle; pyc must agree with it on everything
+    output, error, _ = run_under("interp", source, budget=budget, modules=modules)
+    assert (output, error) == (expected, None)
+    assert_backends_agree(source, budget=budget, modules=modules)
+
+
+#: name -> (required modules, program, line of its set! form)
+SET_REQUIRED_PROGRAMS = {
+    "kernel-primitive": (
+        {}, "#lang racket\n(set! car cdr)\n(car (list 1 2))\n", 2,
+    ),
+    "required-variable": (
+        {"a": "#lang racket\n(define x 1)\n(provide x)\n"},
+        '#lang racket\n(require "a")\n(set! x 2)\n', 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", (None, True), ids=("ungoverned", "governed"))
+@pytest.mark.parametrize("name", sorted(SET_REQUIRED_PROGRAMS))
+def test_set_of_required_identifier_rejected(name, budget):
+    modules, source, line = SET_REQUIRED_PROGRAMS[name]
+    errors = []
+    for backend in BACKENDS:
+        with Runtime(backend=backend, budget=budget) as rt:
+            for module_path, text in modules.items():
+                rt.register_module(module_path, text)
+            with pytest.raises(ReproError) as info:
+                rt.run_source(source, path="<set>")
+            err = info.value
+            errors.append((type(err).__name__, err.code, err.message,
+                           (err.srcloc.line, err.srcloc.column)))
+    assert errors[0] == errors[1]
+    assert errors[0][:2] == ("SyntaxExpansionError", "E001")
+    assert errors[0][2].startswith(
+        "set!: cannot mutate module-required identifier"
+    )
+    assert errors[0][3] == (line, 0)  # the set! form
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +518,8 @@ class TestPycCache:
             assert rt.run("m") == EXPECTED
             payload = b"stale pickle bytes from an earlier release"
             stale_paths = []
-            for digit, magic in (("0", b"REPROZO\x02"), ("1", b"REPROZO\x03")):
+            for digit, magic in (("0", b"REPROZO\x02"), ("1", b"REPROZO\x03"),
+                                 ("2", b"REPROZO\x04")):
                 old = magic + hashlib.sha256(payload).digest() + payload
                 stale_path = os.path.join(rt.cache.dir, digit * 64 + ".zo")
                 with open(stale_path, "wb") as f:
@@ -459,7 +527,7 @@ class TestPycCache:
                 stale_paths.append(stale_path)
             report = rt.cache.doctor()
             assert [name for name, _ in report["old_version"]] == [
-                "0" * 64 + ".zo", "1" * 64 + ".zo"
+                "0" * 64 + ".zo", "1" * 64 + ".zo", "2" * 64 + ".zo"
             ]
             assert report["quarantined"] == []
             for stale_path in stale_paths:

@@ -289,6 +289,18 @@ class TestEdgeValuesAnswerLikeRacket:
         ("(expt -0.0 -1)", "-inf.0"),
         (f"(sqrt (+ 1 {BIG}))", "1e+200"),
         (f"(sqrt (/ (+ 1 {BIG}) 4))", "5e+199"),
+        # off [-1, 1], asin and acos have complex principal values
+        ("(asin 2)", "1.5707963267948966-1.3169578969248166i"),
+        ("(asin -2.0)", "-1.5707963267948966+1.3169578969248164i"),
+        ("(acos 2.0)", "0.0+1.3169578969248166i"),
+        ("(acos -2)", "3.141592653589793-1.3169578969248164i"),
+        ("(asin 0.5)", "0.5235987755982989"),
+        ("(asin +nan.0)", "+nan.0"),
+        # an exact integer power past the range is the repeated product
+        ("(expt 1e200+1.0i 2)", "+inf.0+2e+200i"),
+        ("(expt 1e200+1.0i 3)", "+inf.0+inf.0i"),
+        ("(expt 1+2i 3)", "-11.0-2.0i"),
+        ("(expt 1e200+1.0i 2.5)", "+inf.0+inf.0i"),
     ])
     def test_value(self, backend, expr, expected):
         with Runtime(backend=backend) as rt:
@@ -307,6 +319,22 @@ class TestEdgeValuesAnswerLikeRacket:
         with Runtime(backend=backend) as rt:
             with pytest.raises(WrongTypeError, match=f"^{re.escape(who)}: "):
                 rt.run_source(f"#lang racket\n(displayln {expr})\n")
+
+    @pytest.mark.parametrize("backend", ["interp", "pyc"])
+    @pytest.mark.parametrize("z, n, product", [
+        ("1e200+1.0i", 2, "(* z z)"),
+        ("1e200+1.0i", 3, "(* z (* z z))"),
+        ("1.0+1e200i", 5, "(* z (let ([s (* z z)]) (* s s)))"),
+        ("-3e100-2e100i", 4, "(let ([s (* z z)]) (* s s))"),
+    ])
+    def test_expt_multiplies_repeated_squares(self, backend, z, n, product):
+        with Runtime(backend=backend) as rt:
+            out = rt.run_source(
+                f"#lang racket\n(define z {z})\n"
+                f"(displayln (expt z {n}))\n(displayln {product})\n"
+            )
+        power, squares = out.splitlines()
+        assert power == squares
 
     def test_unsafe_flonum_ops_agree(self):
         assert math.isnan(num.unsafe_fl_sin(math.inf))

@@ -84,6 +84,18 @@ class TestEnvelope:
         assert status == 200 and payload["ok"] is True, payload
         assert payload["output"] == "+inf.0\n"
 
+    def test_numeric_edge_values_are_values(self, srv):
+        source = (
+            "#lang racket\n(displayln (asin 2))\n(displayln (acos 2.0))\n"
+            "(displayln (expt 1e200+1.0i 3))\n"
+        )
+        status, payload = srv.handle("POST", "/run", {"source": source})
+        assert status == 200 and payload["ok"] is True, payload
+        assert payload["output"] == (
+            "1.5707963267948966-1.3169578969248166i\n"
+            "0.0+1.3169578969248166i\n+inf.0+inf.0i\n"
+        )
+
     def test_routing_errors(self, srv):
         status, payload = srv.handle("GET", "/nope", None)
         assert status == 404 and payload["error"]["code"] == "S404"

@@ -137,6 +137,19 @@ class TestBindingResolution:
         assert resolve(ident("x", outer, inner)) is b_inner
         assert resolve(ident("x", outer)) is b_outer
 
+    def test_rebinding_same_scope_set_replaces(self):
+        # a module-level definition shadows the #lang import of its name
+        outer, other = Scope(), Scope()
+        b_first = LocalBinding(Symbol("x"))
+        b_second = LocalBinding(Symbol("x"))
+        b_other = LocalBinding(Symbol("x"))
+        bind(Symbol("x"), frozenset({outer}), b_first)
+        bind(Symbol("x"), frozenset({outer, other}), b_other)
+        bind(Symbol("x"), frozenset({outer}), b_second)
+        assert resolve(ident("x", outer)) is b_second
+        assert resolve(ident("x", outer, other)) is b_other
+        assert len(outer.bindings[(Symbol("x"), 0)]) == 1
+
     def test_binding_with_more_scopes_invisible(self):
         sc = Scope()
         bind(Symbol("x"), frozenset({sc}), LocalBinding(Symbol("x")))
