@@ -45,7 +45,6 @@ pays one global truth test per back-edge and direct call.
 
 from __future__ import annotations
 
-import ast as py
 import importlib.util
 import marshal
 import math
@@ -55,6 +54,7 @@ import types
 from typing import Any, Callable, Optional
 
 from repro.core import ast
+from repro.core import pyast as py
 from repro.core.compile import _bind_cells
 from repro.core.interp import (
     UNDEFINED,
@@ -1285,7 +1285,6 @@ def codegen_module(compiled: Any, inline: bool) -> PycUnit:
         body=[*emitter.module_block, *form_defs],
         type_ignores=[],
     )
-    py.fix_missing_locations(module)
     code = compile(module, filename=f"<pyc:{compiled.path}>", mode="exec")
     current_stats().pyc_codegens += 1
     return PycUnit(

@@ -100,6 +100,9 @@ class ExpandContext:
         self.use_site_scopes: list[set[Scope]] = []
         #: definitions seen so far (module level), for duplicate detection
         self.defined_names: dict[str, "Syntax"] = {}
+        #: explicit module-level imports, for conflict detection:
+        #: (name, phase, binder scopes) -> (binding, module it comes from)
+        self.imports: dict[tuple[str, int, frozenset], tuple[Binding, str]] = {}
 
     # -- meanings ---------------------------------------------------------
 

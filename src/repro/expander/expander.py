@@ -49,6 +49,7 @@ from repro.syn.binding import (
     LocalBinding,
     ModuleBinding,
     bind,
+    binding_at,
     bind_identifier,
     bound_identifier_eq,
     resolve,
@@ -752,6 +753,7 @@ class Expander:
                 raise SyntaxExpansionError(
                     f"define-values: duplicate definition of {name}", form
                 )
+            self._check_not_imported(ident, phase, form)
             ctx.defined_names[name] = ident
             bind_identifier(ident, binding, phase)
             new_ids.append(ident)
@@ -777,6 +779,7 @@ class Expander:
             if not ident.is_identifier():
                 raise SyntaxExpansionError("define-syntaxes: not an identifier", ident)
             if record:  # module level
+                self._check_not_imported(ident, phase, form)
                 binding: Binding = ModuleBinding(ctx.module_path, ident.e, phase)
             else:
                 binding = LocalBinding(ident.e)
@@ -864,7 +867,46 @@ class Expander:
 
     def _handle_require(self, form: Syntax, phase: int) -> None:
         for spec in form.e[1:]:
-            self._require_spec(spec, phase)
+            self._require_spec(spec, phase, form)
+
+    def _check_not_imported(self, ident: Syntax, phase: int, form: Syntax) -> None:
+        """A module-level definition may shadow the ``#lang``'s import of
+        its name, but not an explicit ``require``'s (Racket's rule)."""
+        imported = self.ctx.imports.get((ident.e.name, phase, ident.scopes))
+        if imported is not None:
+            raise SyntaxExpansionError(
+                f"module: identifier {ident.e.name} is imported from "
+                f"{imported[1]} and also defined in {self.ctx.module_path}",
+                form,
+            )
+
+    def _import(
+        self, name: Symbol, scopes: frozenset, binding: Binding, path: str,
+        phase: int, form: Syntax,
+    ) -> None:
+        """Bind ``name`` to an explicit ``require``'s export. It may re-import
+        the same binding, and it shadows the ``#lang``'s import; it conflicts
+        with a different binding another ``require`` imported, and with a
+        definition in this module."""
+        ctx = self.ctx
+        key = (name.name, phase, scopes)
+        imported = ctx.imports.get(key)
+        if imported is not None and imported[0].key() != binding.key():
+            raise SyntaxExpansionError(
+                f"module: identifier {name.name} is imported twice with "
+                f"different bindings, from {imported[1]} and from {path}",
+                form,
+            )
+        prior = binding_at(name, scopes, phase)
+        if isinstance(prior, ModuleBinding) and prior.module_path == ctx.module_path:
+            raise SyntaxExpansionError(
+                f"module: identifier {name.name} is defined in "
+                f"{ctx.module_path} and also imported from {path}",
+                form,
+            )
+        if imported is None:
+            ctx.imports[key] = (binding, path)
+        bind(name, scopes, binding, phase)
 
     def _module_name_of(self, spec: Syntax) -> str:
         if isinstance(spec.e, Symbol):
@@ -873,7 +915,7 @@ class Expander:
             return spec.e
         raise SyntaxExpansionError("require: bad module path", spec)
 
-    def _require_spec(self, spec: Syntax, phase: int) -> None:
+    def _require_spec(self, spec: Syntax, phase: int, form: Syntax) -> None:
         ctx = self.ctx
         renames: Optional[list[tuple[str, Syntax]]] = None
         if isinstance(spec.e, tuple) and spec.e and spec.e[0].is_identifier() and (
@@ -908,7 +950,7 @@ class Expander:
         if renames is None:
             scopes = self._strip_use_site(mod_spec).scopes
             for export_name, export in compiled.exports.items():
-                bind(Symbol(export_name), scopes, export.binding, phase)
+                self._import(Symbol(export_name), scopes, export.binding, path, phase, form)
                 if export.transformer is not None:
                     ctx.set_meaning(export.binding, TransformerMeaning(export.transformer))
         else:
@@ -919,7 +961,7 @@ class Expander:
                         f"require: {orig_name} is not provided by {path}", spec
                     )
                 local_id = self._strip_use_site(local_id)
-                bind(local_id.e, local_id.scopes, export.binding, phase)
+                self._import(local_id.e, local_id.scopes, export.binding, path, phase, form)
                 if export.transformer is not None:
                     ctx.set_meaning(export.binding, TransformerMeaning(export.transformer))
 

@@ -380,7 +380,12 @@ def _complex_power(x: Any, y: Any) -> complex:
     exp(y log x), with infinite (or NaN) parts where Python raises."""
     import cmath
 
-    w = y * cmath.log(x)
+    return _complex_exp(y * cmath.log(x))
+
+
+def _complex_exp(w: complex) -> complex:
+    """``exp(w)`` as ``e^re (cos im + i sin im)``, with infinite (or NaN)
+    parts where :func:`cmath.exp` raises."""
     try:
         magnitude = math.exp(w.real)
     except OverflowError:
@@ -396,7 +401,11 @@ def generic_exp(a: Any) -> Any:
     if isinstance(a, complex) and not isinstance(a, float):
         import cmath
 
-        return cmath.exp(a)
+        try:
+            return cmath.exp(a)
+        except (OverflowError, ValueError):
+            # a real part past the flonum range, or an infinite angle
+            return _complex_exp(a)
     try:
         return math.exp(a)
     except OverflowError:
@@ -412,6 +421,9 @@ def generic_log(a: Any) -> Any:
     if isinstance(a, complex) and not isinstance(a, float):
         import cmath
 
+        if a == 0:
+            # log |0| is -inf.0; the angle keeps the zero parts' signs
+            return complex(-math.inf, math.atan2(a.imag, a.real))
         return cmath.log(a)
     if a < 0:
         import cmath

@@ -142,6 +142,18 @@ def bind(name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> No
     entries.append((rest, binding))
 
 
+def binding_at(name: Symbol, scopes: ScopeSet, phase: int = 0) -> Optional[Binding]:
+    """The binding recorded for ``name`` with exactly ``scopes``, if any."""
+    if not scopes:
+        return None
+    home = max(scopes, key=_scope_id)
+    rest = scopes - {home}
+    for other, binding in (home.bindings or {}).get((name, phase), ()):
+        if other == rest:
+            return binding
+    return None
+
+
 def bind_identifier(ident: Syntax, binding: Binding, phase: int = 0) -> None:
     if not ident.is_identifier():
         raise ValueError(f"bind_identifier: not an identifier: {ident!r}")

@@ -19,13 +19,25 @@ The wrapped datum ``e`` is one of:
 - a :class:`VectorDatum` (a ``#(...)`` literal).
 
 Syntax objects are immutable; all operations return new objects.
+
+Scope operations are lazy, as in Flatt's *Binding as Sets of Scopes*
+(POPL 2016). ``add_scope``, ``remove_scope`` and ``flip_scope`` update only
+the node's own scope set and return a :class:`_LazySyntax` that keeps the
+unchanged datum plus the tuple of operations its children still owe. The
+first read of ``e`` pushes those operations one level down (each child
+becomes lazy in turn; children with equal scope sets share one new set)
+and from then on the node is a plain :class:`Syntax`. A flip right after a
+flip of the same scope cancels, so the syntax a macro passes through
+untouched (flipped on the way in and on the way out) is never copied.
+Pickling forces a node first and writes the state of an eagerly built one.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.syn.scopes import EMPTY_SCOPES, Scope, ScopeSet
 from repro.syn.scopes import add_scope as scopes_add
@@ -55,7 +67,9 @@ class VectorDatum:
 
 
 class Syntax:
-    __slots__ = ("e", "scopes", "srcloc", "props")
+    # ``_pending`` is set only on a :class:`_LazySyntax`; a plain node
+    # leaves it unset, so it pickles exactly its four public slots
+    __slots__ = ("e", "scopes", "srcloc", "props", "_pending")
 
     def __init__(
         self,
@@ -87,36 +101,120 @@ class Syntax:
     def property_get(self, key: Any, default: Any = None) -> Any:
         return self.props.get(key, default)
 
-    # -- scope operations -------------------------------------------------
-
-    def _map_scopes(self, fn: Callable[[ScopeSet], ScopeSet]) -> "Syntax":
-        e = self.e
-        if isinstance(e, tuple):
-            new_e: Any = tuple(child._map_scopes(fn) for child in e)
-        elif isinstance(e, ImproperList):
-            new_e = ImproperList(
-                tuple(child._map_scopes(fn) for child in e.items),
-                e.tail._map_scopes(fn),
-            )
-        elif isinstance(e, VectorDatum):
-            new_e = VectorDatum(tuple(child._map_scopes(fn) for child in e.items))
-        else:
-            new_e = e
-        return Syntax(new_e, fn(self.scopes), self.srcloc, self.props)
+    # -- scope operations (lazy; see the module docstring) -----------------
 
     def add_scope(self, scope: Scope) -> "Syntax":
-        return self._map_scopes(lambda s: scopes_add(s, scope))
+        return self._with_op((scopes_add, scope))
 
     def remove_scope(self, scope: Scope) -> "Syntax":
-        return self._map_scopes(lambda s: scopes_remove(s, scope))
+        return self._with_op((scopes_remove, scope))
 
     def flip_scope(self, scope: Scope) -> "Syntax":
-        return self._map_scopes(lambda s: scopes_flip(s, scope))
+        return self._with_op((scopes_flip, scope))
+
+    def _with_op(self, op: tuple) -> "Syntax":
+        return _rewrapped(self, (op,), {})
 
     # -- misc --------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"#<syntax {write_datum(syntax_to_datum(self))}>"
+
+
+_CONTAINERS = (tuple, ImproperList, VectorDatum)
+
+#: serializes forcing, so every reader of a shared node sees one ``e``
+_FORCE_LOCK = threading.Lock()
+
+
+class _LazySyntax(Syntax):
+    """A container node whose children still owe it scope operations.
+
+    ``scopes``, ``srcloc`` and ``props`` are final; ``e`` is unset and
+    ``_pending`` holds ``(datum, ops)``: the datum as it was before the
+    operations, and the operations in the order they were applied, each a
+    ``(repro.syn.scopes function, scope)`` pair. The first read of ``e``
+    pushes the operations one level down, stores the result in the slot
+    and turns the node into a plain :class:`Syntax`. Only this subclass
+    has a ``__getattr__``: on ``Syntax`` itself it would keep CPython from
+    specializing any attribute read of any node, and ``stx.e`` is the
+    expander's hottest read.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self, datum: Any, ops: tuple, scopes: ScopeSet, srcloc: SrcLoc, props: dict
+    ) -> None:
+        self._pending = (datum, ops)
+        self.scopes = scopes
+        self.srcloc = srcloc
+        self.props = props if props else _EMPTY_PROPS
+
+    def __getattr__(self, name: str) -> Any:
+        if name != "e":
+            raise AttributeError(name)
+        with _FORCE_LOCK:
+            pending = getattr(self, "_pending", None)
+            if pending is None:  # another thread forced it meanwhile
+                return self.e
+            datum, ops = pending
+            e = _pushed(datum, ops)
+            self.e = e
+            del self._pending
+            self.__class__ = Syntax
+        return e
+
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        # force first: the pickle then records a plain Syntax and the same
+        # state an eagerly built node would have
+        self.e
+        return object.__reduce_ex__(self, protocol)
+
+
+def _compose(before: tuple, ops: tuple) -> tuple:
+    """``before`` then ``ops``; a flip right after a flip of the same scope
+    cancels it."""
+    out = list(before)
+    for op in ops:
+        if op[0] is scopes_flip and out and out[-1] == op:
+            out.pop()
+        else:
+            out.append(op)
+    return tuple(out)
+
+
+def _rewrapped(stx: Syntax, ops: tuple, memo: dict) -> Syntax:
+    """``stx`` with ``ops`` applied: a new scope set for the node, and
+    ``ops`` owed by its children on top of whatever they owed already.
+    ``memo`` maps old scope sets to new ones, so the children of one push
+    that had equal sets share one new set object."""
+    scopes = memo.get(stx.scopes)
+    if scopes is None:
+        scopes = stx.scopes
+        for fn, scope in ops:
+            scopes = fn(scopes, scope)
+        memo[stx.scopes] = scopes
+    pending = getattr(stx, "_pending", None)
+    if pending is None:
+        datum = stx.e
+    else:
+        datum, before = pending
+        ops = _compose(before, ops)
+    if ops and isinstance(datum, _CONTAINERS):
+        return _LazySyntax(datum, ops, scopes, stx.srcloc, stx.props)
+    return Syntax(datum, scopes, stx.srcloc, stx.props)
+
+
+def _pushed(datum: Any, ops: tuple) -> Any:
+    """``datum`` with ``ops`` pushed onto each child."""
+    memo: dict[ScopeSet, ScopeSet] = {}
+    if isinstance(datum, tuple):
+        return tuple([_rewrapped(c, ops, memo) for c in datum])
+    if isinstance(datum, ImproperList):
+        items = tuple([_rewrapped(c, ops, memo) for c in datum.items])
+        return ImproperList(items, _rewrapped(datum.tail, ops, memo))
+    return VectorDatum(tuple([_rewrapped(c, ops, memo) for c in datum.items]))
 
 
 # --- construction -------------------------------------------------------

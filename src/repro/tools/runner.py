@@ -738,6 +738,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if rest and rest[0] == "run":
         rest = rest[1:]
 
+    if "-h" in rest or "--help" in rest:
+        print(_USAGE, end="")
+        return 0
+    unknown = next((arg for arg in rest if arg.startswith("--")), None)
+    if unknown is not None:
+        print(f"error: unknown option {unknown}", file=sys.stderr)
+        print(_USAGE.splitlines()[0], file=sys.stderr)
+        return 2
     if not rest:
         print(_USAGE, file=sys.stderr)
         return 2

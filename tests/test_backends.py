@@ -263,6 +263,82 @@ def test_set_of_required_identifier_rejected(name, budget):
 
 
 # ---------------------------------------------------------------------------
+# an explicit require's names conflict with a definition of the same name and
+# with another require's different binding (Racket's rule); the #lang's own
+# import is shadowed instead, and one binding may arrive by two paths
+# ---------------------------------------------------------------------------
+
+IMPORT_LIBS = {
+    "a": "#lang racket\n(define x 1)\n(provide x)\n",
+    "c": "#lang racket\n(define x 3)\n(provide x)\n",
+    "b": '#lang racket\n(require "a")\n(provide x)\n',
+}
+
+#: name -> (program, line of the offending form, the two sources of x)
+IMPORT_CONFLICT_PROGRAMS = {
+    "definition-after-require": (
+        '#lang racket\n(require "a")\n(define x 2)\n(displayln x)\n', 3, ("a", "<conflict>"),
+    ),
+    "require-after-definition": (
+        '#lang racket\n(define x 2)\n(require "a")\n(displayln x)\n', 3, ("a", "<conflict>"),
+    ),
+    "syntax-definition-after-require": (
+        '#lang racket\n(require "a")\n'
+        "(define-syntax x (syntax-rules () [(_) 2]))\n", 3, ("a", "<conflict>"),
+    ),
+    "two-requires-different-bindings": (
+        '#lang racket\n(require "a")\n(require "c")\n(displayln x)\n', 3, ("a", "c"),
+    ),
+    "renamed-require-over-require": (
+        '#lang racket\n(require "c")\n(require (rename-in "a" (x x)))\n', 3, ("c", "a"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_CONFLICT_PROGRAMS))
+def test_import_conflict_rejected(name):
+    source, line, sources = IMPORT_CONFLICT_PROGRAMS[name]
+    errors = []
+    for backend in BACKENDS:
+        with Runtime(backend=backend) as rt:
+            for module_path, text in IMPORT_LIBS.items():
+                rt.register_module(module_path, text)
+            with pytest.raises(ReproError) as info:
+                rt.run_source(source, path="<conflict>")
+            err = info.value
+            errors.append((type(err).__name__, err.code, err.message,
+                           err.srcloc.line))
+    assert errors[0] == errors[1]
+    kind, code, message, at = errors[0]
+    assert (kind, code, at) == ("SyntaxExpansionError", "E001", line)
+    assert message.startswith("module: identifier x ")
+    for source_path in sources:
+        assert f" {source_path} " in message
+
+
+IMPORT_ACCEPTED_PROGRAMS = {
+    "one-binding-two-paths": (
+        '#lang racket\n(require "a")\n(require "b")\n(require (only-in "a" x))\n'
+        "(displayln x)\n", "1\n",
+    ),
+    "require-shadows-lang-import": (
+        '#lang racket\n(require (rename-in "a" (x car)))\n(displayln car)\n', "1\n",
+    ),
+    "definition-shadows-lang-import": (
+        "#lang racket\n(define (car p) 5)\n(displayln (car 1))\n", "5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_ACCEPTED_PROGRAMS))
+def test_import_without_conflict_accepted(name):
+    source, expected = IMPORT_ACCEPTED_PROGRAMS[name]
+    output, error, _ = run_under("interp", source, modules=IMPORT_LIBS)
+    assert (output, error) == (expected, None)
+    assert_backends_agree(source, modules=IMPORT_LIBS)
+
+
+# ---------------------------------------------------------------------------
 # runtime errors: identical diagnostics, identical counters on the way down
 # ---------------------------------------------------------------------------
 

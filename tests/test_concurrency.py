@@ -15,6 +15,8 @@ a single shared artifact-cache directory. The pinned properties:
   ``.zo`` still verifies, and recovery recompiles cleanly;
 - **parallel ≡ serial** — outputs and artifact bytes are identical to a
   one-Runtime serial compile, under both backends;
+- **hash-seed independence** — artifact bytes do not depend on the
+  process's ``PYTHONHASHSEED``;
 - ``repro cache doctor`` is safe to run while compiles are in flight.
 """
 
@@ -23,7 +25,10 @@ from __future__ import annotations
 import gc
 import glob
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -338,6 +343,72 @@ class TestConcurrentRuntimes:
             rt.compile(rt.register_file(paths[3]))
 
         assert artifact_digests(one) == artifact_digests(split)
+
+
+#: compiles the modules named on stdin, in order, into a cache directory
+COMPILE_IN_FRESH_PROCESS = """
+import json, sys
+from repro import Runtime
+
+spec = json.load(sys.stdin)
+with Runtime(cache_dir=spec["cache"], backend=spec["backend"]) as rt:
+    for path in spec["paths"]:
+        rt.compile(rt.register_file(path))
+"""
+
+HASH_SEED_MODULES = {
+    "lib.rkt": "#lang racket\n"
+               "(define base 7)\n"
+               # a macro-defining macro: its template's scopes and bindings
+               # land in every client's artifact
+               "(define-syntax def-adder (syntax-rules ()\n"
+               "  [(_ name k) (define-syntax name\n"
+               "                (syntax-rules () [(_ e) (+ e k base)]))]))\n"
+               "(define (scale v) (* v 2))\n"
+               "(provide base def-adder scale)\n",
+    "typed.rkt": "#lang typed\n"
+                 "(: norm (Float Float -> Float))\n"
+                 "(define (norm x y) (sqrt (+ (* x x) (* y y))))\n"
+                 "(: total ((Listof Float) -> Float))\n"
+                 "(define (total xs) (if (null? xs) 0.0 (+ (car xs) (total (cdr xs)))))\n"
+                 "(provide norm total)\n",
+    "infix.rkt": '#lang racket/infix\n(require "lib.rkt")\n(require "typed.rkt")\n'
+                 "(define-op ^ 8 right expt)\n"
+                 "(def-adder add3 3)\n"
+                 "(define v {base * 2 ^ 3 + 1})\n"
+                 "(define (f x) {(add3 x) * (scale v)})\n"
+                 "(displayln (list (f 2) (norm 3.0 4.0) (total (list 1.5 2.5))))\n"
+                 "(provide f)\n",
+}
+
+
+def test_artifact_bytes_independent_of_hash_seed(tmp_path, backend):
+    """Two fresh processes under different ``PYTHONHASHSEED``s compile the
+    same modules into byte-identical artifacts: no set or dict iteration
+    order reaches the bytes."""
+    import repro
+
+    src = tmp_path / "src"
+    os.makedirs(src)
+    paths = []
+    for name, text in HASH_SEED_MODULES.items():
+        (src / name).write_text(text, encoding="utf-8")
+        paths.append(str(src / name))
+    digests = []
+    for seed in ("1", "2"):
+        cache = str(tmp_path / f"cache-{seed}")
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", COMPILE_IN_FRESH_PROCESS],
+            input=json.dumps({"cache": cache, "backend": backend, "paths": paths}),
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(artifact_digests(cache))
+    assert len(digests[0]) == len(HASH_SEED_MODULES)
+    assert digests[0] == digests[1]
 
 
 TYPED_LIB = """#lang typed

@@ -120,3 +120,27 @@ class TestRuntimeErrorMessages:
         # the defensive wrapper is built at the server's definition site,
         # where the specific client is unknown: the paper's placeholder name
         assert exc.value.blame == "untyped-client"
+
+
+class TestCommandLineUsage:
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage_and_exits_zero(self, flag, capsys):
+        from repro.tools.runner import main
+
+        assert main([flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: python -m repro [options] <file.rkt>")
+        assert "options:" in captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("argv", [["--x"], ["--x", "prog.rkt"], ["run", "--bogus", "prog.rkt"]])
+    def test_unknown_option_is_a_usage_error(self, argv, capsys):
+        from repro.tools.runner import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        unknown = next(arg for arg in argv if arg.startswith("--"))
+        assert captured.err.splitlines() == [
+            f"error: unknown option {unknown}",
+            "usage: python -m repro [options] <file.rkt>",
+        ]
+        assert captured.out == ""

@@ -301,6 +301,14 @@ class TestEdgeValuesAnswerLikeRacket:
         ("(expt 1e200+1.0i 3)", "+inf.0+inf.0i"),
         ("(expt 1+2i 3)", "-11.0-2.0i"),
         ("(expt 1e200+1.0i 2.5)", "+inf.0+inf.0i"),
+        # a complex exp past the range has infinite parts, and the log
+        # of a complex zero is -inf.0 with the zero's angle
+        ("(exp 1000+1.0i)", "+inf.0+inf.0i"),
+        ("(exp 1000-1.0i)", "+inf.0-inf.0i"),
+        ("(exp 1.0+1.0i)", "1.4686939399158851+2.2873552871788423i"),
+        ("(log 0.0+0.0i)", "-inf.0+0.0i"),
+        ("(log -0.0+0.0i)", "-inf.0+3.141592653589793i"),
+        ("(log 1.0+1.0i)", "0.34657359027997264+0.7853981633974483i"),
     ])
     def test_value(self, backend, expr, expected):
         with Runtime(backend=backend) as rt:

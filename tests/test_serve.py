@@ -96,6 +96,15 @@ class TestEnvelope:
             "0.0+1.3169578969248166i\n+inf.0+inf.0i\n"
         )
 
+    def test_complex_exp_and_log_edge_values_are_values(self, srv):
+        source = (
+            "#lang racket\n(displayln (exp 1000+1.0i))\n"
+            "(displayln (log 0.0+0.0i))\n"
+        )
+        status, payload = srv.handle("POST", "/run", {"source": source})
+        assert status == 200 and payload["ok"] is True, payload
+        assert payload["output"] == "+inf.0+inf.0i\n-inf.0+0.0i\n"
+
     def test_routing_errors(self, srv):
         status, payload = srv.handle("GET", "/nope", None)
         assert status == 404 and payload["error"]["code"] == "S404"

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.errors import AmbiguousBindingError
@@ -14,13 +19,16 @@ from repro.syn.binding import (
     bound_identifier_eq,
     resolve,
 )
-from repro.syn.scopes import Scope
+from repro.syn.scopes import Scope, add_scope, flip_scope, remove_scope
 from repro.syn.syntax import (
+    ImproperList,
     Syntax,
+    VectorDatum,
     datum_to_syntax,
     datum_to_value,
     syntax_to_datum,
     syntax_to_list,
+    write_datum,
 )
 
 
@@ -59,6 +67,162 @@ class TestScopeOperations:
         stx = ident("x").property_put("key", "value")
         assert stx.add_scope(sc).property_get("key") == "value"
         assert stx.flip_scope(sc).property_get("key") == "value"
+
+
+# --- an eager reference for the lazy scope operations ----------------------
+#
+# A reference node is (kind, scopes, payload): kind "atom" holds the datum,
+# "list" and "vector" a list of children, "dotted" a pair (items, tail).
+
+
+def ref_map(node, fn):
+    """The old eager semantics: ``fn`` applied to every scope set below."""
+    kind, scopes, payload = node
+    if kind == "atom":
+        new = payload
+    elif kind == "dotted":
+        new = ([ref_map(c, fn) for c in payload[0]], ref_map(payload[1], fn))
+    else:
+        new = [ref_map(c, fn) for c in payload]
+    return (kind, fn(scopes), new)
+
+
+def ref_child(node, i):
+    kind, _, payload = node
+    if kind == "dotted":
+        items, tail = payload
+        return items[i] if i < len(items) else tail
+    return payload[i]
+
+
+def stx_child(stx, i):
+    e = stx.e
+    if isinstance(e, ImproperList):
+        return e.items[i] if i < len(e.items) else e.tail
+    if isinstance(e, VectorDatum):
+        return e.items[i]
+    return e[i]
+
+
+def ref_arity(node):
+    kind, _, payload = node
+    if kind == "atom":
+        return 0
+    if kind == "dotted":
+        return len(payload[0]) + 1
+    return len(payload)
+
+
+def random_tree(rng, pool, depth=0):
+    """A syntax tree and its reference twin."""
+    scopes = frozenset(rng.sample(pool, rng.randint(0, 3)))
+    kind = rng.choice(["atom", "atom", "list", "list", "dotted", "vector"])
+    if depth >= 3 or kind == "atom":
+        datum = rng.choice([Symbol("x"), Symbol("y"), 7, "s", 1.5])
+        return Syntax(datum, scopes), ("atom", scopes, datum)
+    n = rng.randint(1 if kind == "dotted" else 0, 3)
+    pairs = [random_tree(rng, pool, depth + 1) for _ in range(n)]
+    items = tuple(p[0] for p in pairs)
+    refs = [p[1] for p in pairs]
+    if kind == "list":
+        return Syntax(items, scopes), ("list", scopes, refs)
+    if kind == "vector":
+        return Syntax(VectorDatum(items), scopes), ("vector", scopes, refs)
+    tail, tail_ref = random_tree(rng, pool, depth + 1)
+    return Syntax(ImproperList(items, tail), scopes), ("dotted", scopes, (refs, tail_ref))
+
+
+def assert_same(stx, ref):
+    kind, scopes, payload = ref
+    assert stx.scopes == scopes
+    e = stx.e
+    if kind == "atom":
+        assert e == payload and not isinstance(e, (tuple, ImproperList, VectorDatum))
+        return
+    expected = {"list": tuple, "vector": VectorDatum, "dotted": ImproperList}[kind]
+    assert type(e) is expected
+    for i in range(ref_arity(ref)):
+        assert_same(stx_child(stx, i), ref_child(ref, i))
+
+
+class TestLazyScopes:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_operations_match_eager_reference(self, seed):
+        rng = random.Random(seed)
+        pool = [Scope() for _ in range(4)]
+        ops = {
+            "add": (lambda stx, sc: stx.add_scope(sc), add_scope),
+            "remove": (lambda stx, sc: stx.remove_scope(sc), remove_scope),
+            "flip": (lambda stx, sc: stx.flip_scope(sc), flip_scope),
+        }
+        live = [random_tree(rng, pool)]
+        for _ in range(30):
+            stx, ref = rng.choice(live)
+            # walk to a random subtree; reading `e` on the way forces the
+            # nodes on the path and leaves the rest of the tree pending
+            while ref_arity(ref) and rng.random() < 0.5:
+                i = rng.randrange(ref_arity(ref))
+                stx, ref = stx_child(stx, i), ref_child(ref, i)
+            lazy_op, eager_op = ops[rng.choice(sorted(ops))]
+            sc = rng.choice(pool)
+            live.append((lazy_op(stx, sc), ref_map(ref, lambda s: eager_op(s, sc))))
+        for stx, ref in live:
+            assert_same(stx, ref)
+
+    def test_flip_twice_reuses_the_datum(self):
+        sc = Scope()
+        stx = read_string_one("(a (b c) #(d) (e . f))")
+        assert stx.flip_scope(sc).flip_scope(sc).e is stx.e
+
+    def test_push_shares_one_new_scope_set_among_equal_children(self):
+        sc = Scope()
+        children = read_string_one("(a b c d)").add_scope(sc).e
+        assert len({id(child.scopes) for child in children}) == 1
+
+    def test_threads_forcing_one_node_see_one_datum(self):
+        sc = Scope()
+        base = read_string_one("(" + " ".join(f"(x{i} y)" for i in range(2000)) + ")")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                lazy = base.add_scope(sc)
+                barrier = threading.Barrier(4, timeout=30)
+                seen = []
+
+                def force():
+                    barrier.wait()
+                    seen.append(lazy.e)
+
+                threads = [threading.Thread(target=force) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert len(seen) == 4
+                assert all(e is seen[0] for e in seen)
+                assert lazy.e is seen[0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pickle_of_lazy_node_equals_pickle_of_forced_twin(self):
+        a, b = Scope(), Scope()
+        base = read_string_one("(define (f x . r) #(x (g r)) 'q)")
+
+        def build():
+            return base.add_scope(a).flip_scope(b).e[2].remove_scope(a)
+
+        lazy, twin = build(), build()
+        syntax_to_datum(twin)  # forces every node of the twin
+        lazy_bytes, twin_bytes = pickle.dumps(lazy, 4), pickle.dumps(twin, 4)
+        assert lazy_bytes == twin_bytes
+        loaded = pickle.loads(lazy_bytes)
+        assert type(loaded) is Syntax
+        assert write_datum(syntax_to_datum(loaded)) == write_datum(syntax_to_datum(twin))
+        # an unpickled node's empty props fold into the shared empty dict
+        # again under a scope operation, as in a fresh node
+        assert loaded.add_scope(a).props is Syntax(Symbol("x")).props
 
 
 class TestProperties:
