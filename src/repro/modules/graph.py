@@ -32,7 +32,7 @@ acquired around every fork (see ``repro.syn.binding`` and
 
 The calling registry compiles what the pool does not take, after the pool:
 in-memory modules (``register_module`` sources), since only it holds their
-source forms, and every module on or above a scan-visible require cycle —
+source text, and every module on or above a scan-visible require cycle —
 two workers each holding one cycle member's writer claim would wait on
 each other until the cache's winner timeout, while one registry reports the
 cycle as M003 at once. The same pass cache-loads every module the workers
@@ -47,6 +47,7 @@ import time
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ReproError
+from repro.reader import lang_line
 from repro.runtime.stats import current_stats, use_stats
 
 if TYPE_CHECKING:
@@ -160,18 +161,23 @@ def scan_requires(registry: "ModuleRegistry", path: str) -> list[str]:
     cannot be resolved (or requires produced by macro expansion) are
     silently skipped — the compile itself discovers and compiles them.
     """
-    source = registry.sources.get(path)
-    if source is None and os.path.exists(path):
+    text = registry.sources.get(path)
+    if text is None and os.path.exists(path):
         # an on-disk dependency reached only through the scan: register it
         # so its own requires are visible to the planner
         try:
             registry.register_file(path)
-        except (ReproError, OSError):
+        except OSError:
             return []
-        source = registry.sources.get(path)
-    if source is None:
+        text = registry.sources.get(path)
+    if text is None:
         return []
-    _lang, forms = source
+    # registration stores text only, so the scan reads it here; the
+    # module's compile reads it again (DESIGN §5a)
+    try:
+        _lang, forms = lang_line.read_module_source(text, path)
+    except ReproError:
+        return []
     deps: list[str] = []
     for form in forms:
         e = form.e

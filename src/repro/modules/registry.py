@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import ModuleError
+from repro.diagnostics.session import DiagnosticSession
+from repro.errors import ModuleError, ReproError
+from repro.reader import lang_line
 from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.values import Symbol
 from repro.syn.binding import Binding, CoreFormBinding, ModuleBinding, bind
@@ -265,7 +267,7 @@ class ModuleRegistry:
         self.languages: dict[str, Language] = {}
         #: registered dialects (whole-module rewrites), parallel to languages
         self.dialects: dict[str, Any] = {}
-        self.sources: dict[str, tuple[str, list[Any]]] = {}  # path -> (lang, forms)
+        self.sources: dict[str, str] = {}  # path -> #lang source text
         self.compiled: dict[str, CompiledModule] = {}
         self._compiling: list[str] = []
         #: per-compilation macro-expansion step budget (None = default)
@@ -298,27 +300,14 @@ class ModuleRegistry:
         return dialect
 
     def register_module_source(self, path: str, text: str) -> None:
-        from repro.diagnostics.session import DiagnosticSession
-        from repro.reader.lang_line import read_module_source
-
-        # The reader recovers after errors and collects every problem; a
-        # single problem re-raises the original ReaderError, several raise
-        # one CompilationFailed.
-        from repro.observe.recorder import current_recorder
-
-        session = DiagnosticSession(path)
-        with current_recorder().span("read", path):
-            lang, forms = read_module_source(text, path, session=session)
-        session.raise_if_errors()
-        self.register_module_forms(path, lang, forms)
+        """Register ``#lang`` source text under ``path``. Nothing is read
+        here: :meth:`get_compiled` reads the text only when no compiled
+        form of it is at hand, so reader errors surface at compile time."""
         import hashlib
 
-        self._source_hashes[path] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def register_module_forms(self, path: str, lang: str, forms: list[Any]) -> None:
         self.evict_module(path)
-        self._source_hashes.pop(path, None)
-        self.sources[path] = (lang, forms)
+        self.sources[path] = text
+        self._source_hashes[path] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def evict_module(self, path: str) -> None:
         """Drop a module's compiled form. Its bindings live on its scopes,
@@ -342,13 +331,10 @@ class ModuleRegistry:
         module, so requirers and importers sharing a namespace see one
         module instance.
         """
-        import hashlib
-
         path = canonical_path(filename)
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if path in self.sources and self._source_hashes.get(path) == digest:
+        if self.sources.get(path) == text:
             return path
         self.register_module_source(path, text)
         return path
@@ -458,8 +444,8 @@ class ModuleRegistry:
                 srcloc,
                 code="M003",
             )
-        source = self.sources.get(path)
-        if source is None:
+        text = self.sources.get(path)
+        if text is None:
             # maybe it's an on-disk file not yet registered
             import os
 
@@ -469,7 +455,7 @@ class ModuleRegistry:
                     # a non-canonical spelling reached us directly; compile
                     # under the one canonical key
                     return self.get_compiled(canon, requirer, srcloc)
-                source = self.sources[path]
+                text = self.sources[path]
             else:
                 raise ModuleError(
                     f"module not found: {path}"
@@ -477,7 +463,20 @@ class ModuleRegistry:
                     srcloc,
                     code="M002",
                 )
-        lang_name, forms = source
+        # The cache key needs only the #lang name, which takes no reader.
+        # A module without a key (no #lang line, or one naming no language)
+        # cannot compile; the read below reports its reader errors before
+        # the language error, as with no cache.
+        cache_key = None
+        lang_name = lang_line.split_lang_line(text, path)[0]
+        if self.cache is not None and lang_name is not None:
+            try:
+                # the cache identity of a module folds in its dialect stack
+                # (names and versions), so artifacts compiled under
+                # different dialect stacks never collide
+                cache_key = self.cache_lang_key(lang_name)
+            except ReproError:
+                pass
         from repro.modules.compiler import compile_module
         from repro.observe.recorder import current_recorder
 
@@ -486,11 +485,7 @@ class ModuleRegistry:
         claim = None
         try:
             compiled = None
-            if self.cache is not None:
-                # the cache identity of a module folds in its dialect stack
-                # (names and versions), so artifacts compiled under
-                # different dialect stacks never collide
-                cache_key = self.cache_lang_key(lang_name)
+            if cache_key is not None:
                 with rec.span("cache", f"load {path}"):
                     compiled = self.cache.load(self, path, cache_key)
                 if compiled is None:
@@ -506,6 +501,17 @@ class ModuleRegistry:
                         with rec.span("cache", f"load {path}"):
                             compiled = self.cache.load(self, path, cache_key)
             if compiled is None:
+                # The reader recovers after errors and collects every
+                # problem; a single problem re-raises the original
+                # ReaderError, several raise one CompilationFailed.
+                session = DiagnosticSession(path)
+                with rec.span("read", path):
+                    # looked up at call time, so a wrapper installed on the
+                    # module attribute sees every read
+                    lang_name, forms = lang_line.read_module_source(
+                        text, path, session=session
+                    )
+                session.raise_if_errors()
                 compiled = compile_module(self, path, lang_name, forms)
                 self._full_keys[path] = self._compute_full_key(
                     path, lang_name, compiled.requires
@@ -514,7 +520,7 @@ class ModuleRegistry:
                     # generate before the store so the artifact carries the
                     # marshalled code objects and warm starts skip codegen
                     self.ensure_pyc_unit(compiled, store=False)
-                if self.cache is not None:
+                if cache_key is not None:
                     with rec.span("cache", f"store {path}"):
                         self.cache.store(
                             self, path, cache_key, compiled,
@@ -580,22 +586,8 @@ class ModuleRegistry:
     # -- content keys (cache invalidation) -----------------------------------
 
     def source_hash(self, path: str) -> str:
-        """Content hash of a module's registered source.
-
-        Modules registered from text hash the text; modules registered as
-        pre-read forms hash their written datum representation.
-        """
-        cached = self._source_hashes.get(path)
-        if cached is None:
-            import hashlib
-
-            from repro.syn.syntax import syntax_to_datum, write_datum
-
-            lang, forms = self.sources[path]
-            rendered = "\n".join(write_datum(syntax_to_datum(f)) for f in forms)
-            cached = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-            self._source_hashes[path] = cached
-        return cached
+        """Content hash (sha256) of a module's registered source text."""
+        return self._source_hashes[path]
 
     def full_key_of(self, path: str) -> Optional[str]:
         """The module's full content key (None until compiled/loaded)."""

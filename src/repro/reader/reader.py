@@ -17,9 +17,10 @@ _RAT_RE = re.compile(r"^[+-]?\d+/\d+$")
 _FLOAT_NEEDS_POINT_RE = re.compile(
     r"^[+-]?((\d+\.\d*|\.\d+)(e[+-]?\d+)?|\d+e[+-]?\d+)$", re.IGNORECASE
 )
+# either part may be a signed infinity or NaN (`1.0+inf.0i`, `+nan.0-2i`)
 _COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)?"
-    r"(?P<im>[+-](\d+\.?\d*|\.\d+)?(e[+-]?\d+)?)i$",
+    r"^(?P<re>[+-]?(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|[+-](inf|nan)\.0)?"
+    r"(?P<im>[+-](\d+\.?\d*|\.\d+)?(e[+-]?\d+)?|[+-](inf|nan)\.0)i$",
     re.IGNORECASE,
 )
 
@@ -42,6 +43,11 @@ _QUOTE_SYMBOLS = {
 }
 
 
+def _complex_part(text: str) -> float:
+    special = _SPECIAL_FLOATS.get(text.lower())
+    return float(text) if special is None else special
+
+
 def classify_atom(text: str, loc: SrcLoc) -> Any:
     """Turn raw atom text into a number, boolean, or symbol."""
     if text in ("#t", "#true"):
@@ -62,11 +68,11 @@ def classify_atom(text: str, loc: SrcLoc) -> Any:
         return float(text)
     m = _COMPLEX_RE.match(text)
     if m:
-        re_part = float(m.group("re")) if m.group("re") else 0.0
+        re_part = _complex_part(m.group("re")) if m.group("re") else 0.0
         im_text = m.group("im")
         if im_text in ("+", "-"):
             im_text += "1"
-        return complex(re_part, float(im_text))
+        return complex(re_part, _complex_part(im_text))
     if text.startswith("#") and not text.startswith("#%"):
         raise ReaderError(f"bad syntax: {text}", loc)
     return Symbol(text)

@@ -75,3 +75,16 @@ def test_float_roundtrip_exact(x):
 @given(integers)
 def test_integer_roundtrip(n):
     assert datum_to_value(syntax_to_datum(read_string_one(str(n)))) == n
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (a != a and b != b)
+
+
+@given(st.floats(width=64), st.floats(width=64))
+@settings(max_examples=300, deadline=None)
+def test_complex_roundtrip_with_infinite_and_nan_parts(re_part, im_part):
+    z = complex(re_part, im_part)
+    reread = datum_to_value(syntax_to_datum(read_string_one(write_value(z))))
+    assert isinstance(reread, complex), f"{write_value(z)!r} reread as {reread!r}"
+    assert _same_float(reread.real, z.real) and _same_float(reread.imag, z.imag)

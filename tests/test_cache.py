@@ -119,6 +119,36 @@ class TestWarmStart:
             assert rt2.run("client") == "(2 1 15)\n"
             assert rt2.stats.expansion_steps == 0
 
+    def test_warm_hit_reads_nothing(self, tmp_path, monkeypatch):
+        """The reader runs only on a cache miss. It is looked up on
+        ``repro.reader.lang_line`` at each call, so a wrapper installed
+        there (as the benchmark's span recorder does) sees every read."""
+        from repro.reader import lang_line
+
+        reads: list[str] = []
+        real = lang_line.read_module_source
+
+        def counting(text, source="<string>", session=None):
+            reads.append(source)
+            return real(text, source, session=session)
+
+        monkeypatch.setattr(lang_line, "read_module_source", counting)
+        prog = tmp_path / "prog.rkt"
+        prog.write_text("#lang racket\n(displayln (+ 40 2))\n", encoding="utf-8")
+        with Runtime(cache_dir=str(tmp_path / "cache")) as rt:
+            path = rt.register_file(str(prog))
+            assert reads == []
+            assert rt.run(path) == "42\n"
+            assert reads == [path]
+        reads.clear()
+        with Runtime(cache_dir=str(tmp_path / "cache")) as rt2:
+            assert rt2.run(rt2.register_file(str(prog))) == "42\n"
+            compiled = rt2.compile(path)
+            assert rt2.register_file(str(prog)) == path
+            assert rt2.compile(path) is compiled
+            assert rt2.stats.cache_hits == 1
+        assert reads == []
+
     def test_warm_start_is_5x_faster_on_large_module(self, tmp_path):
         """The ISSUE's acceptance benchmark: a 400-definition module must
         compile >= 5x faster from the cache than from source."""

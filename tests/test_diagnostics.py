@@ -154,14 +154,19 @@ class TestGuardedExpansion:
 
 
 class TestReaderRecovery:
+    """Registration stores text; reader errors surface when the module
+    compiles, with the codes registration used to raise."""
+
     def test_unterminated_string_reported_with_code(self, rt):
+        rt.register_module("bad", '#lang racket\n(displayln "oops)\n')
         with pytest.raises(ReaderError) as exc_info:
-            rt.register_module("bad", '#lang racket\n(displayln "oops)\n')
+            rt.compile("bad")
         assert exc_info.value.code == "R003"
 
     def test_unterminated_bar_symbol_reported_with_code(self, rt):
+        rt.register_module("bad-bar", "#lang racket\n(quote |oops)\n")
         with pytest.raises(ReaderError) as exc_info:
-            rt.register_module("bad-bar", "#lang racket\n(quote |oops)\n")
+            rt.compile("bad-bar")
         assert exc_info.value.code == "R004"
 
     def test_bar_symbol_roundtrips_through_writer(self, rt):
@@ -177,21 +182,33 @@ class TestReaderRecovery:
             "(cdr 2 ]\n"  # and another, after resynchronizing
             "(displayln \"unterminated\n"  # R003, runs to end of input
         )
+        rt.register_module("bad", source)
         with pytest.raises(CompilationFailed) as exc_info:
-            rt.register_module("bad", source)
+            rt.compile("bad")
         codes = {d.code for d in exc_info.value.diagnostics}
         assert "R003" in codes
         assert len(exc_info.value.diagnostics) >= 3
 
     def test_unterminated_list_reported(self, rt):
+        rt.register_module("bad", "#lang racket\n(displayln (+ 1 2)\n")
         with pytest.raises(ReaderError) as exc_info:
-            rt.register_module("bad", "#lang racket\n(displayln (+ 1 2)\n")
+            rt.compile("bad")
         assert exc_info.value.code == "R002"
 
     def test_missing_lang_line(self, rt):
+        rt.register_module("bad", "(displayln 1)\n")
         with pytest.raises(ReaderError) as exc_info:
-            rt.register_module("bad", "(displayln 1)\n")
+            rt.compile("bad")
         assert exc_info.value.code == "R005"
+
+    def test_reader_errors_are_compile_diagnostics(self, rt):
+        rt.register_module("bad", "#lang racket\n(car 1 ]\n(cdr 2 ]\n")
+        result = rt.compile("bad", diagnostics=True)
+        assert not result.ok
+        assert [(d.code, d.srcloc.line, d.srcloc.column) for d in result.diagnostics] == [
+            ("R001", 2, 7),
+            ("R001", 3, 7),
+        ]
 
 
 class TestTransactionalCompilation:

@@ -80,6 +80,40 @@ def test_typed_opt_removes_dispatch_where_the_paper_claims(figure_cell, backend)
         assert typed_opt.generic_dispatches * factor < untyped.generic_dispatches
 
 
+@pytest.fixture(scope="module")
+def lone_rule_group():
+    """Run a figure program under typed/opt restricted to one optimizer
+    rule group, on interp; each run happens once per module."""
+    harness = Harness(backend="interp")
+    results: dict = {}
+
+    def run(name: str, rule: str):
+        if (name, rule) not in results:
+            results[name, rule] = harness.run(PROGRAMS[name], "typed/opt", rules={rule})
+        return results[name, rule]
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "name,rule",
+    [("pseudoknot", "float"), ("sumloop", "fixnum"),
+     ("bankers-queue", "pairs"), ("pseudoknot", "vectors")],
+)
+def test_each_rule_group_fires_alone(lone_rule_group, name, rule):
+    """Each §7.2 rule family specializes its program with no other
+    family enabled."""
+    assert lone_rule_group(name, rule).unsafe_ops > 0
+
+
+def test_float_rules_remove_most_pseudoknot_dispatch(lone_rule_group):
+    """For the float-heavy pseudoknot, the float group removes far more
+    generic dispatch than the pair group does."""
+    float_only = lone_rule_group("pseudoknot", "float")
+    pairs_only = lone_rule_group("pseudoknot", "pairs")
+    assert float_only.generic_dispatches < pairs_only.generic_dispatches
+
+
 def main() -> int:
     """Write the golden file from interp runs; the test checks pyc against
     the same numbers."""

@@ -69,6 +69,14 @@ class TestAtoms:
     def test_pure_imaginary(self):
         assert datum("+2.0i") == complex(0.0, 2.0)
 
+    def test_complex_with_infinite_or_nan_part(self):
+        assert datum("1.0+inf.0i") == complex(1.0, float("inf"))
+        assert datum("+inf.0+1.0i") == complex(float("inf"), 1.0)
+        assert datum("-inf.0i") == complex(0.0, float("-inf"))
+        z = datum("1.0-nan.0i")
+        assert z.real == 1.0 and z.imag != z.imag
+        assert datum("inf.0i") == Symbol("inf.0i")  # an unsigned part is no number
+
     def test_inf(self):
         assert datum("+inf.0") == float("inf")
         assert datum("-inf.0") == float("-inf")

@@ -78,6 +78,13 @@ class TestEnvelope:
         assert status == 200 and payload["ok"] is False
         assert payload["error"]["code"] == "S500"
 
+    def test_reader_error_is_r_coded_envelope(self, srv):
+        source = '#lang racket\n(displayln "oops)\n'
+        status, payload = srv.handle("POST", "/run", {"source": source})
+        assert status == 200 and payload["ok"] is False
+        assert payload["error"]["code"] == "R003"
+        assert payload["error"]["message"].endswith(":2:11: unterminated string")
+
     def test_exact_to_flonum_overflow_is_a_value(self, srv):
         source = "#lang racket\n(displayln (+ (expt 10 400) 1.5))\n"
         status, payload = srv.handle("POST", "/run", {"source": source})
