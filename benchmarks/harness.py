@@ -81,7 +81,7 @@ class Harness:
     Runtime and fills ``BenchResult.phases`` / ``compile_phases`` with
     exclusive per-phase timings (used by ``run_figures.py --json``). The
     default is off so timed runs carry no tracing overhead — and stays off
-    even under a process-global tracer, keeping benchmarks hermetic.
+    even inside a traced context, keeping benchmarks hermetic.
 
     ``backend`` selects the execution backend each fresh Runtime uses
     (``"interp"`` or ``"pyc"``, see DESIGN.md §9).

@@ -99,7 +99,7 @@ def apply_procedure(fn: Any, args: list[Any]) -> Any:
     arithmetic combined, and applications are the platform's hottest path.
     The per-step cost under a budget is one slot increment and one integer
     compare; ``checkpoint`` (clock read, cancellation flag, step-limit
-    verdict) runs every ``check_interval`` steps. Those same two lines are
+    verdict) runs every ``CHECK_INTERVAL`` steps. Those same two lines are
     what a bytecode backend would inline into emitted function prologues.
     """
     guard = current_guard()

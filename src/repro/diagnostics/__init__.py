@@ -11,8 +11,6 @@ offending source text. This package supplies the machinery:
 - :class:`DiagnosticSession` — the per-compilation collector that lets the
   reader, expander, and typecheckers *recover* after an error and keep
   looking for more, so one compile reports every problem it can find;
-- :class:`SourceMap` — a bounded registry of source text used to render
-  excerpts;
 - :class:`CompileResult` — the value of ``Runtime.compile(path,
   diagnostics=True)``: the compiled module (or None) plus all diagnostics.
 """
@@ -20,7 +18,6 @@ offending source text. This package supplies the machinery:
 from repro.diagnostics.codes import CODES, describe_code
 from repro.diagnostics.diagnostic import Diagnostic, ExpansionFrame
 from repro.diagnostics.session import CompileResult, DiagnosticSession
-from repro.diagnostics.source import SOURCES, SourceMap
 
 __all__ = [
     "CODES",
@@ -28,7 +25,5 @@ __all__ = [
     "Diagnostic",
     "DiagnosticSession",
     "ExpansionFrame",
-    "SOURCES",
-    "SourceMap",
     "describe_code",
 ]

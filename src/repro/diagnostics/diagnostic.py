@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
-from repro.diagnostics.source import SOURCES
+from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:
     from repro.syn.srcloc import SrcLoc
@@ -38,10 +36,16 @@ class Diagnostic:
     #: single-error compilation can re-raise the original (backwards
     #: compatible) exception instead of an aggregate.
     exception: Optional[BaseException] = field(default=None, repr=False)
+    #: the source line at ``srcloc``, taken from the text the compile read
+    #: when the diagnostic was recorded; the excerpt quotes it
+    line: Optional[str] = field(default=None, repr=False)
 
     @classmethod
-    def from_error(cls, err: BaseException) -> "Diagnostic":
-        """Build a Diagnostic from any platform exception."""
+    def from_error(
+        cls, err: BaseException, sources: Optional[Mapping[str, str]] = None
+    ) -> "Diagnostic":
+        """Build a Diagnostic from any platform exception; ``sources`` (source
+        name -> text, a registry's ``sources``) supplies the excerpt line."""
         code = getattr(err, "code", None) or "X001"
         message = getattr(err, "message", None) or str(err)
         srcloc = getattr(err, "srcloc", None)
@@ -53,17 +57,15 @@ class Diagnostic:
             srcloc=srcloc,
             backtrace=backtrace,
             exception=err,
+            line=_source_line(sources, srcloc),
         )
 
     # -- rendering ---------------------------------------------------------
 
     def excerpt(self) -> Optional[str]:
         """The offending source line with a caret underneath, or None."""
-        loc = self.srcloc
-        if loc is None:
-            return None
-        line = SOURCES.line(loc.source, loc.line)
-        if line is None:
+        loc, line = self.srcloc, self.line
+        if loc is None or line is None:
             return None
         col = min(max(loc.column, 0), len(line))
         width = max(1, min(loc.span or 1, len(line) - col)) if len(line) > col else 1
@@ -87,3 +89,20 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _source_line(
+    sources: Optional[Mapping[str, str]], loc: Optional["SrcLoc"]
+) -> Optional[str]:
+    """The 1-based ``loc.line``-th line of ``loc.source``'s text, or None.
+    Only a newline ends a line, as the lexer counts them (``splitlines``
+    would also split at form feeds and other separators)."""
+    if sources is None or loc is None or loc.line < 1:
+        return None
+    text = sources.get(loc.source)
+    if text is None:
+        return None
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    return lines[loc.line - 1].rstrip("\r") if loc.line <= len(lines) else None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 from repro.diagnostics.diagnostic import Diagnostic
 from repro.errors import (
@@ -34,10 +34,18 @@ FATAL_ERRORS = (CompilationFailed, ExpansionLimitError, ModuleError)
 
 
 class DiagnosticSession:
-    """Collects diagnostics for one module compilation."""
+    """Collects diagnostics for one module compilation.
 
-    def __init__(self, module_path: str) -> None:
+    ``sources`` maps source names to the text this compilation read (the
+    registry's ``sources``); each diagnostic takes its excerpt line from it
+    when it is recorded (without it, diagnostics carry no excerpt).
+    """
+
+    def __init__(
+        self, module_path: str, sources: Optional[Mapping[str, str]] = None
+    ) -> None:
         self.module_path = module_path
+        self.sources = sources
         self.diagnostics: list[Diagnostic] = []
 
     # -- recording ---------------------------------------------------------
@@ -53,7 +61,7 @@ class DiagnosticSession:
         (e.g. a bad type annotation read in both typechecker passes), which
         is one problem, not two.
         """
-        diagnostic = Diagnostic.from_error(err)
+        diagnostic = Diagnostic.from_error(err, self.sources)
         for existing in self.diagnostics:
             if existing.exception is err:
                 return existing

@@ -78,7 +78,7 @@ class ExpandContext:
         self.module_path = module_path
         self.registry = registry
         #: per-compilation diagnostic collector (multi-error recovery)
-        self.diagnostics = DiagnosticSession(module_path)
+        self.diagnostics = DiagnosticSession(module_path, registry.sources)
         #: binding keys of definitions that failed to expand; downstream
         #: layers (the typecheckers) treat references to them as the bottom
         #: type instead of piling up cascading errors

@@ -6,7 +6,7 @@ returns ``None`` for ungoverned Runtimes — the trampoline in
 :mod:`repro.core.interp` checks that once per application and stays on its
 unguarded fast loop. Under a guard, the trampoline charges one *step* per
 closure invocation and calls :meth:`Budget.checkpoint` only every
-``check_interval`` steps, so the expensive checks (monotonic clock read,
+:data:`CHECK_INTERVAL` steps, so the expensive checks (monotonic clock read,
 cancellation flag) are amortized; the step-limit comparison itself is exact
 because ``next_check`` never exceeds the step limit.
 
@@ -36,7 +36,7 @@ from repro.errors import BudgetExhausted, EvaluationCancelled
 
 #: steps between slow checkpoints (clock read + cancellation flag); chosen
 #: so a deadline is noticed within ~a millisecond of object-language work
-DEFAULT_CHECK_INTERVAL = 1024
+CHECK_INTERVAL = 1024
 
 #: the limit dimensions a Budget governs
 LIMITS = ("steps", "seconds", "max_depth", "allocations")
@@ -95,7 +95,7 @@ class Budget:
     - ``steps`` — closure applications allowed per Runtime (evaluation fuel,
       generalizing PR 1's expansion fuel); ``G001`` on exhaustion.
     - ``seconds`` — wall-clock deadline per top-level operation, measured on
-      the monotonic clock and checked every ``check_interval`` steps;
+      the monotonic clock and checked every :data:`CHECK_INTERVAL` steps;
       ``G002``.
     - ``max_depth`` — non-tail application nesting cap (tail calls are
       trampolined and never deepen); ``G003``.
@@ -109,9 +109,9 @@ class Budget:
     """
 
     __slots__ = (
-        "steps", "seconds", "max_depth", "allocations", "check_interval",
-        "cancel", "steps_used", "allocs_used", "depth", "next_check",
-        "deadline", "_armed",
+        "steps", "seconds", "max_depth", "allocations", "cancel",
+        "steps_used", "allocs_used", "depth", "next_check", "deadline",
+        "_armed",
     )
 
     def __init__(
@@ -121,16 +121,12 @@ class Budget:
         seconds: Optional[float] = None,
         max_depth: Optional[int] = None,
         allocations: Optional[int] = None,
-        check_interval: int = DEFAULT_CHECK_INTERVAL,
         cancel: Optional[CancelToken] = None,
     ) -> None:
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
         self.steps = _check_limit("steps", steps)
         self.seconds = _check_limit("seconds", seconds)
         self.max_depth = _check_limit("max_depth", max_depth)
         self.allocations = _check_limit("allocations", allocations)
-        self.check_interval = check_interval
         self.cancel = cancel if cancel is not None else CancelToken()
         self.steps_used = 0
         self.allocs_used = 0
@@ -144,7 +140,7 @@ class Budget:
     def configure(self, **limits: Any) -> None:
         """Adjust limits in place (used by the REPL's ``,budget``); an
         invalid limit raises before any is changed."""
-        unknown = set(limits) - {*LIMITS, "check_interval"}
+        unknown = set(limits) - set(LIMITS)
         if unknown:
             raise TypeError(f"unknown budget limit(s): {sorted(unknown)}")
         for name in LIMITS:
@@ -162,7 +158,7 @@ class Budget:
         self.next_check = self._compute_next_check()
 
     def _compute_next_check(self) -> int:
-        nxt = self.steps_used + self.check_interval
+        nxt = self.steps_used + CHECK_INTERVAL
         if self.steps is not None and nxt > self.steps:
             return self.steps
         return nxt

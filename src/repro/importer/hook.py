@@ -52,6 +52,7 @@ from typing import Any, Iterable, Optional
 from repro.errors import CompilationFailed, ReproError
 from repro.guard.budget import resolve_budget, use_guard
 from repro.modules.registry import canonical_path
+from repro.observe.recorder import NULL_RECORDER
 
 #: file suffixes the finder recognizes as ``#lang`` modules, by default
 DEFAULT_SUFFIXES = (".rkt",)
@@ -198,11 +199,7 @@ class ImportContext:
         fullname = module.__name__
         rt = self.runtime
         budget = resolve_budget(self.budget)
-        rec = rt.tracer
-        if rec is None:
-            from repro.observe.recorder import current_recorder
-
-            rec = current_recorder()
+        rec = rt.tracer if rt.tracer is not None else NULL_RECORDER
         with self._lock:
             before = rt.stats.cache_hits
             try:
@@ -225,7 +222,9 @@ class ImportContext:
                         attrs={"module": fullname,
                                "code": getattr(err, "code", None)},
                     )
-                raise _as_import_error(fullname, filename, err) from err
+                raise _as_import_error(
+                    fullname, filename, err, rt.registry.sources
+                ) from err
             if rec.enabled:
                 rec.instant(
                     "import",
@@ -296,10 +295,11 @@ class ImportContext:
 
 
 def _as_import_error(
-    fullname: str, filename: str, err: BaseException
+    fullname: str, filename: str, err: BaseException, sources: Any
 ) -> ReproImportError:
     """Translate a platform error into an ImportError preserving the
-    stable diagnostic code(s) and source location."""
+    stable diagnostic code(s) and source location; ``sources`` (the
+    registry's) supplies a lone error's excerpt line."""
     if isinstance(err, CompilationFailed):
         diagnostics = list(err.diagnostics)
         codes = sorted(
@@ -317,7 +317,7 @@ def _as_import_error(
     else:
         from repro.diagnostics.diagnostic import Diagnostic
 
-        diagnostics = [Diagnostic.from_error(err)]
+        diagnostics = [Diagnostic.from_error(err, sources)]
         code = getattr(err, "code", None) or "X001"
         srcloc = getattr(err, "srcloc", None)
         message = f"cannot import {fullname} ({filename}): [{code}] {err}"

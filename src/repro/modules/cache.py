@@ -113,12 +113,6 @@ FORMAT_VERSION = 5
 #: probabilistic unpickling failure.
 MAGIC = b"REPROZO\x05"
 
-#: envelope magics of earlier format versions. Artifacts carrying one are
-#: *old*, not corrupt: their content-hashed filenames fold the old version
-#: in, so loads never open them — ``doctor`` reports them instead of
-#: quarantining (deleting a postmortem-worthy file for merely being stale
-#: would be wrong, and quarantine is reserved for detected corruption)
-HISTORIC_MAGICS = (b"REPROZO\x02", b"REPROZO\x03", b"REPROZO\x04")
 _DIGEST_LEN = 32
 
 #: subdirectory that corrupt artifacts are moved into (never deleted, so a
@@ -465,16 +459,24 @@ class ModuleCache:
 
     @staticmethod
     def _historic_version(data: bytes) -> Optional[str]:
-        """If ``data`` is an intact artifact from an earlier cache format,
-        return that format's magic (repr'd for reporting); else None."""
-        for magic in HISTORIC_MAGICS:
-            header = len(magic) + _DIGEST_LEN
-            if len(data) < header or data[: len(magic)] != magic:
-                continue
-            digest = data[len(magic): header]
-            if hashlib.sha256(data[header:]).digest() == digest:
-                return magic.decode("ascii", "backslashreplace")
-        return None
+        """If ``data`` is an intact artifact of another cache format version
+        (``REPROZO`` and a version byte other than :data:`MAGIC`'s), return
+        its magic (repr'd for reporting); else None.
+
+        Such an artifact is *old*, not corrupt: its content-hashed filename
+        folds the old version in, so loads never open it. ``doctor``
+        reports it instead of quarantining it (deleting a postmortem-worthy
+        file for merely being stale would be wrong, and quarantine is
+        reserved for detected corruption)."""
+        magic, header = data[: len(MAGIC)], len(MAGIC) + _DIGEST_LEN
+        if (
+            len(data) < header
+            or magic[:-1] != MAGIC[:-1]
+            or magic == MAGIC
+            or hashlib.sha256(data[header:]).digest() != data[len(MAGIC): header]
+        ):
+            return None
+        return magic.decode("ascii", "backslashreplace")
 
     def _quarantine(self, file: str) -> Optional[str]:
         """Move a bad artifact into the quarantine subdirectory.
@@ -921,8 +923,8 @@ class ModuleCache:
 
         - validates every artifact's envelope (magic + checksum);
           invalid ones are quarantined;
-        - artifacts from an earlier ``FORMAT_VERSION`` (recognizable by a
-          historic magic with an intact checksum) are **reported**, not
+        - artifacts from another ``FORMAT_VERSION`` (``REPROZO`` and another
+          version byte, with an intact checksum) are **reported**, not
           quarantined — they are stale, not corrupt;
         - removes torn-write debris (``*.tmp.*`` files left by a crash
           between write and rename) — but only when the PID baked into the

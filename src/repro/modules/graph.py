@@ -273,9 +273,12 @@ def _start_worker(
     from repro.tools.runner import Runtime
 
     global _WORKER
+    # trace=False: a forked worker inherits its parent's active recorder,
+    # and events recorded into that copy would never reach the parent
     _WORKER = Runtime(
         cache_dir=cache_dir,
         backend=backend,
+        trace=False,
         expansion_fuel=expansion_fuel,
         inline_primitives=inline_primitives,
         optimizer_rules=optimizer_rules,

@@ -504,7 +504,7 @@ class ModuleRegistry:
                 # The reader recovers after errors and collects every
                 # problem; a single problem re-raises the original
                 # ReaderError, several raise one CompilationFailed.
-                session = DiagnosticSession(path)
+                session = DiagnosticSession(path, self.sources)
                 with rec.span("read", path):
                     # looked up at call time, so a wrapper installed on the
                     # module attribute sees every read

@@ -25,10 +25,7 @@ from repro.observe.recorder import (
     Recorder,
     Tracer,
     current_recorder,
-    global_tracer,
-    install_global_tracer,
     resolve_trace,
-    uninstall_global_tracer,
     use_recorder,
 )
 from repro.observe.coach import coach_report, fired, near_misses
@@ -53,9 +50,6 @@ __all__ = [
     "NULL_RECORDER",
     "current_recorder",
     "use_recorder",
-    "install_global_tracer",
-    "uninstall_global_tracer",
-    "global_tracer",
     "resolve_trace",
     "macro_steps",
     "steps_by_macro",

@@ -14,10 +14,11 @@ clients all read (see :mod:`repro.observe.stepper`,
 :mod:`repro.observe.coach`, :mod:`repro.observe.profiler`).
 
 Like :mod:`repro.runtime.stats`, the *current* recorder is context-scoped:
-a :class:`~repro.Runtime` activates its tracer for the dynamic extent of
-each operation, so concurrent Runtimes never interleave events. A process
-*global* tracer can additionally be installed (``repro trace script.py``
-uses this to observe every Runtime a driver script creates).
+a :class:`~repro.Runtime` activates its own tracer (or the no-op) for the
+dynamic extent of each operation, so a Runtime records to its tracer and
+nowhere else, and concurrent Runtimes never interleave events. A Runtime
+built with ``trace=None`` adopts the recorder active where it is built
+(``repro trace script.py`` runs the script under :func:`use_recorder`).
 """
 
 from __future__ import annotations
@@ -234,23 +235,16 @@ class Tracer(Recorder):
         )
 
 
-# -- the current recorder (context-scoped, with a process-global fallback) ----
+# -- the current recorder (context-scoped) -----------------------------------
 
-_ACTIVE: contextvars.ContextVar[Optional[Recorder]] = contextvars.ContextVar(
-    "repro_active_recorder", default=None
+_ACTIVE: contextvars.ContextVar[Recorder] = contextvars.ContextVar(
+    "repro_active_recorder", default=NULL_RECORDER
 )
-
-#: process-global tracer (``repro trace script.py``); one-element cell
-_GLOBAL: list[Optional[Recorder]] = [None]
 
 
 def current_recorder() -> Recorder:
     """The recorder instrumentation call sites should emit to."""
-    active = _ACTIVE.get()
-    if active is not None:
-        return active
-    g = _GLOBAL[0]
-    return g if g is not None else NULL_RECORDER
+    return _ACTIVE.get()
 
 
 @contextmanager
@@ -264,39 +258,26 @@ def use_recorder(recorder: Optional[Recorder]) -> Iterator[Recorder]:
         _ACTIVE.reset(token)
 
 
-def install_global_tracer(tracer: Recorder) -> None:
-    """Make ``tracer`` the process-wide default recorder. Runtimes created
-    afterwards with ``trace=None`` adopt it — how ``repro trace script.py``
-    observes every Runtime a driver script builds."""
-    _GLOBAL[0] = tracer
-
-
-def uninstall_global_tracer() -> None:
-    _GLOBAL[0] = None
-
-
-def global_tracer() -> Optional[Recorder]:
-    return _GLOBAL[0]
-
-
 def resolve_trace(trace: Any) -> Optional[Recorder]:
     """Map a ``Runtime(trace=...)`` argument to a recorder (or None).
 
-    - ``None`` — adopt the installed global tracer, if any;
-    - ``False`` — tracing off, even under a global tracer;
+    - ``None`` — adopt the recorder active where this is called, if any
+      (how ``repro trace script.py`` observes the Runtimes a script builds);
+    - ``False`` — tracing off;
     - ``True`` — a fresh :class:`Tracer` (spans + coach + macro names);
-    - ``"full"`` / ``"stepper"`` — a fresh Tracer that also renders each
-      macro step's input/output syntax;
+    - ``"full"`` — a fresh Tracer that also renders each macro step's
+      input/output syntax;
     - a :class:`Recorder` instance — used as given (shareable).
     """
     if trace is None:
-        return _GLOBAL[0]
+        active = _ACTIVE.get()
+        return None if active is NULL_RECORDER else active
     if trace is False:
         return None
     if trace is True:
         return Tracer()
     if isinstance(trace, str):
-        if trace in ("full", "stepper"):
+        if trace == "full":
             return Tracer(capture_syntax=True)
         raise ValueError(f"unknown trace mode: {trace!r}")
     if isinstance(trace, Recorder):

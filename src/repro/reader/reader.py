@@ -82,9 +82,6 @@ class Reader:
     def __init__(
         self, text: str, source: str = "<string>", session: Any = None
     ) -> None:
-        from repro.diagnostics.source import SOURCES
-
-        SOURCES.register(source, text)
         self._lexer = lx.Lexer(text, source)
         self._pending: Optional[lx.Token] = None
         self.source = source

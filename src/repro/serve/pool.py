@@ -8,7 +8,7 @@ tenants *do* share is the artifact cache directory: a module one tenant
 compiled is a warm cache hit for every other tenant, which is the point of
 running the service long-lived.
 
-The pool bounds idle Runtimes per tenant (``max_idle``); a burst of
+The pool bounds idle Runtimes per tenant (:data:`MAX_IDLE`); a burst of
 concurrent requests above the bound builds throwaway Runtimes that are
 closed on check-in instead of pooled. A closed Runtime's bindings live
 on its own scopes and go with it, so bursts do not permanently grow the
@@ -20,11 +20,20 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
+from repro.observe.recorder import resolve_trace
 from repro.tools.runner import Runtime
+
+#: idle Runtimes kept per tenant
+MAX_IDLE = 4
 
 
 class RuntimePool:
-    """Checkout/checkin pools of Runtimes, one pool per tenant."""
+    """Checkout/checkin pools of Runtimes, one pool per tenant.
+
+    ``trace`` is resolved once, here (see
+    :func:`~repro.observe.resolve_trace`): every Runtime the pool builds
+    records to that one recorder, or to none.
+    """
 
     def __init__(
         self,
@@ -32,12 +41,10 @@ class RuntimePool:
         cache_dir: Optional[str] = None,
         backend: Optional[str] = None,
         trace: Any = None,
-        max_idle: int = 4,
     ) -> None:
         self.cache_dir = cache_dir
         self.backend = backend
-        self.trace = trace
-        self.max_idle = max_idle
+        self.tracer = resolve_trace(trace)
         self._idle: dict[str, list[Runtime]] = {}
         self._lock = threading.Lock()
         #: Runtimes ever built (a service health metric)
@@ -59,15 +66,17 @@ class RuntimePool:
             cache_dir=self.cache_dir,
             cache=False if self.cache_dir is None else None,
             backend=self.backend,
-            trace=self.trace,
+            trace=self.tracer if self.tracer is not None else False,
         )
 
     def checkin(self, tenant: str, rt: Runtime) -> None:
         """Return a Runtime to its tenant's pool (or close it if full)."""
-        rt.budget = None  # per-request budgets never outlive the request
+        # per-request budgets and tracers never outlive the request
+        rt.budget = None
+        rt.tracer = self.tracer
         with self._lock:
             idle = self._idle.setdefault(tenant, [])
-            if len(idle) < self.max_idle:
+            if len(idle) < MAX_IDLE:
                 idle.append(rt)
                 return
         rt.close()

@@ -61,7 +61,7 @@ from typing import Any, Optional
 from repro.errors import ReproError
 from repro.guard.budget import LIMITS, resolve_budget
 from repro.observe.events import TRACE_SCHEMA
-from repro.observe.recorder import Tracer, current_recorder, use_recorder
+from repro.observe.recorder import NULL_RECORDER, Tracer
 from repro.serve.pool import RuntimePool
 
 _REQ_IDS = itertools.count(1)
@@ -88,7 +88,9 @@ class ReproServer:
     ``port=0`` binds an ephemeral port (read it back from ``.address``
     after start) — the mode the tests and the benchmark use.
     ``default_budget`` is a budget dict applied to requests that don't
-    send their own (None = ungoverned by default).
+    send their own (None = ungoverned by default). ``trace`` is resolved
+    once, at construction, into the recorder every pooled Runtime records
+    to; a ``"trace": true`` request records to its own Tracer instead.
     """
 
     def __init__(
@@ -100,11 +102,8 @@ class ReproServer:
         backend: Optional[str] = None,
         trace: Any = None,
         default_budget: Optional[dict[str, Any]] = None,
-        max_idle: int = 4,
     ) -> None:
-        self.pool = RuntimePool(
-            cache_dir=cache_dir, backend=backend, trace=trace, max_idle=max_idle
-        )
+        self.pool = RuntimePool(cache_dir=cache_dir, backend=backend, trace=trace)
         self.default_budget = dict(default_budget) if default_budget else None
         self._host = host
         self._port = port
@@ -262,16 +261,15 @@ class ReproServer:
         rt = self.pool.checkout(tenant)
         module_path: Optional[str] = None
         t0 = time.perf_counter()
-        # opt-in per-request tracing: a fresh Tracer scoped to this request
-        # so the reply can carry exactly its own spans (otherwise the
-        # server-wide tracer, or whatever recorder is already installed)
+        # opt-in per-request tracing: the checked-out Runtime records to a
+        # fresh Tracer for this request only (checkin restores the pool's),
+        # so the reply carries exactly its own spans
         req_tracer = Tracer() if want_trace else None
         if req_tracer is not None:
-            rec: Any = req_tracer
-        else:
-            rec = rt.tracer if rt.tracer is not None else current_recorder()
+            rt.tracer = req_tracer
+        rec = rt.tracer if rt.tracer is not None else NULL_RECORDER
         try:
-            with use_recorder(rec), rec.span("serve", f"{endpoint} #{req} tenant={tenant}"):
+            with rec.span("serve", f"{endpoint} #{req} tenant={tenant}"):
                 rt.budget = budget
                 before = rt.stats.snapshot()
                 diags_before = len(rt.cache.diagnostics) if rt.cache else 0

@@ -283,7 +283,7 @@ def syntax_to_list(stx: Syntax) -> Optional[list[Syntax]]:
     return None
 
 
-_SYNTHETIC_SOURCES = ("<template>", "<generated>")
+_SYNTHETIC_SOURCE_NAMES = ("<template>", "<generated>")
 
 
 def best_srcloc(stx: Any) -> Optional[SrcLoc]:
@@ -295,7 +295,7 @@ def best_srcloc(stx: Any) -> Optional[SrcLoc]:
     macro-produced wrapper usually contains user syntax that still points
     at the program."""
     loc = getattr(stx, "srcloc", None)
-    if loc is not None and loc.source not in _SYNTHETIC_SOURCES:
+    if loc is not None and loc.source not in _SYNTHETIC_SOURCE_NAMES:
         return loc
     e = getattr(stx, "e", None)
     children: tuple = ()
@@ -307,7 +307,7 @@ def best_srcloc(stx: Any) -> Optional[SrcLoc]:
         children = e.items
     for child in children:
         found = best_srcloc(child)
-        if found is not None and found.source not in _SYNTHETIC_SOURCES:
+        if found is not None and found.source not in _SYNTHETIC_SOURCE_NAMES:
             return found
     return loc
 

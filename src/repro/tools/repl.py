@@ -77,6 +77,9 @@ class Repl:
         #: the log down to the new one by line)
         self._last_path: Optional[str] = None
         self._last_start_line = 0
+        #: the module of the last input that ran; each input's module holds
+        #: the whole session so far, so only this one stays registered
+        self._live_path: Optional[str] = None
 
     def eval_input(self, text: str) -> str:
         """Process one input; returns the *new* output it produced."""
@@ -108,8 +111,16 @@ class Repl:
         self._last_path = path
         # line 1 is "#lang ..."; each earlier form occupies its own line(s)
         self._last_start_line = 2 + sum(f.count("\n") + 1 for f in self.forms)
+        registry = self.runtime.registry
         self.runtime.register_module(path, source)
-        output = self.runtime.run(path)
+        try:
+            output = self.runtime.run(path)
+        except BaseException:
+            registry.unregister(path)
+            raise
+        if self._live_path is not None:
+            registry.unregister(self._live_path)
+        self._live_path = path
         new_output = output[len(self._last_output):] if output.startswith(
             self._last_output
         ) else output

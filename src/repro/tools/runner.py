@@ -22,14 +22,7 @@ from repro.langs.typed.optimizer import ALL_RULES
 from repro.modules.cache import ENV_CACHE_DIR, ModuleCache, default_cache_dir
 from repro.modules.instantiate import instantiate_module
 from repro.modules.registry import ModuleRegistry
-from repro.observe.recorder import (
-    Recorder,
-    Tracer,
-    install_global_tracer,
-    resolve_trace,
-    uninstall_global_tracer,
-    use_recorder,
-)
+from repro.observe.recorder import Recorder, Tracer, resolve_trace, use_recorder
 from repro.runtime.ports import capture_output
 from repro.runtime.stats import Stats, use_stats
 
@@ -69,12 +62,14 @@ class Runtime:
     :class:`~repro.errors.EvaluationCancelled`.
 
     ``trace`` selects the observability recorder (:mod:`repro.observe`):
-    ``None`` (default) adopts the process-global tracer if one is installed,
-    otherwise no tracing; ``True`` attaches a fresh :class:`Tracer` (phase
-    spans, macro steps, optimization-coach events); ``"full"`` additionally
-    renders each macro step's input/output syntax (the stepper's expensive
-    mode); ``False`` forces tracing off; a :class:`Recorder` instance is
-    used as given. The attached recorder is ``rt.tracer``.
+    ``None`` (default) adopts the recorder active where the Runtime is
+    constructed (see :func:`~repro.observe.use_recorder`), otherwise no
+    tracing; ``True`` attaches a fresh :class:`Tracer` (phase spans, macro
+    steps, optimization-coach events); ``"full"`` additionally renders each
+    macro step's input/output syntax (the stepper's expensive mode);
+    ``False`` forces tracing off; a :class:`Recorder` instance is used as
+    given. The attached recorder is ``rt.tracer``, and every operation of
+    the Runtime records to it and nowhere else (``None`` records nothing).
 
     ``backend`` selects how module bodies execute (see
     :mod:`repro.core.backend`): ``"interp"`` (default) walks closure-compiled
@@ -169,14 +164,8 @@ class Runtime:
         """Activate this Runtime's stats, recorder, and budget for one
         operation; governed work is mirrored into ``stats.eval_steps`` /
         ``stats.eval_allocations`` even when the run is killed."""
-        with use_stats(self.stats):
-            if self.tracer is not None:
-                with use_recorder(self.tracer):
-                    with self._governed():
-                        yield
-            else:
-                with self._governed():
-                    yield
+        with use_stats(self.stats), use_recorder(self.tracer), self._governed():
+            yield
 
     @contextmanager
     def _governed(self) -> Iterator[None]:
@@ -245,7 +234,8 @@ class Runtime:
             except CompilationFailed as err:
                 return CompileResult(None, list(err.diagnostics))
             except ReproError as err:
-                return CompileResult(None, [Diagnostic.from_error(err)])
+                diagnostic = Diagnostic.from_error(err, self.registry.sources)
+                return CompileResult(None, [diagnostic])
             return CompileResult(module, [])
 
     def compile_graph(
@@ -549,8 +539,9 @@ def _trace_command(args: list[str]) -> int:
 
     The trace goes to stdout (or ``--out FILE``); the traced program's own
     output is redirected to stderr so a chrome/jsonl export stays parseable.
-    A ``.py`` file is treated as a driver script and run under a
-    process-global tracer; anything else is run as a ``#lang`` module file
+    A ``.py`` file is treated as a driver script and run with the tracer
+    active, so every Runtime the script builds with the default ``trace``
+    records to it; anything else is run as a ``#lang`` module file
     with the artifact cache disabled (a cache hit would skip expansion and
     leave nothing to trace).
     """
@@ -597,9 +588,8 @@ def _trace_command(args: list[str]) -> int:
     if file.endswith(".py"):
         import runpy
 
-        install_global_tracer(tracer)
         try:
-            with redirect_stdout(sys.stderr):
+            with use_recorder(tracer), redirect_stdout(sys.stderr):
                 runpy.run_path(file, run_name="__main__")
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
@@ -609,8 +599,6 @@ def _trace_command(args: list[str]) -> int:
         except OSError as err:
             print(f"error: cannot run {file}: {err.strerror or err}", file=sys.stderr)
             return 1
-        finally:
-            uninstall_global_tracer()
     else:
         rt = Runtime(trace=tracer, cache=False)
         try:

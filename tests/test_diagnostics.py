@@ -301,6 +301,30 @@ class TestCompileResultAPI:
         assert len(result.diagnostics) == 1
         assert result.diagnostics[0].code == "T001"
 
+    @pytest.mark.parametrize("source", [
+        THREE_TYPE_ERRORS, "#lang simple-type\n(define x : Integer 1.5)\n",
+    ], ids=["several", "one"])
+    def test_excerpts_quote_the_text_this_compile_read(self, source):
+        """A compile's excerpts stay the same when another Runtime
+        registers and compiles a module of the same name."""
+        with Runtime() as a, Runtime() as b:
+            a.register_module("m", source)
+            result = a.compile("m", diagnostics=True)
+            rendered = result.render()
+            assert "| (define a : Integer 1.5)" in rendered or \
+                "| (define x : Integer 1.5)" in rendered
+            b.register_module("m", "#lang simple-type\n" + "(displayln 0)\n" * 6)
+            assert b.compile("m", diagnostics=True).ok
+            assert result.render() == rendered
+
+    def test_excerpt_counts_lines_as_the_lexer_does(self, rt):
+        # a form feed or a CRLF ending is not a line break of its own
+        rt.register_module(
+            "m", "#lang simple-type\r\n; page\x0cbreak\r\n(define a : Integer 1.5)\r\n"
+        )
+        excerpt = rt.compile("m", diagnostics=True).diagnostics[0].excerpt()
+        assert excerpt.splitlines()[0] == "  | (define a : Integer 1.5)"
+
     def test_diagnostic_from_error_is_structured(self):
         err = TypeCheckError("wrong type")
         diag = Diagnostic.from_error(err)

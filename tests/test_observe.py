@@ -26,15 +26,12 @@ from repro.observe import (
     coach_report,
     current_recorder,
     fired,
-    global_tracer,
-    install_global_tracer,
     macro_steps,
     near_misses,
     phase_totals,
     resolve_trace,
     steps_by_macro,
     summary,
-    uninstall_global_tracer,
     use_recorder,
     validate_chrome_trace,
 )
@@ -86,40 +83,39 @@ class TestRecorder:
         NULL_RECORDER.opt_fired("float", "+", "unsafe-fl+", None)
         NULL_RECORDER.opt_near_miss("float", "+", "reason", None)
 
-    def test_current_recorder_prefers_context_over_global(self):
-        ctx_tracer, glob_tracer = Tracer(), Tracer()
-        install_global_tracer(glob_tracer)
-        try:
-            assert current_recorder() is glob_tracer
-            with use_recorder(ctx_tracer):
-                assert current_recorder() is ctx_tracer
-            assert current_recorder() is glob_tracer
-        finally:
-            uninstall_global_tracer()
+    def test_current_recorder_is_the_innermost_context(self):
+        outer, inner = Tracer(), Tracer()
         assert current_recorder() is NULL_RECORDER
-        assert global_tracer() is None
+        with use_recorder(outer):
+            assert current_recorder() is outer
+            with use_recorder(inner):
+                assert current_recorder() is inner
+            with use_recorder(None):
+                assert current_recorder() is NULL_RECORDER
+            assert current_recorder() is outer
+        assert current_recorder() is NULL_RECORDER
 
-    def test_runtime_adopts_global_tracer(self):
+    def test_runtime_adopts_recorder_active_at_construction(self):
         tracer = Tracer()
-        install_global_tracer(tracer)
-        try:
+        with use_recorder(tracer):
             rt = Runtime(cache=False)
-            assert rt.tracer is tracer
-            rt.register_module("m", "#lang racket\n(displayln (+ 1 2))")
-            rt.run("m")
-        finally:
-            uninstall_global_tracer()
+        assert rt.tracer is tracer
+        # outside the context it was built in, it still records to it
+        rt.register_module("m", "#lang racket\n(displayln (+ 1 2))")
+        rt.run("m")
         assert any(e.category == "macro" for e in tracer.events)
 
-    def test_trace_false_opts_out_of_global_tracer(self):
+    def test_trace_false_opts_out_of_active_recorder(self):
+        """A Runtime records to its own tracer and nowhere else: one built
+        with tracing off adds no event to the tracer active around it."""
         tracer = Tracer()
-        install_global_tracer(tracer)
-        try:
+        with use_recorder(tracer):
             assert resolve_trace(False) is None
             rt = Runtime(trace=False, cache=False)
             assert rt.tracer is None
-        finally:
-            uninstall_global_tracer()
+            rt.register_module("m", "#lang racket\n(displayln (+ 1 2))")
+            assert rt.run("m") == "3\n"
+        assert tracer.events == []
 
     def test_event_cap_counts_drops(self):
         tracer = Tracer(max_events=2)
@@ -461,20 +457,16 @@ class TestTraceCli:
 
     def test_acceptance_optimizer_tour_near_miss_srcloc(self):
         """The tour's near-miss is the (* a b) in blend, with its line."""
-        tracer = Tracer(capture_syntax=True)
-        install_global_tracer(tracer)
-        try:
-            import runpy
-            from contextlib import redirect_stdout
-            from io import StringIO
+        import runpy
+        from contextlib import redirect_stdout
+        from io import StringIO
 
-            with redirect_stdout(StringIO()):
-                runpy.run_path(
-                    os.path.join(REPO_ROOT, "examples", "optimizer_tour.py"),
-                    run_name="__main__",
-                )
-        finally:
-            uninstall_global_tracer()
+        tracer = Tracer(capture_syntax=True)
+        with use_recorder(tracer), redirect_stdout(StringIO()):
+            runpy.run_path(
+                os.path.join(REPO_ROOT, "examples", "optimizer_tour.py"),
+                run_name="__main__",
+            )
         misses = near_misses(tracer)
         assert misses
         assert all("unsafe-fl*" in e.attrs["reason"] for e in misses)

@@ -151,6 +151,28 @@ class TestReplMetaCommands:
         steps_section = out.split("optimization coach")[0]
         assert "define-syntax" not in steps_section.split("twice")[0]
 
+    def test_only_the_latest_input_module_stays_registered(self):
+        """Each input's module holds the whole session so far; earlier
+        ones (and failed ones) are unregistered, and ,trace still filters
+        to the last input."""
+        repl = Repl()
+        repl.forms.append("(define (%repl-show v) (displayln v))")
+        repl.eval_input(
+            "(define-syntax twice (syntax-rules () [(_ e) (begin e e)]))"
+        )
+        for i in range(17):
+            repl.eval_input(f"(define v{i} {i})")
+        with pytest.raises(Exception):
+            repl.eval_input("(car '())")
+        assert repl.eval_input("(twice (display v16))").startswith("1616")
+        registry = repl.runtime.registry
+        assert [p for p in registry.sources if p.startswith("<repl-")] == ["<repl-20>"]
+        assert [p for p in registry.compiled if p.startswith("<repl-")] == ["<repl-20>"]
+        out = repl.eval_input(",trace")
+        assert "twice" in out
+        steps_section = out.split("optimization coach")[0]
+        assert "define-syntax" not in steps_section.split("twice")[0]
+
     def test_trace_shows_coach_events_for_typed_input(self):
         repl = Repl("typed")
         repl.forms.append(

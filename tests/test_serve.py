@@ -196,6 +196,23 @@ class TestTrace:
         # and the envelope is JSON-serializable as-is
         json.dumps(payload)
 
+    def test_traced_server_request_gets_its_own_trace(self, tmp_path):
+        """On a server with a server-wide tracer, a ``"trace": true``
+        request still gets its own spans back, and the checked-in Runtime
+        records to the server's tracer again."""
+        with ReproServer(cache_dir=str(tmp_path / "cache"), trace=True) as server:
+            shared = server.pool.tracer
+            _, payload = server.handle(
+                "POST", "/run", {"source": HELLO, "trace": True}
+            )
+            assert payload["ok"] is True and payload["output"] == "42\n"
+            cats = {e["cat"] for e in payload["trace"]["events"]}
+            assert {"read", "expand", "compile", "run"} <= cats
+            assert shared.events == []
+            _, payload = server.handle("POST", "/run", {"source": HELLO})
+            assert "trace" not in payload
+            assert {e.category for e in shared.events} >= {"serve", "run"}
+
     def test_trace_sees_dialect_spans(self, srv):
         src = "#lang racket/infix\n(displayln {2 + 3 * 4})\n"
         _, payload = srv.handle("POST", "/run", {"source": src, "trace": True})
