@@ -29,6 +29,7 @@ from repro.syn.scopes import Scope
 
 if TYPE_CHECKING:
     from repro.core.namespace import Namespace
+    from repro.expander.expander import Expander
     from repro.modules.registry import ModuleRegistry
     from repro.syn.syntax import Syntax
 
@@ -77,6 +78,8 @@ class ExpandContext:
 
         self.module_path = module_path
         self.registry = registry
+        #: the compilation's one expander, while it runs
+        self.expander: Optional["Expander"] = None
         #: per-compilation diagnostic collector (multi-error recovery)
         self.diagnostics = DiagnosticSession(module_path, registry.sources)
         #: binding keys of definitions that failed to expand; downstream
@@ -166,3 +169,12 @@ def current_context() -> ExpandContext:
             "no expansion context active (compile-time primitive used at runtime?)"
         )
     return stack[-1]
+
+
+def current_expander() -> "Expander":
+    """The expander of the innermost compile in progress on this thread
+    (``local-expand`` and typed ``#%module-begin`` expand with it)."""
+    ctx = peek_context()
+    if ctx is None or ctx.expander is None:
+        raise SyntaxExpansionError("local-expand: not currently expanding")
+    return ctx.expander

@@ -57,15 +57,6 @@ from repro.syn.binding import (
 from repro.syn.scopes import Scope
 from repro.syn.syntax import ImproperList, Syntax
 
-_EXPANDER_STACK: list["Expander"] = []
-
-
-def current_expander() -> "Expander":
-    if not _EXPANDER_STACK:
-        raise SyntaxExpansionError("local-expand: not currently expanding")
-    return _EXPANDER_STACK[-1]
-
-
 _MB_EXPANDED_PROP = "module-begin-expanded"
 _PHASE1_DONE_PROP = "phase1-processed"
 
@@ -191,15 +182,11 @@ class Expander:
         return result
 
     def call_transformer(self, transformer: Any, stx: Syntax) -> Any:
-        _EXPANDER_STACK.append(self)
-        try:
-            if callable(transformer):
-                return transformer(stx)
-            from repro.core.interp import apply_procedure
+        if callable(transformer):
+            return transformer(stx)
+        from repro.core.interp import apply_procedure
 
-            return apply_procedure(transformer, [stx])
-        finally:
-            _EXPANDER_STACK.pop()
+        return apply_procedure(transformer, [stx])
 
     # ------------------------------------------------------------------
     # resolution helpers
@@ -1027,23 +1014,3 @@ class Expander:
             result = result.flip_scope(intro)
         return result
 
-
-# --- the local-expand primitive, callable from object-language macros --------
-
-
-def _install_local_expand_primitive() -> None:
-    from repro.runtime.primitives import add_prim
-    from repro.runtime.values import to_list
-
-    def local_expand_prim(stx: Any, context: Any = None, stop_list: Any = None) -> Any:
-        expander = current_expander()
-        ctx_name = context.name if isinstance(context, Symbol) else "expression"
-        stops: list[Syntax] = []
-        if stop_list is not None and stop_list is not False:
-            stops = to_list(stop_list)
-        return expander.local_expand(stx, ctx_name, stops)
-
-    add_prim("local-expand", local_expand_prim, 1, 3)
-
-
-_install_local_expand_primitive()

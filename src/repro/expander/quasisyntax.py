@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.errors import SyntaxExpansionError, WrongTypeError
-from repro.runtime.values import Symbol
+from repro.runtime.values import NULL, Pair, Symbol, to_list
 from repro.syn.syntax import ImproperList, Syntax, datum_to_syntax
 
 
@@ -26,61 +26,60 @@ class _Splice:
         self.items = items
 
 
-def _register_prims() -> None:
-    from repro.runtime.primitives import add_prim
-    from repro.runtime.values import NULL, Pair, to_list
+def qs_coerce(ctx: Any, value: Any) -> Syntax:
+    """Coerce an escape's value to syntax, using the template's context."""
+    if isinstance(value, Syntax):
+        return value
+    if isinstance(value, _Splice):  # pragma: no cover - defensive
+        raise WrongTypeError("unsyntax", "a single syntax object", value)
+    from repro.runtime.primitives import PRIMITIVES
 
-    def qs_coerce(ctx: Any, value: Any) -> Syntax:
-        """Coerce an escape's value to syntax, using the template's context."""
-        if isinstance(value, Syntax):
-            return value
-        if isinstance(value, _Splice):  # pragma: no cover - defensive
-            raise WrongTypeError("unsyntax", "a single syntax object", value)
-        from repro.runtime.primitives import PRIMITIVES
+    return PRIMITIVES["datum->syntax"].fn(ctx, value)
 
-        return PRIMITIVES["datum->syntax"].fn(ctx, value)
 
-    def qs_splice(value: Any) -> _Splice:
-        if isinstance(value, Syntax):
-            items = value.e
-            if not isinstance(items, tuple):
-                raise WrongTypeError("unsyntax-splicing", "a syntax list", value)
-            return _Splice(list(items))
-        if value is NULL or isinstance(value, Pair):
-            out = []
-            for item in to_list(value):
-                if not isinstance(item, Syntax):
-                    item = qs_coerce(False, item)
-                out.append(item)
-            return _Splice(out)
-        raise WrongTypeError("unsyntax-splicing", "a list of syntax", value)
+def qs_splice(value: Any) -> _Splice:
+    if isinstance(value, Syntax):
+        items = value.e
+        if not isinstance(items, tuple):
+            raise WrongTypeError("unsyntax-splicing", "a syntax list", value)
+        return _Splice(list(items))
+    if value is NULL or isinstance(value, Pair):
+        out = []
+        for item in to_list(value):
+            if not isinstance(item, Syntax):
+                item = qs_coerce(False, item)
+            out.append(item)
+        return _Splice(out)
+    raise WrongTypeError("unsyntax-splicing", "a list of syntax", value)
 
-    def syntax_rebuild(original: Any, elements: Any, tail: Any = False) -> Syntax:
-        """Rebuild a compound syntax node with new children, keeping the
-        original's scopes, source location, and properties."""
-        if not isinstance(original, Syntax):
-            raise WrongTypeError("syntax-rebuild", "syntax?", original)
-        out: list[Syntax] = []
-        for element in to_list(elements):
-            if isinstance(element, _Splice):
-                out.extend(element.items)
-            elif isinstance(element, Syntax):
-                out.append(element)
-            else:
-                out.append(qs_coerce(original, element))
-        if tail is not False and tail is not None:
-            tail_stx = tail if isinstance(tail, Syntax) else qs_coerce(original, tail)
-            e: Any = ImproperList(tuple(out), tail_stx)
+
+def syntax_rebuild(original: Any, elements: Any, tail: Any = False) -> Syntax:
+    """Rebuild a compound syntax node with new children, keeping the
+    original's scopes, source location, and properties."""
+    if not isinstance(original, Syntax):
+        raise WrongTypeError("syntax-rebuild", "syntax?", original)
+    out: list[Syntax] = []
+    for element in to_list(elements):
+        if isinstance(element, _Splice):
+            out.extend(element.items)
+        elif isinstance(element, Syntax):
+            out.append(element)
         else:
-            e = tuple(out)
-        return Syntax(e, original.scopes, original.srcloc, original.props)
+            out.append(qs_coerce(original, element))
+    if tail is not False and tail is not None:
+        tail_stx = tail if isinstance(tail, Syntax) else qs_coerce(original, tail)
+        e: Any = ImproperList(tuple(out), tail_stx)
+    else:
+        e = tuple(out)
+    return Syntax(e, original.scopes, original.srcloc, original.props)
 
-    add_prim("qs-coerce", qs_coerce, 2, 2)
-    add_prim("qs-splice", qs_splice, 1, 1)
-    add_prim("syntax-rebuild", syntax_rebuild, 2, 3)
 
-
-_register_prims()
+#: the kernel primitives that expanded templates call
+PRIMITIVE_SPECS = {
+    "qs-coerce": (qs_coerce, 2, 2),
+    "qs-splice": (qs_splice, 1, 1),
+    "syntax-rebuild": (syntax_rebuild, 2, 3),
+}
 
 _UNSYNTAX = "unsyntax"
 _UNSYNTAX_SPLICING = "unsyntax-splicing"

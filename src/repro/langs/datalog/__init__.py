@@ -23,53 +23,53 @@ from repro.errors import RuntimeReproError, SyntaxExpansionError
 from repro.langs.base import expand_with, fn_macro
 from repro.langs.datalog.engine import Database, Rule
 from repro.modules.registry import Language, ModuleRegistry
-from repro.runtime.values import Pair, Symbol, to_list
+from repro.runtime.ports import current_output_port
+from repro.runtime.primitives import primitive_table
+from repro.runtime.printing import write_value
+from repro.runtime.values import VOID, Symbol, to_list
 from repro.syn.syntax import Syntax
 
 __all__ = ["make_datalog_language", "Database", "Rule"]
 
 
-def _register_prims() -> None:
-    from repro.runtime.primitives import PRIMITIVES, add_prim
-    from repro.runtime.printing import write_value
-    from repro.runtime.ports import current_output_port
-    from repro.runtime.values import VOID
+def _atom_of(value: Any) -> tuple:
+    items = to_list(value)
+    if not items or not isinstance(items[0], Symbol):
+        raise RuntimeReproError("datalog: an atom is (predicate term ...)")
+    return (items[0].name, *items[1:])
 
-    if "make-datalog-db" in PRIMITIVES:
-        return
 
-    def atom_of(value: Any) -> tuple:
-        items = to_list(value)
-        if not items or not isinstance(items[0], Symbol):
-            raise RuntimeReproError("datalog: an atom is (predicate term ...)")
-        return (items[0].name, *items[1:])
+def _assert_fact(db: Database, fact: Any) -> Any:
+    db.assert_fact(_atom_of(fact))
+    return VOID
 
-    def make_db() -> Database:
-        return Database()
 
-    def assert_fact(db: Any, fact: Any) -> Any:
-        db.assert_fact(atom_of(fact))
-        return VOID
+def _assert_rule(db: Database, head: Any, body: Any) -> Any:
+    db.assert_rule(Rule(_atom_of(head), tuple(_atom_of(a) for a in to_list(body))))
+    return VOID
 
-    def assert_rule(db: Any, head: Any, body: Any) -> Any:
-        db.assert_rule(Rule(atom_of(head), tuple(atom_of(a) for a in to_list(body))))
-        return VOID
 
-    def run_query(db: Any, pattern: Any) -> Any:
-        port = current_output_port()
-        for atom in db.query_atoms(atom_of(pattern)):
-            rendered = ", ".join(write_value(t, display=True) for t in atom[1:])
-            port.write(f"{atom[0]}({rendered}).\n")
-        return VOID
+def _run_query(db: Database, pattern: Any) -> Any:
+    port = current_output_port()
+    for atom in db.query_atoms(_atom_of(pattern)):
+        rendered = ", ".join(write_value(t, display=True) for t in atom[1:])
+        port.write(f"{atom[0]}({rendered}).\n")
+    return VOID
 
-    add_prim("make-datalog-db", make_db, 0, 0)
-    add_prim("datalog-assert!", assert_fact, 2, 2)
-    add_prim("datalog-rule!", assert_rule, 3, 3)
-    add_prim("datalog-query", run_query, 2, 2)
+
+#: the module path of the engine's primitives
+DATALOG_PATH = "#%datalog"
+
+#: the engine primitives that compiled datalog modules call
+DATALOG_PRIMITIVES = primitive_table({
+    "make-datalog-db": (Database, 0, 0),
+    "datalog-assert!": (_assert_fact, 2, 2),
+    "datalog-rule!": (_assert_rule, 3, 3),
+    "datalog-query": (_run_query, 2, 2),
+})
 
 
 def make_datalog_language(registry: ModuleRegistry) -> Language:
-    _register_prims()
     racket = registry.language("racket")
     lang = Language("datalog")
     # the base environment is deliberately tiny: datalog modules contain
@@ -79,14 +79,10 @@ def make_datalog_language(registry: ModuleRegistry) -> Language:
         if name in racket.exports:
             lang.export(name, racket.exports[name].binding,
                         racket.exports[name].transformer)
-    # the engine primitives registered above (they postdate the registry's
-    # kernel snapshot, so bind them directly)
-    from repro.modules.registry import KERNEL_PATH
-    from repro.syn.binding import ModuleBinding
-
-    for name in ("make-datalog-db", "datalog-assert!", "datalog-rule!",
-                 "datalog-query"):
-        lang.export(name, ModuleBinding(KERNEL_PATH, Symbol(name)))
+    for name, binding in registry.register_primitives(
+        DATALOG_PATH, DATALOG_PRIMITIVES
+    ).items():
+        lang.export(name, binding)
     lang.export("list", registry.kernel_exports["list"].binding)
 
     @fn_macro(lang, "#%module-begin")

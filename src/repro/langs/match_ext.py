@@ -42,11 +42,11 @@ from repro.errors import SyntaxExpansionError
 from repro.expander.env import TransformerMeaning, peek_context
 from repro.langs.base import expand_with, fn_macro, rule_macro
 from repro.langs.racket.match import _MatchCompiler
-from repro.modules.registry import KERNEL_PATH, Language, ModuleRegistry
+from repro.modules.registry import Language, ModuleRegistry
 from repro.observe import current_recorder
-from repro.runtime.primitives import add_prim
+from repro.runtime.primitives import primitive_table
 from repro.runtime.values import Symbol
-from repro.syn.binding import ModuleBinding, resolve
+from repro.syn.binding import resolve
 from repro.syn.syntax import Syntax, best_srcloc
 
 #: bound recursion for expander-rewrites-to-expander chains
@@ -90,8 +90,13 @@ def _make_match_expander(form: Any) -> MatchExpander:
     return MatchExpander(make_syntax_rules_transformer(form))
 
 
-def _install_primitives() -> None:
-    add_prim("make-match-expander", _make_match_expander, 1, 1)
+#: the module path of match-ext's runtime support
+MATCH_EXT_PATH = "#%match-ext"
+
+#: the primitive that ``define-match-expander``'s right-hand side calls
+MATCH_EXT_PRIMITIVES = primitive_table(
+    {"make-match-expander": (_make_match_expander, 1, 1)}
+)
 
 
 class MatchExtDialect(Dialect):
@@ -357,11 +362,10 @@ def make_match_ext_language(registry: ModuleRegistry) -> Language:
     racket = registry.language("racket")
     lang = Language("racket/match-ext", dialects=("match-ext",))
     lang.inherit(racket, exclude=("match",))
-    _install_primitives()
-    lang.export(
-        "make-match-expander",
-        ModuleBinding(KERNEL_PATH, Symbol("make-match-expander")),
-    )
+    for name, binding in registry.register_primitives(
+        MATCH_EXT_PATH, MATCH_EXT_PRIMITIVES
+    ).items():
+        lang.export(name, binding)
 
     @fn_macro(lang, "match")
     def match(stx: Syntax, lang: Language) -> Syntax:

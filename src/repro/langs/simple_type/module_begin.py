@@ -19,7 +19,6 @@ from typing import Any, Optional
 from repro.core.parse import core_form_of
 from repro.errors import SyntaxExpansionError
 from repro.expander.env import ExpandContext, current_context
-from repro.expander.expander import Expander, current_expander
 from repro.langs.base import expand_with, fn_macro
 from repro.langs.simple_type.base_env import install_base_type_env
 from repro.langs.simple_type.checker import SimpleChecker
@@ -47,7 +46,6 @@ def install_module_begin(
     @fn_macro(lang, "#%module-begin")
     def module_begin(stx: Syntax, lang: Language) -> Syntax:
         ctx = current_context()
-        expander = current_expander()
 
         # §6.2: flag this compilation as typed, in the fresh store. Untyped
         # compilations never run this code, so they can never see #t.
@@ -58,7 +56,7 @@ def install_module_begin(
         pmb = expand_with(
             lang, "(#%plain-module-begin form ...)", form=list(stx.e[1:])
         )
-        core = expander.local_expand(pmb, "module-begin")
+        core = ctx.expander.local_expand(pmb, "module-begin")
 
         # fig. 2: typecheck each form in turn. The checker records every
         # failing form in the compilation's diagnostic session; stop here

@@ -106,12 +106,14 @@ if TYPE_CHECKING:
 #: second pickle, instead of every binding its compile added
 #: v5: a module-level definition binds the module's own key, never a
 #: kernel key, and pyc units no longer emulate kernel-name shadowing
-FORMAT_VERSION = 5
+#: v6: a library language's primitives live under its own module path
+#: (``#%datalog``, ``#%match-ext``), not under ``#%kernel``
+FORMAT_VERSION = 6
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x05"
+MAGIC = b"REPROZO\x06"
 
 _DIGEST_LEN = 32
 

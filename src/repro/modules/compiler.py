@@ -47,7 +47,7 @@ def compile_module(
     push_context(ctx)
     with rec.span("compile", path):
         try:
-            expander = Expander(ctx)
+            ctx.expander = expander = Expander(ctx)
             scopes = frozenset({ctx.module_scope})
 
             # The language's exports form the module's base environment (§2.3),
@@ -146,4 +146,6 @@ def compile_module(
                 syntax_decls=list(ctx.syntax_decls),
             )
         finally:
+            # the expander refers back to ctx: drop the cycle with the compile
+            ctx.expander = None
             pop_context()

@@ -16,15 +16,17 @@ that populates the type environment every time the module is required").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.diagnostics.session import DiagnosticSession
 from repro.errors import ModuleError, ReproError
 from repro.reader import lang_line
-from repro.runtime.primitives import PRIMITIVES
-from repro.runtime.values import Symbol
-from repro.syn.binding import Binding, CoreFormBinding, ModuleBinding, bind
 from repro.expander.core_forms import CORE_FORMS
+from repro.expander.quasisyntax import expand_quasisyntax
+from repro.runtime.primitives import PRIMITIVES
+from repro.runtime.values import Primitive, Symbol
+from repro.syn.binding import Binding, CoreFormBinding, ModuleBinding, bind
 
 if TYPE_CHECKING:
     from repro.core.ast import CoreModuleBody
@@ -224,40 +226,24 @@ class Language:
         return f"#<language {self.name}>"
 
 
-#: process-wide kernel export snapshot. Computed exactly once: several
-#: language installers register extra primitives lazily (promises, structs,
-#: typed prims, datalog), so a registry built *after* another Runtime saw a
-#: larger PRIMITIVES table than the process's first registry did — which
-#: made compiled artifacts differ byte-for-byte between the first and later
-#: Runtimes (and between a parallel compile worker's fresh process and a
-#: warm parent). One shared snapshot makes every registry — any Runtime,
-#: any process — agree on the kernel environment.
-_KERNEL_EXPORTS: Optional[dict[str, Export]] = None
-
-
-def _kernel_exports() -> dict[str, Export]:
-    global _KERNEL_EXPORTS
-    if _KERNEL_EXPORTS is not None:
-        return _KERNEL_EXPORTS
-    exports: dict[str, Export] = {}
-    for name, binding in CORE_FORMS.items():
-        exports[name] = Export(name, binding)
-    for name in PRIMITIVES:
-        exports[name] = Export(name, ModuleBinding(KERNEL_PATH, Symbol(name)))
+def _kernel_export_table() -> Mapping[str, Export]:
+    exports = {name: Export(name, binding) for name, binding in CORE_FORMS.items()}
     # `syntax-rules` is recognized specially by define-syntaxes
-    exports["syntax-rules"] = Export(
-        "syntax-rules", ModuleBinding(KERNEL_PATH, Symbol("syntax-rules"))
-    )
+    for name in (*PRIMITIVES, "syntax-rules"):
+        exports[name] = Export(name, ModuleBinding(KERNEL_PATH, Symbol(name)))
     # `quasisyntax` (#`) is a kernel macro, for procedural object macros
-    from repro.expander.quasisyntax import expand_quasisyntax
-
     exports["quasisyntax"] = Export(
         "quasisyntax",
         ModuleBinding(KERNEL_PATH, Symbol("quasisyntax")),
         transformer=expand_quasisyntax,
     )
-    _KERNEL_EXPORTS = exports
-    return exports
+    return MappingProxyType(exports)
+
+
+#: everything ``#%kernel`` binds: the core forms, the primitives,
+#: ``syntax-rules`` and ``quasisyntax``. The kernel scope
+#: (:mod:`repro.expander.kernel_scope`) binds exactly these names.
+KERNEL_EXPORTS: Mapping[str, Export] = _kernel_export_table()
 
 
 class ModuleRegistry:
@@ -287,13 +273,27 @@ class ModuleRegistry:
         #: full content keys (source + transitive dependency keys), set once
         #: a module has been compiled or cache-loaded
         self._full_keys: dict[str, str] = {}
-        self.kernel_exports: dict[str, Export] = _kernel_exports()
+        self.kernel_exports: Mapping[str, Export] = KERNEL_EXPORTS
+        #: primitive modules by path: the kernel's and those that library
+        #: languages bring (:meth:`register_primitives`); every namespace
+        #: this registry makes has their cells
+        self.primitive_modules: dict[str, Mapping[str, Primitive]] = {
+            KERNEL_PATH: PRIMITIVES
+        }
 
     # -- registration ------------------------------------------------------
 
     def register_language(self, lang: Language) -> Language:
         self.languages[lang.name] = lang
         return lang
+
+    def register_primitives(
+        self, path: str, table: Mapping[str, Primitive]
+    ) -> dict[str, ModuleBinding]:
+        """Install ``table`` as the primitive module ``path`` and return
+        the binding of each of its names, for a language to export."""
+        self.primitive_modules[path] = table
+        return {name: ModuleBinding(path, Symbol(name)) for name in table}
 
     def register_dialect(self, dialect: Any) -> Any:
         self.dialects[dialect.name] = dialect
@@ -646,9 +646,10 @@ class ModuleRegistry:
     # -- namespaces ---------------------------------------------------------
 
     def _prefill(self, ns: "Namespace") -> "Namespace":
-        for name, prim in PRIMITIVES.items():
-            ns.cells[("module", KERNEL_PATH, name, 0)] = [prim]
-        ns.instantiated[KERNEL_PATH] = True
+        for path, table in self.primitive_modules.items():
+            for name, prim in table.items():
+                ns.cells[("module", path, name, 0)] = [prim]
+            ns.instantiated[path] = True
         return ns
 
     def make_runtime_namespace(self) -> "Namespace":

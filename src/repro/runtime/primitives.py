@@ -1,6 +1,9 @@
 """The kernel primitive library.
 
-Builds the table of runtime primitives installed in the ``#%kernel`` module.
+Builds, once at import, the read-only table of the runtime primitives that
+``#%kernel`` binds, from this module's spec tables and those of the modules
+behind promises, structs, the typed languages and ``quasisyntax``.
+
 Safe accessors perform tag checks, counted in ``tag_checks`` on the Stats of
 the operation in progress (:func:`~repro.runtime.stats.current_stats`); the
 ``unsafe-*`` family skips them (§7.1: "Racket exposes unsafe type-specialized
@@ -13,32 +16,50 @@ import math
 import random as _py_random
 import time
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import RuntimeReproError, WrongTypeError
+from repro.expander import quasisyntax
 from repro.runtime import numerics as num
+from repro.runtime import promises, structs, typed_prims
 from repro.runtime import values as v
 from repro.runtime.equality import eq, equal, eqv
 from repro.runtime.ports import current_output_port
 from repro.runtime.printing import display_value, write_value
 from repro.runtime.stats import current_stats
 
-PRIMITIVES: dict[str, v.Primitive] = {}
+#: one primitive's ``(fn, arity_min[, arity_max])``: the arguments of
+#: :class:`~repro.runtime.values.Primitive` after the name
+PrimSpec = tuple[Any, ...]
+
+
+def primitive_table(
+    *tables: Mapping[str, PrimSpec], allocating: frozenset[str] = frozenset()
+) -> Mapping[str, v.Primitive]:
+    """The read-only table of the primitives ``tables`` specify (a name in
+    only one of them); names in ``allocating`` are marked ``allocates``."""
+    prims: dict[str, v.Primitive] = {}
+    for table in tables:
+        for name, spec in table.items():
+            if name in prims:
+                raise ValueError(f"primitive {name} specified twice")
+            prims[name] = v.Primitive(name, *spec, allocates=name in allocating)
+    return MappingProxyType(prims)
+
+
+#: the primitives :func:`define_prim` declares below, in definition order
+_DEFINED: dict[str, PrimSpec] = {}
 
 
 def define_prim(
     name: str, arity_min: int = 0, arity_max: Optional[int] = None
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    def register(fn: Callable[..., Any]) -> Callable[..., Any]:
-        PRIMITIVES[name] = v.Primitive(name, fn, arity_min, arity_max)
+    def declare(fn: Callable[..., Any]) -> Callable[..., Any]:
+        _DEFINED[name] = (fn, arity_min, arity_max)
         return fn
 
-    return register
-
-
-def add_prim(name: str, fn: Callable[..., Any], arity_min: int = 0,
-             arity_max: Optional[int] = None) -> None:
-    PRIMITIVES[name] = v.Primitive(name, fn, arity_min, arity_max)
+    return declare
 
 
 # --- numeric operations -------------------------------------------------------
@@ -97,58 +118,6 @@ def _chain(op: Callable[[Any, Any], bool]) -> Callable[..., bool]:
     return compare
 
 
-add_prim("<", _chain(num.generic_lt), 2)
-add_prim("<=", _chain(num.generic_le), 2)
-add_prim(">", _chain(num.generic_gt), 2)
-add_prim(">=", _chain(num.generic_ge), 2)
-add_prim("=", _chain(num.generic_num_eq), 2)
-
-#: the two-operand entry of each variadic arithmetic primitive: what its
-#: ``fn`` computes for exactly two arguments, without the ``*args`` tuple,
-#: the arity branch or ``_chain``'s ``zip``. Keyed by the kernel's own
-#: :class:`Primitive` object, so only a call site whose operator is that
-#: primitive (not some other procedure of the same name) may bind one.
-BINARY_ENTRIES: dict[v.Primitive, Callable[[Any, Any], Any]] = {
-    PRIMITIVES[name]: fn
-    for name, fn in (
-        ("+", num.generic_add), ("-", num.generic_sub),
-        ("*", num.generic_mul), ("/", num.generic_div),
-        ("<", num.generic_lt), ("<=", num.generic_le),
-        (">", num.generic_gt), (">=", num.generic_ge),
-        ("=", num.generic_num_eq),
-    )
-}
-
-add_prim("quotient", num.generic_quotient, 2, 2)
-add_prim("remainder", num.generic_remainder, 2, 2)
-add_prim("modulo", num.generic_modulo, 2, 2)
-add_prim("abs", num.generic_abs, 1, 1)
-add_prim("sqrt", num.generic_sqrt, 1, 1)
-add_prim("expt", num.generic_expt, 2, 2)
-add_prim("exp", num.generic_exp, 1, 1)
-add_prim("log", num.generic_log, 1, 1)
-add_prim("sin", num.generic_sin, 1, 1)
-add_prim("cos", num.generic_cos, 1, 1)
-add_prim("tan", num.generic_tan, 1, 1)
-add_prim("asin", num.generic_asin, 1, 1)
-add_prim("acos", num.generic_acos, 1, 1)
-add_prim("atan", num.generic_atan, 1, 2)
-add_prim("floor", num.generic_floor, 1, 1)
-add_prim("ceiling", num.generic_ceiling, 1, 1)
-add_prim("truncate", num.generic_truncate, 1, 1)
-add_prim("round", num.generic_round, 1, 1)
-add_prim("magnitude", num.generic_magnitude, 1, 1)
-add_prim("real-part", num.generic_real_part, 1, 1)
-add_prim("imag-part", num.generic_imag_part, 1, 1)
-add_prim("make-rectangular", num.generic_make_rectangular, 2, 2)
-add_prim("exact->inexact", num.generic_exact_to_inexact, 1, 1)
-add_prim("inexact->exact", num.generic_inexact_to_exact, 1, 1)
-add_prim("exact", num.generic_inexact_to_exact, 1, 1)
-add_prim("gcd", num.generic_gcd, 2, 2)
-add_prim("numerator", num.generic_numerator, 1, 1)
-add_prim("denominator", num.generic_denominator, 1, 1)
-
-
 @define_prim("min", 1)
 def prim_min(*args: Any) -> Any:
     return _fold(num.generic_min, args[0], args[1:])
@@ -157,13 +126,6 @@ def prim_min(*args: Any) -> Any:
 @define_prim("max", 1)
 def prim_max(*args: Any) -> Any:
     return _fold(num.generic_max, args[0], args[1:])
-
-
-add_prim("add1", lambda x: num.generic_add(x, 1), 1, 1)
-add_prim("sub1", lambda x: num.generic_sub(x, 1), 1, 1)
-add_prim("zero?", lambda x: num.generic_num_eq(x, 0), 1, 1)
-add_prim("positive?", lambda x: num.generic_gt(x, 0), 1, 1)
-add_prim("negative?", lambda x: num.generic_lt(x, 0), 1, 1)
 
 
 @define_prim("even?", 1, 1)
@@ -180,23 +142,6 @@ def prim_odd(x: Any) -> bool:
     if not num.is_exact_integer(x):
         raise WrongTypeError("odd?", "integer?", x)
     return x % 2 == 1
-
-
-# numeric predicates
-add_prim("number?", num.is_number, 1, 1)
-add_prim("real?", num.is_real, 1, 1)
-add_prim("rational?", lambda x: num.is_real(x) and (not isinstance(x, float) or math.isfinite(x)), 1, 1)
-add_prim("integer?", lambda x: num.is_exact_integer(x) or (isinstance(x, float) and x.is_integer()), 1, 1)
-add_prim("exact-integer?", num.is_exact_integer, 1, 1)
-add_prim("exact-nonnegative-integer?", lambda x: num.is_exact_integer(x) and x >= 0, 1, 1)
-add_prim("exact-rational?", num.is_exact_rational, 1, 1)
-add_prim("flonum?", num.is_flonum, 1, 1)
-add_prim("complex?", num.is_number, 1, 1)
-add_prim("float-complex?", num.is_float_complex, 1, 1)
-add_prim("exact?", lambda x: num.is_exact_rational(x), 1, 1)
-add_prim("inexact?", lambda x: isinstance(x, (float, complex)), 1, 1)
-add_prim("nan?", lambda x: isinstance(x, float) and math.isnan(x), 1, 1)
-add_prim("infinite?", lambda x: isinstance(x, float) and math.isinf(x), 1, 1)
 
 
 @define_prim("number->string", 1, 1)
@@ -220,9 +165,92 @@ def prim_string_to_number(s: Any) -> Any:
     return False
 
 
+_NUMERIC: dict[str, PrimSpec] = {
+    "<": (_chain(num.generic_lt), 2),
+    "<=": (_chain(num.generic_le), 2),
+    ">": (_chain(num.generic_gt), 2),
+    ">=": (_chain(num.generic_ge), 2),
+    "=": (_chain(num.generic_num_eq), 2),
+    "quotient": (num.generic_quotient, 2, 2),
+    "remainder": (num.generic_remainder, 2, 2),
+    "modulo": (num.generic_modulo, 2, 2),
+    "abs": (num.generic_abs, 1, 1),
+    "sqrt": (num.generic_sqrt, 1, 1),
+    "expt": (num.generic_expt, 2, 2),
+    "exp": (num.generic_exp, 1, 1),
+    "log": (num.generic_log, 1, 1),
+    "sin": (num.generic_sin, 1, 1),
+    "cos": (num.generic_cos, 1, 1),
+    "tan": (num.generic_tan, 1, 1),
+    "asin": (num.generic_asin, 1, 1),
+    "acos": (num.generic_acos, 1, 1),
+    "atan": (num.generic_atan, 1, 2),
+    "floor": (num.generic_floor, 1, 1),
+    "ceiling": (num.generic_ceiling, 1, 1),
+    "truncate": (num.generic_truncate, 1, 1),
+    "round": (num.generic_round, 1, 1),
+    "magnitude": (num.generic_magnitude, 1, 1),
+    "real-part": (num.generic_real_part, 1, 1),
+    "imag-part": (num.generic_imag_part, 1, 1),
+    "make-rectangular": (num.generic_make_rectangular, 2, 2),
+    "exact->inexact": (num.generic_exact_to_inexact, 1, 1),
+    "inexact->exact": (num.generic_inexact_to_exact, 1, 1),
+    "exact": (num.generic_inexact_to_exact, 1, 1),
+    "gcd": (num.generic_gcd, 2, 2),
+    "numerator": (num.generic_numerator, 1, 1),
+    "denominator": (num.generic_denominator, 1, 1),
+    "add1": (lambda x: num.generic_add(x, 1), 1, 1),
+    "sub1": (lambda x: num.generic_sub(x, 1), 1, 1),
+    "zero?": (lambda x: num.generic_num_eq(x, 0), 1, 1),
+    "positive?": (lambda x: num.generic_gt(x, 0), 1, 1),
+    "negative?": (lambda x: num.generic_lt(x, 0), 1, 1),
+    "number?": (num.is_number, 1, 1),
+    "real?": (num.is_real, 1, 1),
+    "rational?": (lambda x: num.is_real(x) and (not isinstance(x, float) or math.isfinite(x)), 1, 1),
+    "integer?": (lambda x: num.is_exact_integer(x) or (isinstance(x, float) and x.is_integer()), 1, 1),
+    "exact-integer?": (num.is_exact_integer, 1, 1),
+    "exact-nonnegative-integer?": (lambda x: num.is_exact_integer(x) and x >= 0, 1, 1),
+    "exact-rational?": (num.is_exact_rational, 1, 1),
+    "flonum?": (num.is_flonum, 1, 1),
+    "complex?": (num.is_number, 1, 1),
+    "float-complex?": (num.is_float_complex, 1, 1),
+    "exact?": (lambda x: num.is_exact_rational(x), 1, 1),
+    "inexact?": (lambda x: isinstance(x, (float, complex)), 1, 1),
+    "nan?": (lambda x: isinstance(x, float) and math.isnan(x), 1, 1),
+    "infinite?": (lambda x: isinstance(x, float) and math.isinf(x), 1, 1),
+}
+
+
 # --- unsafe primitives ---------------------------------------------------------
 
-_UNSAFE = {
+
+def _unsafe_car(p: v.Pair) -> Any:
+    current_stats().unsafe_ops += 1
+    return p.car
+
+
+def _unsafe_cdr(p: v.Pair) -> Any:
+    current_stats().unsafe_ops += 1
+    return p.cdr
+
+
+def _unsafe_vector_ref(vec: v.MVector, i: int) -> Any:
+    current_stats().unsafe_ops += 1
+    return vec.items[i]
+
+
+def _unsafe_vector_set(vec: v.MVector, i: int, value: Any) -> Any:
+    current_stats().unsafe_ops += 1
+    vec.items[i] = value
+    return v.VOID
+
+
+def _unsafe_vector_length(vec: v.MVector) -> int:
+    current_stats().unsafe_ops += 1
+    return len(vec.items)
+
+
+_UNSAFE: dict[str, PrimSpec] = {
     "unsafe-fl+": (num.unsafe_fl_add, 2, 2),
     "unsafe-fl-": (num.unsafe_fl_sub, 2, 2),
     "unsafe-fl*": (num.unsafe_fl_mul, 2, 2),
@@ -257,56 +285,26 @@ _UNSAFE = {
     "unsafe-fcmagnitude": (num.unsafe_fc_magnitude, 1, 1),
     "unsafe-fcreal-part": (num.unsafe_fc_real, 1, 1),
     "unsafe-fcimag-part": (num.unsafe_fc_imag, 1, 1),
+    "unsafe-car": (_unsafe_car, 1, 1),
+    "unsafe-cdr": (_unsafe_cdr, 1, 1),
+    "unsafe-vector-ref": (_unsafe_vector_ref, 2, 2),
+    "unsafe-vector-set!": (_unsafe_vector_set, 3, 3),
+    "unsafe-vector-length": (_unsafe_vector_length, 1, 1),
 }
-for _name, (_fn, _lo, _hi) in _UNSAFE.items():
-    add_prim(_name, _fn, _lo, _hi)
-
-
-def _unsafe_car(p: v.Pair) -> Any:
-    current_stats().unsafe_ops += 1
-    return p.car
-
-
-def _unsafe_cdr(p: v.Pair) -> Any:
-    current_stats().unsafe_ops += 1
-    return p.cdr
-
-
-def _unsafe_vector_ref(vec: v.MVector, i: int) -> Any:
-    current_stats().unsafe_ops += 1
-    return vec.items[i]
-
-
-def _unsafe_vector_set(vec: v.MVector, i: int, value: Any) -> Any:
-    current_stats().unsafe_ops += 1
-    vec.items[i] = value
-    return v.VOID
-
-
-def _unsafe_vector_length(vec: v.MVector) -> int:
-    current_stats().unsafe_ops += 1
-    return len(vec.items)
-
-
-add_prim("unsafe-car", _unsafe_car, 1, 1)
-add_prim("unsafe-cdr", _unsafe_cdr, 1, 1)
-add_prim("unsafe-vector-ref", _unsafe_vector_ref, 2, 2)
-add_prim("unsafe-vector-set!", _unsafe_vector_set, 3, 3)
-add_prim("unsafe-vector-length", _unsafe_vector_length, 1, 1)
 
 
 # --- booleans and equality -----------------------------------------------------
 
-add_prim("not", lambda x: x is False, 1, 1)
-add_prim("boolean?", lambda x: isinstance(x, bool), 1, 1)
-add_prim("eq?", eq, 2, 2)
-add_prim("eqv?", eqv, 2, 2)
-add_prim("equal?", equal, 2, 2)
+_EQUALITY: dict[str, PrimSpec] = {
+    "not": (lambda x: x is False, 1, 1),
+    "boolean?": (lambda x: isinstance(x, bool), 1, 1),
+    "eq?": (eq, 2, 2),
+    "eqv?": (eqv, 2, 2),
+    "equal?": (equal, 2, 2),
+}
 
 
 # --- pairs and lists -----------------------------------------------------------
-
-add_prim("cons", v.Pair, 2, 2)
 
 
 @define_prim("car", 1, 1)
@@ -352,15 +350,6 @@ def _cxr(path: str) -> Callable[[Any], Any]:
         return p
 
     return access
-
-
-for _path in ("aa", "ad", "da", "dd", "aaa", "aad", "ada", "add", "daa", "dad", "dda", "ddd"):
-    add_prim(f"c{_path}r", _cxr(_path), 1, 1)
-
-add_prim("pair?", lambda x: type(x) is v.Pair, 1, 1)
-add_prim("null?", lambda x: x is v.NULL, 1, 1)
-add_prim("list?", v.is_list, 1, 1)
-add_prim("list", lambda *args: v.from_list(args), 0)
 
 
 @define_prim("list*", 1)
@@ -436,11 +425,6 @@ def _member_by(pred: Callable[[Any, Any], bool], who: str) -> Callable[[Any, Any
     return member
 
 
-add_prim("member", _member_by(equal, "member"), 2, 2)
-add_prim("memq", _member_by(eq, "memq"), 2, 2)
-add_prim("memv", _member_by(eqv, "memv"), 2, 2)
-
-
 def _assoc_by(pred: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
     def assoc(x: Any, lst: Any) -> Any:
         node = lst
@@ -454,25 +438,11 @@ def _assoc_by(pred: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
     return assoc
 
 
-add_prim("assoc", _assoc_by(equal), 2, 2)
-add_prim("assq", _assoc_by(eq), 2, 2)
-add_prim("assv", _assoc_by(eqv), 2, 2)
+def _nth(i: int) -> Callable[[Any], Any]:
+    def access(lst: Any) -> Any:
+        return prim_list_ref(lst, i)
 
-
-# first..tenth / rest / last
-add_prim("first", prim_car, 1, 1)
-add_prim("rest", prim_cdr, 1, 1)
-for _i, _name in enumerate(
-    ("second", "third", "fourth", "fifth", "sixth", "seventh", "eighth", "ninth", "tenth"),
-    start=1,
-):
-    def _nth(i: int) -> Callable[[Any], Any]:
-        def access(lst: Any) -> Any:
-            return prim_list_ref(lst, i)
-
-        return access
-
-    add_prim(_name, _nth(_i), 1, 1)
+    return access
 
 
 @define_prim("last", 1, 1)
@@ -593,29 +563,58 @@ def prim_range(a: Any, b: Any = None, step: Any = 1) -> Any:
     return v.from_list(out)
 
 
+_LISTS: dict[str, PrimSpec] = {
+    "cons": (v.Pair, 2, 2),
+    "pair?": (lambda x: type(x) is v.Pair, 1, 1),
+    "null?": (lambda x: x is v.NULL, 1, 1),
+    "list?": (v.is_list, 1, 1),
+    "list": (lambda *args: v.from_list(args), 0),
+    **{
+        f"c{path}r": (_cxr(path), 1, 1)
+        for path in ("aa", "ad", "da", "dd", "aaa", "aad", "ada", "add",
+                     "daa", "dad", "dda", "ddd")
+    },
+    "member": (_member_by(equal, "member"), 2, 2),
+    "memq": (_member_by(eq, "memq"), 2, 2),
+    "memv": (_member_by(eqv, "memv"), 2, 2),
+    "assoc": (_assoc_by(equal), 2, 2),
+    "assq": (_assoc_by(eq), 2, 2),
+    "assv": (_assoc_by(eqv), 2, 2),
+    "first": (prim_car, 1, 1),
+    "rest": (prim_cdr, 1, 1),
+    **{
+        name: (_nth(i), 1, 1)
+        for i, name in enumerate(
+            ("second", "third", "fourth", "fifth", "sixth", "seventh",
+             "eighth", "ninth", "tenth"),
+            start=1,
+        )
+    },
+}
+
+
 # --- symbols, keywords, chars ---------------------------------------------------
 
-add_prim("symbol?", lambda x: isinstance(x, v.Symbol), 1, 1)
-add_prim("keyword?", lambda x: isinstance(x, v.Keyword), 1, 1)
-add_prim("symbol->string", lambda s: s.name, 1, 1)
-add_prim("string->symbol", lambda s: v.Symbol(s), 1, 1)
-add_prim("gensym", lambda base=None: v.gensym(base.name if isinstance(base, v.Symbol) else (base or "g")), 0, 1)
-add_prim("char?", lambda x: isinstance(x, v.Char), 1, 1)
-add_prim("char->integer", lambda c: ord(c.value), 1, 1)
-add_prim("integer->char", lambda i: v.Char(chr(i)), 1, 1)
-add_prim("char=?", lambda a, b: a.value == b.value, 2, 2)
-add_prim("char<?", lambda a, b: a.value < b.value, 2, 2)
-add_prim("char-alphabetic?", lambda c: c.value.isalpha(), 1, 1)
-add_prim("char-numeric?", lambda c: c.value.isdigit(), 1, 1)
-add_prim("char-whitespace?", lambda c: c.value.isspace(), 1, 1)
-add_prim("char-upcase", lambda c: v.Char(c.value.upper()), 1, 1)
-add_prim("char-downcase", lambda c: v.Char(c.value.lower()), 1, 1)
+_SYMBOLS_AND_CHARS: dict[str, PrimSpec] = {
+    "symbol?": (lambda x: isinstance(x, v.Symbol), 1, 1),
+    "keyword?": (lambda x: isinstance(x, v.Keyword), 1, 1),
+    "symbol->string": (lambda s: s.name, 1, 1),
+    "string->symbol": (lambda s: v.Symbol(s), 1, 1),
+    "gensym": (lambda base=None: v.gensym(base.name if isinstance(base, v.Symbol) else (base or "g")), 0, 1),
+    "char?": (lambda x: isinstance(x, v.Char), 1, 1),
+    "char->integer": (lambda c: ord(c.value), 1, 1),
+    "integer->char": (lambda i: v.Char(chr(i)), 1, 1),
+    "char=?": (lambda a, b: a.value == b.value, 2, 2),
+    "char<?": (lambda a, b: a.value < b.value, 2, 2),
+    "char-alphabetic?": (lambda c: c.value.isalpha(), 1, 1),
+    "char-numeric?": (lambda c: c.value.isdigit(), 1, 1),
+    "char-whitespace?": (lambda c: c.value.isspace(), 1, 1),
+    "char-upcase": (lambda c: v.Char(c.value.upper()), 1, 1),
+    "char-downcase": (lambda c: v.Char(c.value.lower()), 1, 1),
+}
 
 
 # --- strings ---------------------------------------------------------------------
-
-add_prim("string?", lambda x: isinstance(x, str), 1, 1)
-add_prim("string-length", len, 1, 1)
 
 
 @define_prim("string-append", 0)
@@ -640,26 +639,27 @@ def prim_string_ref(s: Any, i: Any) -> v.Char:
     return v.Char(s[i])
 
 
-add_prim("string=?", lambda a, b: a == b, 2, 2)
-add_prim("string<?", lambda a, b: a < b, 2, 2)
-add_prim("string>?", lambda a, b: a > b, 2, 2)
-add_prim("string-upcase", str.upper, 1, 1)
-add_prim("string-downcase", str.lower, 1, 1)
-add_prim("string->list", lambda s: v.from_list([v.Char(c) for c in s]), 1, 1)
-add_prim("list->string", lambda lst: "".join(c.value for c in v.to_list(lst)), 1, 1)
-add_prim("string-contains?", lambda s, sub: sub in s, 2, 2)
-add_prim("string-join", lambda lst, sep=" ": sep.join(v.to_list(lst)), 1, 2)
-add_prim("string-split", lambda s, sep=None: v.from_list(s.split(sep)), 1, 2)
-add_prim("string", lambda *chars: "".join(c.value for c in chars), 0)
-add_prim("make-string", lambda n, c=None: (c.value if c else " ") * n, 1, 2)
-add_prim("string->bytes", lambda s: s, 1, 1)  # bytes are strings in this runtime
-add_prim("bytes?", lambda x: isinstance(x, str), 1, 1)
+_STRINGS: dict[str, PrimSpec] = {
+    "string?": (lambda x: isinstance(x, str), 1, 1),
+    "string-length": (len, 1, 1),
+    "string=?": (lambda a, b: a == b, 2, 2),
+    "string<?": (lambda a, b: a < b, 2, 2),
+    "string>?": (lambda a, b: a > b, 2, 2),
+    "string-upcase": (str.upper, 1, 1),
+    "string-downcase": (str.lower, 1, 1),
+    "string->list": (lambda s: v.from_list([v.Char(c) for c in s]), 1, 1),
+    "list->string": (lambda lst: "".join(c.value for c in v.to_list(lst)), 1, 1),
+    "string-contains?": (lambda s, sub: sub in s, 2, 2),
+    "string-join": (lambda lst, sep=" ": sep.join(v.to_list(lst)), 1, 2),
+    "string-split": (lambda s, sep=None: v.from_list(s.split(sep)), 1, 2),
+    "string": (lambda *chars: "".join(c.value for c in chars), 0),
+    "make-string": (lambda n, c=None: (c.value if c else " ") * n, 1, 2),
+    "string->bytes": (lambda s: s, 1, 1),  # bytes are strings in this runtime
+    "bytes?": (lambda x: isinstance(x, str), 1, 1),
+}
 
 
 # --- vectors ---------------------------------------------------------------------
-
-add_prim("vector?", lambda x: type(x) is v.MVector, 1, 1)
-add_prim("vector", lambda *args: v.MVector(args), 0)
 
 
 @define_prim("make-vector", 1, 2)
@@ -698,10 +698,6 @@ def prim_vector_length(vec: Any) -> int:
     return len(vec.items)
 
 
-add_prim("vector->list", lambda vec: v.from_list(vec.items), 1, 1)
-add_prim("list->vector", lambda lst: v.MVector(v.to_list(lst)), 1, 1)
-
-
 @define_prim("vector-fill!", 2, 2)
 def prim_vector_fill(vec: Any, value: Any) -> Any:
     for i in range(len(vec.items)):
@@ -709,15 +705,18 @@ def prim_vector_fill(vec: Any, value: Any) -> Any:
     return v.VOID
 
 
-add_prim("vector-copy", lambda vec: v.MVector(list(vec.items)), 1, 1)
-add_prim("vector-map", lambda fn, vec: v.MVector([_apply(fn, [x]) for x in vec.items]), 2, 2)
-add_prim("build-vector", lambda n, fn: v.MVector([_apply(fn, [i]) for i in range(n)]), 2, 2)
+_VECTORS: dict[str, PrimSpec] = {
+    "vector?": (lambda x: type(x) is v.MVector, 1, 1),
+    "vector": (lambda *args: v.MVector(args), 0),
+    "vector->list": (lambda vec: v.from_list(vec.items), 1, 1),
+    "list->vector": (lambda lst: v.MVector(v.to_list(lst)), 1, 1),
+    "vector-copy": (lambda vec: v.MVector(list(vec.items)), 1, 1),
+    "vector-map": (lambda fn, vec: v.MVector([_apply(fn, [x]) for x in vec.items]), 2, 2),
+    "build-vector": (lambda n, fn: v.MVector([_apply(fn, [i]) for i in range(n)]), 2, 2),
+}
 
 
 # --- boxes and hash tables --------------------------------------------------------
-
-add_prim("box", v.Box, 1, 1)
-add_prim("box?", lambda x: isinstance(x, v.Box), 1, 1)
 
 
 @define_prim("unbox", 1, 1)
@@ -733,10 +732,6 @@ def prim_set_box(b: Any, value: Any) -> Any:
         raise WrongTypeError("set-box!", "box?", b)
     b.value = value
     return v.VOID
-
-
-add_prim("make-hash", lambda: v.HashTable(), 0, 0)
-add_prim("hash?", lambda x: isinstance(x, v.HashTable), 1, 1)
 
 
 @define_prim("hash-set!", 3, 3)
@@ -759,10 +754,16 @@ def prim_hash_ref(h: Any, key: Any, default: Any = _NO_DEFAULT) -> Any:
     return default
 
 
-add_prim("hash-has-key?", lambda h, k: h.has(k), 2, 2)
-add_prim("hash-remove!", lambda h, k: (h.remove(k), v.VOID)[1], 2, 2)
-add_prim("hash-count", lambda h: h.count(), 1, 1)
-add_prim("hash-keys", lambda h: v.from_list(h.keys()), 1, 1)
+_BOXES_AND_HASHES: dict[str, PrimSpec] = {
+    "box": (v.Box, 1, 1),
+    "box?": (lambda x: isinstance(x, v.Box), 1, 1),
+    "make-hash": (lambda: v.HashTable(), 0, 0),
+    "hash?": (lambda x: isinstance(x, v.HashTable), 1, 1),
+    "hash-has-key?": (lambda h, k: h.has(k), 2, 2),
+    "hash-remove!": (lambda h, k: (h.remove(k), v.VOID)[1], 2, 2),
+    "hash-count": (lambda h: h.count(), 1, 1),
+    "hash-keys": (lambda h: v.from_list(h.keys()), 1, 1),
+}
 
 
 # --- control -----------------------------------------------------------------------
@@ -805,12 +806,14 @@ def prim_error(message: Any, *args: Any) -> Any:
     raise RuntimeReproError(text)
 
 
-add_prim("void", lambda *args: v.VOID, 0)
-add_prim("void?", lambda x: x is v.VOID, 1, 1)
-add_prim("procedure?", lambda x: isinstance(x, v.Procedure), 1, 1)
-add_prim("eof-object?", lambda x: x is v.EOF, 1, 1)
-add_prim("eof-object", lambda: v.EOF, 0, 0)
-add_prim("identity", lambda x: x, 1, 1)
+_CONTROL: dict[str, PrimSpec] = {
+    "void": (lambda *args: v.VOID, 0),
+    "void?": (lambda x: x is v.VOID, 1, 1),
+    "procedure?": (lambda x: isinstance(x, v.Procedure), 1, 1),
+    "eof-object?": (lambda x: x is v.EOF, 1, 1),
+    "eof-object": (lambda: v.EOF, 0, 0),
+    "identity": (lambda x: x, 1, 1),
+}
 
 
 # --- output ------------------------------------------------------------------------
@@ -886,9 +889,6 @@ def prim_printf(fmt: Any, *args: Any) -> Any:
 
 # --- time and randomness --------------------------------------------------------
 
-add_prim("current-seconds", lambda: int(time.time()), 0, 0)
-add_prim("current-inexact-milliseconds", lambda: time.time() * 1000.0, 0, 0)
-
 _RNG = _py_random.Random(20110604)  # deterministic: the paper's publication date
 
 
@@ -907,11 +907,16 @@ def prim_random_seed(seed: Any) -> Any:
     return v.VOID
 
 
-add_prim("sleep", lambda s=0: (time.sleep(min(float(s), 0.1)), v.VOID)[1], 0, 1)
+_TIME: dict[str, PrimSpec] = {
+    "current-seconds": (lambda: int(time.time()), 0, 0),
+    "current-inexact-milliseconds": (lambda: time.time() * 1000.0, 0, 0),
+    "sleep": (lambda s=0: (time.sleep(min(float(s), 0.1)), v.VOID)[1], 0, 1),
+}
 
 
 # --- syntax-object primitives (used by phase-1 / compile-time code) ---------------
 
+from repro.expander.env import current_expander  # noqa: E402
 from repro.syn.binding import bound_identifier_eq, free_identifier_eq  # noqa: E402
 from repro.syn.syntax import (  # noqa: E402
     ImproperList,
@@ -920,10 +925,6 @@ from repro.syn.syntax import (  # noqa: E402
     syntax_to_datum,
     syntax_to_list,
 )
-
-
-add_prim("syntax?", lambda x: isinstance(x, Syntax), 1, 1)
-add_prim("identifier?", lambda x: isinstance(x, Syntax) and x.is_identifier(), 1, 1)
 
 
 @define_prim("syntax-e", 1, 1)
@@ -983,10 +984,6 @@ def prim_datum_to_syntax(ctx: Any, datum: Any) -> Any:
     return datum_to_syntax(ctx if ctx is not False else None, value_to_datum(datum))
 
 
-add_prim("free-identifier=?", free_identifier_eq, 2, 2)
-add_prim("bound-identifier=?", bound_identifier_eq, 2, 2)
-
-
 @define_prim("syntax-property-put", 3, 3)
 def prim_syntax_property_put(stx: Any, key: Any, value: Any) -> Any:
     if not isinstance(stx, Syntax):
@@ -1011,6 +1008,24 @@ def prim_raise_syntax_error(who: Any, message: Any, stx: Any = None) -> Any:
     raise SyntaxExpansionError(f"{who_text}: {message}", stx)
 
 
+@define_prim("local-expand", 1, 3)
+def prim_local_expand(stx: Any, context: Any = None, stop_list: Any = None) -> Any:
+    """Expand ``stx`` with the expander of the compile in progress (§2.2)."""
+    ctx_name = context.name if isinstance(context, v.Symbol) else "expression"
+    stops: list[Syntax] = []
+    if stop_list is not None and stop_list is not False:
+        stops = v.to_list(stop_list)
+    return current_expander().local_expand(stx, ctx_name, stops)
+
+
+_SYNTAX: dict[str, PrimSpec] = {
+    "syntax?": (lambda x: isinstance(x, Syntax), 1, 1),
+    "identifier?": (lambda x: isinstance(x, Syntax) and x.is_identifier(), 1, 1),
+    "free-identifier=?": (free_identifier_eq, 2, 2),
+    "bound-identifier=?": (bound_identifier_eq, 2, 2),
+}
+
+
 # --- sequences (used by the `for` forms) -------------------------------------
 
 
@@ -1030,19 +1045,6 @@ def prim_sequence_to_list(seq: Any) -> Any:
     raise WrongTypeError("sequence->list", "sequence", seq)
 
 
-# typed-language support primitives (add-type!, typed-context?, contract, ...)
-import repro.runtime.typed_prims  # noqa: E402,F401  (registers via side effect)
-
-# promise support for the lazy language (make-promise, force, lazy-apply)
-import repro.runtime.promises  # noqa: E402,F401  (registers via side effect)
-
-# struct support (make-struct-type, struct?, struct-ref)
-import repro.runtime.structs  # noqa: E402,F401  (registers via side effect)
-
-# quasisyntax template primitives (qs-coerce, qs-splice, syntax-rebuild)
-import repro.expander.quasisyntax  # noqa: E402,F401  (registers via side effect)
-
-
 # --- error handling (with-handlers support) ----------------------------------
 
 
@@ -1051,9 +1053,6 @@ def prim_exn_message(e: Any) -> str:
     if not isinstance(e, RuntimeReproError):
         raise WrongTypeError("exn-message", "exn?", e)
     return e.message
-
-
-add_prim("exn?", lambda x: isinstance(x, RuntimeReproError), 1, 1)
 
 
 @define_prim("raise", 1, 1)
@@ -1078,7 +1077,12 @@ def prim_call_with_error_handlers(preds: Any, handlers: Any, thunk: Any) -> Any:
         raise
 
 
-# --- allocation marking (resource governance) ---------------------------------
+@define_prim("exn?", 1, 1)
+def prim_is_exn(x: Any) -> bool:
+    return isinstance(x, RuntimeReproError)
+
+
+# --- the kernel table ---------------------------------------------------------
 
 #: constructors whose call sites the resource governor (repro.guard) charges
 #: against an allocation budget; struct constructors are marked where they
@@ -1086,12 +1090,33 @@ def prim_call_with_error_handlers(preds: Any, handlers: Any, thunk: Any) -> Any:
 ALLOCATING_PRIMITIVES = frozenset({
     "cons", "list", "list*", "append", "reverse", "map", "build-list",
     "vector", "make-vector", "list->vector", "vector->list", "vector-copy",
-    "vector-map", "string-append", "make-string", "string-copy",
-    "list->string", "string->list", "substring", "box", "make-hash",
+    "vector-map", "string-append", "make-string", "list->string",
+    "string->list", "substring", "box", "make-hash",
 })
 
-for _name in ALLOCATING_PRIMITIVES:
-    _prim = PRIMITIVES.get(_name)
-    if _prim is not None:
-        _prim.allocates = True
-del _name, _prim
+#: every ``#%kernel`` primitive, read-only: the typed languages' support
+#: (add-type!, typed-context?, contract, ...), promises for the lazy
+#: language, structs and quasisyntax templates come from their own modules
+PRIMITIVES: Mapping[str, v.Primitive] = primitive_table(
+    _DEFINED, _NUMERIC, _UNSAFE, _EQUALITY, _LISTS, _SYMBOLS_AND_CHARS,
+    _STRINGS, _VECTORS, _BOXES_AND_HASHES, _CONTROL, _TIME, _SYNTAX,
+    typed_prims.PRIMITIVE_SPECS, promises.PRIMITIVE_SPECS,
+    structs.PRIMITIVE_SPECS, quasisyntax.PRIMITIVE_SPECS,
+    allocating=ALLOCATING_PRIMITIVES,
+)
+
+#: the two-operand entry of each variadic arithmetic primitive: what its
+#: ``fn`` computes for exactly two arguments, without the ``*args`` tuple,
+#: the arity branch or ``_chain``'s ``zip``. Keyed by the kernel's own
+#: :class:`Primitive` object, so only a call site whose operator is that
+#: primitive (not some other procedure of the same name) may bind one.
+BINARY_ENTRIES: dict[v.Primitive, Callable[[Any, Any], Any]] = {
+    PRIMITIVES[name]: fn
+    for name, fn in (
+        ("+", num.generic_add), ("-", num.generic_sub),
+        ("*", num.generic_mul), ("/", num.generic_div),
+        ("<", num.generic_lt), ("<=", num.generic_le),
+        (">", num.generic_gt), (">=", num.generic_ge),
+        ("=", num.generic_num_eq),
+    )
+}

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.interp import apply_procedure
+from repro.runtime.values import Primitive
+
 
 class Promise:
     """A memoized delayed computation."""
@@ -20,8 +23,6 @@ class Promise:
 
 
 def force(value: Any) -> Any:
-    from repro.core.interp import apply_procedure
-
     while isinstance(value, Promise):
         if not value.forced:
             value.value = force(apply_procedure(value.thunk, []))
@@ -31,26 +32,23 @@ def force(value: Any) -> Any:
     return value
 
 
-def _register() -> None:
-    from repro.core.interp import apply_procedure
-    from repro.runtime.primitives import add_prim
-    from repro.runtime.values import Primitive
-
-    # constructors stay lazy (so infinite structures work, as in Lazy Racket)
-    _LAZY_CONSTRUCTORS = frozenset({"cons", "list", "vector", "box"})
-
-    def prim_lazy_apply(fn: Any, *args: Any) -> Any:
-        fn = force(fn)
-        if isinstance(fn, Primitive) and fn.name not in _LAZY_CONSTRUCTORS:
-            # other primitives are strict (as in Barzilay & Clements's
-            # Lazy Racket)
-            return apply_procedure(fn, [force(a) for a in args])
-        return apply_procedure(fn, list(args))
-
-    add_prim("make-promise", Promise, 1, 1)
-    add_prim("force", force, 1, 1)
-    add_prim("lazy-apply", prim_lazy_apply, 1)
-    add_prim("promise?", lambda x: isinstance(x, Promise), 1, 1)
+#: constructors stay lazy (so infinite structures work, as in Lazy Racket)
+_LAZY_CONSTRUCTORS = frozenset({"cons", "list", "vector", "box"})
 
 
-_register()
+def prim_lazy_apply(fn: Any, *args: Any) -> Any:
+    fn = force(fn)
+    if isinstance(fn, Primitive) and fn.name not in _LAZY_CONSTRUCTORS:
+        # other primitives are strict (as in Barzilay & Clements's
+        # Lazy Racket)
+        return apply_procedure(fn, [force(a) for a in args])
+    return apply_procedure(fn, list(args))
+
+
+#: the kernel primitives backing ``#lang lazy``
+PRIMITIVE_SPECS = {
+    "make-promise": (Promise, 1, 1),
+    "force": (force, 1, 1),
+    "lazy-apply": (prim_lazy_apply, 1),
+    "promise?": (lambda x: isinstance(x, Promise), 1, 1),
+}

@@ -624,3 +624,123 @@ class TestGraphScheduling:
         for name in ("a.rkt", "b.rkt"):
             error = report.errors[os.path.realpath(src / name)]
             assert "module dependency cycle" in error, error
+
+
+class TestConcurrentExpanders:
+    """Each thread's compiles see their own expander: ``current_expander()``
+    (behind ``local-expand``) and every typed ``#%module-begin`` read the
+    innermost compile of the calling thread, never another thread's."""
+
+    @staticmethod
+    def _probe_runtime(on_expand):
+        """A Runtime whose ``#lang probe`` runs ``on_expand()`` inside the
+        ``(probe)`` transformer, which expands to ``(quote 1)``."""
+        from repro.langs.base import expand_with, fn_macro
+        from repro.modules.registry import Language
+
+        rt = Runtime()
+        lang = Language("probe")
+        lang.inherit(rt.registry.language("racket"))
+
+        @fn_macro(lang, "probe")
+        def probe(stx, lang):
+            on_expand()
+            return expand_with(lang, "(quote 1)")
+
+        rt.registry.register_language(lang)
+        return rt
+
+    def test_a_waiting_transformer_keeps_its_own_expander(self):
+        """Thread A waits inside its transformer while thread B's
+        transformer runs; each sees the expander of its own module."""
+        from repro.expander.env import current_expander
+
+        a_in, b_in, a_checked = (threading.Event() for _ in range(3))
+        seen: dict[str, list] = {"a": [], "b": []}
+
+        def in_a():
+            seen["a"].append(current_expander())
+            a_in.set()
+            assert b_in.wait(10)
+            seen["a"].append(current_expander())
+            a_checked.set()
+
+        def in_b():
+            assert a_in.wait(10)
+            seen["b"].append(current_expander())
+            b_in.set()
+            assert a_checked.wait(10)
+            seen["b"].append(current_expander())
+
+        errors: list[BaseException] = []
+
+        def compile_in(name, on_expand):
+            try:
+                with self._probe_runtime(on_expand) as rt:
+                    rt.register_module(name, "#lang probe\n(probe)\n")
+                    rt.compile(name)
+            except BaseException as err:  # noqa: BLE001 - reported below
+                errors.append(err)
+                for event in (a_in, b_in, a_checked):
+                    event.set()
+
+        threads = [
+            threading.Thread(target=compile_in, args=("a", in_a)),
+            threading.Thread(target=compile_in, args=("b", in_b)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert errors == []
+        assert [e.ctx.module_path for e in seen["a"]] == ["a", "a"]
+        assert [e.ctx.module_path for e in seen["b"]] == ["b", "b"]
+        assert seen["a"][0] is seen["a"][1]
+        assert seen["b"][0] is seen["b"][1]
+
+    def test_current_expander_outside_a_compile_raises(self):
+        from repro.errors import SyntaxExpansionError
+        from repro.expander.env import current_expander
+
+        with pytest.raises(SyntaxExpansionError):
+            current_expander()
+
+    def test_concurrent_typed_compiles(self):
+        """2 threads x 20 ``#lang typed/racket`` modules, each in its own Runtime,
+        under a tiny switch interval so the threads interleave inside
+        expansion: every module compiles and prints its own answer."""
+        n = 20
+
+        def source(tag, i):
+            return (
+                "#lang typed/racket\n"
+                f"(define (f{tag}{i} [x : Integer]) : Integer (+ x {i}))\n"
+                f"(define v{tag}{i} : Integer (f{tag}{i} 100))\n"
+                f"(displayln v{tag}{i})\n"
+            )
+
+        outputs: dict[str, list] = {"a": [], "b": []}
+        errors: list[BaseException] = []
+
+        def work(tag):
+            try:
+                for i in range(n):
+                    with Runtime() as rt:
+                        rt.register_module(f"{tag}{i}", source(tag, i))
+                        outputs[tag].append(rt.run(f"{tag}{i}"))
+            except BaseException as err:  # noqa: BLE001 - reported below
+                errors.append(err)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(tag,)) for tag in "ab"]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(300)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        expected = [f"{100 + i}\n" for i in range(n)]
+        assert outputs == {"a": expected, "b": expected}
