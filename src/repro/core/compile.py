@@ -10,8 +10,8 @@ Applications whose operator denotes a kernel primitive
 shares) compile to direct Python calls — the equivalent of the inlining
 Racket's compiler performs for kernel primitives. This is what makes
 the generic/unsafe distinction measurable: a safe ``(+ x y)`` becomes one
-``generic_add`` call (the primitive's two-operand entry in
-``BINARY_ENTRIES``, reading ``x`` and ``y`` in place when they are
+``generic_add`` call (the primitive's two-operand entry,
+``Primitive.binary``, reading ``x`` and ``y`` in place when they are
 constants or locals of the innermost frame), an optimized ``(unsafe-fl+ x
 y)`` one ``unsafe_fl_add`` call.
 
@@ -39,7 +39,6 @@ from repro.core.interp import (
 from repro.core.lower import kernel_primitive
 from repro.core.namespace import Namespace
 from repro.errors import RuntimeReproError
-from repro.runtime.primitives import BINARY_ENTRIES
 from repro.runtime.values import Closure, Values
 from repro.syn.binding import LocalBinding, ModuleBinding
 
@@ -294,8 +293,8 @@ class Compiler:
                     _guard.charge_alloc()
                     return _raw(*args)
 
-            elif nargs == 2:
-                pyfn = BINARY_ENTRIES.get(value, pyfn)
+            elif nargs == 2 and value.binary is not None:
+                pyfn = value.binary
             if nargs == 2:
                 return self._binary_site(pyfn, node.args, cenv)
             compiled_args = tuple(self.compile_expr(a, cenv, False) for a in node.args)

@@ -18,25 +18,17 @@ from repro.langs.typed_common import env as tenv
 from repro.langs.typed_common import types as ty
 from repro.modules.registry import KERNEL_PATH
 from repro.observe.recorder import current_recorder
+from repro.runtime.primitives import REPLACEMENTS
 from repro.syn.binding import ModuleBinding, resolve
 from repro.syn.syntax import Syntax
 
-#: generic operation name -> unsafe float-specialized name (binary cases)
-FLOAT_SPECIALIZATIONS = {
-    "+": "unsafe-fl+",
-    "-": "unsafe-fl-",
-    "*": "unsafe-fl*",
-    "/": "unsafe-fl/",
-    "<": "unsafe-fl<",
-    "<=": "unsafe-fl<=",
-    ">": "unsafe-fl>",
-    ">=": "unsafe-fl>=",
-    "=": "unsafe-fl=",
-    "min": "unsafe-flmin",
-    "max": "unsafe-flmax",
-    "abs": "unsafe-flabs",
-    "sqrt": "unsafe-flsqrt",
-}
+#: the generic calls fig. 5 rewrites, as ``(name, operand count)``: the
+#: binary arithmetic and comparisons, unary ``abs`` and ``sqrt``. Each
+#: becomes the ``float``-group primitive whose kernel record replaces it.
+FLOAT_REWRITES = frozenset({
+    ("+", 2), ("-", 2), ("*", 2), ("/", 2), ("<", 2), ("<=", 2), (">", 2),
+    (">=", 2), ("=", 2), ("min", 2), ("max", 2), ("abs", 1), ("sqrt", 1),
+})
 
 
 class SimpleOptimizer:
@@ -130,13 +122,11 @@ class SimpleOptimizer:
         new_args = tuple(self.optimize(a) for a in args)
         new_op = op
         op_name = self._kernel_op_name(op)
-        # unary cases only exist for abs/sqrt; binary for the rest
-        if (
-            op_name in FLOAT_SPECIALIZATIONS
-            and 1 <= len(args) <= 2
-            and (len(args) == 1) == (op_name in ("abs", "sqrt"))
-        ):
-            replacement = FLOAT_SPECIALIZATIONS[op_name]
+        call = (op_name, len(args))
+        if call in FLOAT_REWRITES:
+            replacement = next(
+                p.name for p in REPLACEMENTS[call] if p.rule == "float"
+            )
             if all(self.type_of(a) == ty.FLOAT for a in args):
                 new_op = core_id(replacement, op.srcloc)
                 self.rewrites += 1

@@ -31,110 +31,69 @@ from repro.langs.simple_type.optimize import SimpleOptimizer
 from repro.langs.typed_common import types as ty
 from repro.expander.env import ExpandContext
 from repro.expander.kernel_scope import core_id
+from repro.runtime.primitives import PRIMITIVES, REPLACEMENTS
+from repro.runtime.values import Primitive
 from repro.syn.syntax import Syntax
 
 ALL_RULES = frozenset({"float", "fixnum", "pairs", "vectors", "complex"})
 
-_FLOAT_OPS = {
-    "+": "unsafe-fl+", "-": "unsafe-fl-", "*": "unsafe-fl*", "/": "unsafe-fl/",
-    "<": "unsafe-fl<", "<=": "unsafe-fl<=", ">": "unsafe-fl>",
-    ">=": "unsafe-fl>=", "=": "unsafe-fl=",
-    "min": "unsafe-flmin", "max": "unsafe-flmax",
+#: the operand type each uniform rule group proves of every operand
+_OPERAND_TYPES = {
+    "float": ty.FLOAT, "fixnum": ty.INTEGER, "complex": ty.FLOAT_COMPLEX,
 }
-_FLOAT_UNARY = {
-    "abs": "unsafe-flabs", "sqrt": "unsafe-flsqrt",
-    "sin": "unsafe-flsin", "cos": "unsafe-flcos", "floor": "unsafe-flfloor",
-    "-": "unsafe-flneg",
-}
-_FIXNUM_OPS = {
-    "+": "unsafe-fx+", "-": "unsafe-fx-", "*": "unsafe-fx*",
-    "<": "unsafe-fx<", "<=": "unsafe-fx<=", ">": "unsafe-fx>",
-    ">=": "unsafe-fx>=", "=": "unsafe-fx=",
-    "quotient": "unsafe-fxquotient", "remainder": "unsafe-fxremainder",
-}
-_COMPLEX_OPS = {
-    "+": "unsafe-fc+", "-": "unsafe-fc-", "*": "unsafe-fc*", "/": "unsafe-fc/",
-}
-_COMPLEX_UNARY = {
-    "magnitude": "unsafe-fcmagnitude",
-    "real-part": "unsafe-fcreal-part",
-    "imag-part": "unsafe-fcimag-part",
-}
-_PAIR_OPS = {"car": "unsafe-car", "cdr": "unsafe-cdr",
-             "first": "unsafe-car", "rest": "unsafe-cdr"}
-_VECTOR_OPS = {
-    "vector-ref": "unsafe-vector-ref",
-    "vector-set!": "unsafe-vector-set!",
-    "vector-length": "unsafe-vector-length",
-}
-
-
-def _rule_of(replacement: str) -> str:
-    """Rule-group name of a specialized primitive, for coach attribution."""
-    if replacement.startswith("unsafe-fl"):
-        return "float"
-    if replacement.startswith("unsafe-fx"):
-        return "fixnum"
-    if replacement.startswith("unsafe-fc"):
-        return "complex"
-    if replacement in ("unsafe-car", "unsafe-cdr"):
-        return "pairs"
-    if replacement.startswith("unsafe-vector"):
-        return "vectors"
-    return "unknown"
+#: the type family the family rule groups prove of the first operand
+_FAMILIES = {"pairs": (ty.PairType, "Pairof"),
+             "vectors": (ty.VectorofType, "Vectorof")}
 
 
 class FullOptimizer(SimpleOptimizer):
+    """Rewrites a checked kernel call to the ``unsafe-*`` primitive whose
+    kernel record replaces it (``Primitive.replaces``), when that record's
+    rule group is enabled and the operand types prove the rewrite."""
+
     def __init__(self, ctx: ExpandContext, rules: frozenset[str] = ALL_RULES) -> None:
         super().__init__(ctx)
         self.rules = rules
 
-    def _all_are(self, args: Sequence[Syntax], expected: ty.Type) -> bool:
-        return bool(args) and all(self.type_of(a) == expected for a in args)
+    def _proves(self, rule: str, args: Sequence[Syntax]) -> bool:
+        family = _FAMILIES.get(rule)
+        if family is not None:
+            return isinstance(self.type_of(args[0]), family[0])
+        return all(self.type_of(a) == _OPERAND_TYPES[rule] for a in args)
 
     def _optimize_app(self, t: Syntax) -> Syntax:
         op = t.e[1]
         args = t.e[2:]
         new_args = tuple(self.optimize(a) for a in args)
         op_name = self._kernel_op_name(op)
-        incr = self._specialize_incr(op, args)
-        if incr is not None:
-            # (add1 e) / (sub1 e) -> (unsafe-?x+/- e 1) — arity changes
-            new_op, literal = incr
-            self.rewrites += 1
-            if self._rec.enabled:
-                self._coach_fired(_rule_of(new_op), t, op_name, new_op, args)
-            one = Syntax((core_id("quote", op.srcloc), Syntax(literal)), t.scopes, t.srcloc)
-            return self._rebuild(
-                t, (t.e[0], core_id(new_op, op.srcloc), new_args[0], one)
-            )
-        replacement = self._specialize(op, args)
-        if replacement is not None:
-            self.rewrites += 1
-            if self._rec.enabled:
-                self._coach_fired(_rule_of(replacement), t, op_name, replacement, args)
-            new_op_stx: Syntax = core_id(replacement, op.srcloc)
-        else:
+        replacement = self._specialize(op_name, args)
+        if replacement is None:
             if self._rec.enabled and op_name is not None:
                 miss = self._explain_near_miss(op_name, args)
                 if miss is not None:
                     rule, reason = miss
                     self._coach_near_miss(rule, t, op_name, reason, args)
-            new_op_stx = self.optimize(op)
-        return self._rebuild(t, (t.e[0], new_op_stx, *new_args))
+            return self._rebuild(t, (t.e[0], self.optimize(op), *new_args))
+        self.rewrites += 1
+        if self._rec.enabled:
+            self._coach_fired(replacement.rule, t, op_name, replacement.name, args)
+        if len(args) < replacement.arity_min:
+            # (add1 e) -> (unsafe-fx+ e 1): the checked primitive's
+            # constant, in the rule group's representation
+            k = PRIMITIVES[op_name].against
+            literal = float(k) if replacement.rule == "float" else k
+            new_args += (Syntax((core_id("quote", op.srcloc), Syntax(literal)),
+                                t.scopes, t.srcloc),)
+        return self._rebuild(
+            t, (t.e[0], core_id(replacement.name, op.srcloc), *new_args)
+        )
 
-    def _specialize_incr(
-        self, op: Syntax, args: Sequence[Syntax]
-    ) -> Optional[tuple[str, object]]:
-        name = self._kernel_op_name(op)
-        if name not in ("add1", "sub1") or len(args) != 1:
-            return None
-        arg_type = self.type_of(args[0])
-        suffix = "+" if name == "add1" else "-"
-        if "fixnum" in self.rules and arg_type == ty.INTEGER:
-            return (f"unsafe-fx{suffix}", 1)
-        if "float" in self.rules and arg_type == ty.FLOAT:
-            return (f"unsafe-fl{suffix}", 1.0)
+    def _specialize(
+        self, name: Optional[str], args: Sequence[Syntax]
+    ) -> Optional[Primitive]:
+        for prim in REPLACEMENTS.get((name, len(args)), ()):
+            if prim.rule in self.rules and self._proves(prim.rule, args):
+                return prim
         return None
 
     # -- optimization coach: near-miss analysis -----------------------------
@@ -144,47 +103,33 @@ class FullOptimizer(SimpleOptimizer):
     ) -> Optional[tuple[str, str]]:
         """Why didn't ``op_name`` specialize? Returns ``(rule, reason)``.
 
-        Scans every rule table whose shape (operator name + arity) matches
-        the application, then reports the candidate whose expected operand
-        type matches the *most* operands — the specialization the programmer
-        was closest to getting (St-Amour et al.'s coaching recipe). Requires
-        at least one operand with a known type, so untyped positions don't
-        drown the report in noise.
+        Scans every unsafe primitive whose record replaces this call (the
+        operator name and operand count), then reports the candidate whose
+        expected operand type matches the *most* operands — the
+        specialization the programmer was closest to getting (St-Amour et
+        al.'s coaching recipe); a tie goes to the first in kernel table
+        order. Requires at least one operand with a known type, so untyped
+        positions don't drown the report in noise; a family rule (pairs,
+        vectors) needs the type of the first operand.
         """
         types = [self.type_of(a) for a in args]
         if not any(s is not None for s in types):
             return None
-        n = len(args)
-
-        #: (rule, table, expected type, arity) — the uniform-expected-type
-        #: rule groups; pairs/vectors need a type-family check instead
-        candidates = []
-        if n == 2:
-            candidates += [
-                ("float", _FLOAT_OPS, ty.FLOAT),
-                ("fixnum", _FIXNUM_OPS, ty.INTEGER),
-                ("complex", _COMPLEX_OPS, ty.FLOAT_COMPLEX),
-            ]
-        elif n == 1:
-            candidates += [
-                ("float", _FLOAT_UNARY, ty.FLOAT),
-                ("complex", _COMPLEX_UNARY, ty.FLOAT_COMPLEX),
-            ]
-            if op_name in ("add1", "sub1"):
-                suffix = "+" if op_name == "add1" else "-"
-                candidates += [
-                    ("fixnum", {op_name: f"unsafe-fx{suffix}"}, ty.INTEGER),
-                    ("float", {op_name: f"unsafe-fl{suffix}"}, ty.FLOAT),
-                ]
 
         best: Optional[tuple[int, str, str]] = None  # (score, rule, reason)
-        for rule, table, expected in candidates:
-            if op_name not in table:
+        for prim in REPLACEMENTS.get((op_name, len(args)), ()):
+            rule, replacement = prim.rule, prim.name
+            family = _FAMILIES.get(rule)
+            expected = _OPERAND_TYPES.get(rule)
+            if family is not None and types[0] is None:
                 continue
-            replacement = table[op_name]
             if rule not in self.rules:
                 reason = f"rule group `{rule}` disabled (would be `{replacement}`)"
-                score = sum(1 for s in types if s == expected)
+            elif family is not None:
+                reason = (
+                    f"operand typed `{types[0]}`, not a `{family[1]}` — "
+                    f"no `{replacement}`"
+                )
             else:
                 blockers = [s for s in types if s != expected]
                 if not blockers:
@@ -199,72 +144,10 @@ class FullOptimizer(SimpleOptimizer):
                         f"operand typed `{blocker}`, not `{expected}` — "
                         f"no `{replacement}`"
                     )
-                score = sum(1 for s in types if s == expected)
+            score = 0 if expected is None else sum(s == expected for s in types)
             if best is None or score > best[0]:
                 best = (score, rule, reason)
-
-        # the type-family rules: pairs (any Pairof) and vectors (any Vectorof)
-        if n == 1 and op_name in _PAIR_OPS:
-            replacement = _PAIR_OPS[op_name]
-            if "pairs" not in self.rules:
-                reason = f"rule group `pairs` disabled (would be `{replacement}`)"
-            else:
-                reason = (
-                    f"operand typed `{types[0]}`, not a `Pairof` — "
-                    f"no `{replacement}`"
-                )
-            if best is None or best[0] == 0:
-                best = (0, "pairs", reason)
-        if args and op_name in _VECTOR_OPS and types[0] is not None:
-            replacement = _VECTOR_OPS[op_name]
-            if "vectors" not in self.rules:
-                reason = f"rule group `vectors` disabled (would be `{replacement}`)"
-            else:
-                reason = (
-                    f"operand typed `{types[0]}`, not a `Vectorof` — "
-                    f"no `{replacement}`"
-                )
-            if best is None or best[0] == 0:
-                best = (0, "vectors", reason)
 
         if best is None:
             return None
         return (best[1], best[2])
-
-    def _specialize(self, op: Syntax, args: Sequence[Syntax]) -> Optional[str]:
-        name = self._kernel_op_name(op)
-        if name is None:
-            return None
-        if "float" in self.rules:
-            if len(args) == 2 and name in _FLOAT_OPS and self._all_are(args, ty.FLOAT):
-                return _FLOAT_OPS[name]
-            if len(args) == 1 and name in _FLOAT_UNARY and self._all_are(args, ty.FLOAT):
-                return _FLOAT_UNARY[name]
-        if "fixnum" in self.rules:
-            if len(args) == 2 and name in _FIXNUM_OPS and self._all_are(args, ty.INTEGER):
-                return _FIXNUM_OPS[name]
-        if "complex" in self.rules:
-            if (
-                len(args) == 2
-                and name in _COMPLEX_OPS
-                and all(
-                    self.type_of(a) in (ty.FLOAT_COMPLEX,) for a in args
-                )
-            ):
-                return _COMPLEX_OPS[name]
-            if (
-                len(args) == 1
-                and name in _COMPLEX_UNARY
-                and self.type_of(args[0]) == ty.FLOAT_COMPLEX
-            ):
-                return _COMPLEX_UNARY[name]
-        if "pairs" in self.rules:
-            if len(args) == 1 and name in _PAIR_OPS:
-                arg_type = self.type_of(args[0])
-                if isinstance(arg_type, ty.PairType):
-                    return _PAIR_OPS[name]
-        if "vectors" in self.rules:
-            if name in _VECTOR_OPS and args:
-                if isinstance(self.type_of(args[0]), ty.VectorofType):
-                    return _VECTOR_OPS[name]
-        return None

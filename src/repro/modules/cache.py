@@ -108,12 +108,14 @@ if TYPE_CHECKING:
 #: kernel key, and pyc units no longer emulate kernel-name shadowing
 #: v6: a library language's primitives live under its own module path
 #: (``#%datalog``, ``#%match-ext``), not under ``#%kernel``
-FORMAT_VERSION = 6
+#: v7: pyc units check the value count of a single-id binding of
+#: ``append``, ``list*`` and ``list-tail``, which can return an operand
+FORMAT_VERSION = 7
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x06"
+MAGIC = b"REPROZO\x07"
 
 _DIGEST_LEN = 32
 

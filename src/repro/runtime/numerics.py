@@ -681,9 +681,12 @@ def unsafe_fl_neg(a: float) -> float:
     return -a
 
 
-def unsafe_fl_sqrt(a: float) -> float:
+def unsafe_fl_sqrt(a: float) -> Any:
     current_stats().unsafe_ops += 1
-    return math.sqrt(a)
+    try:
+        return math.sqrt(a)
+    except ValueError:  # a negative flonum: the imaginary root, as sqrt
+        return complex(0.0, math.sqrt(-a))
 
 
 def unsafe_fl_sin(a: float) -> float:

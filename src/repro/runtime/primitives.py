@@ -29,22 +29,23 @@ from repro.runtime.ports import current_output_port
 from repro.runtime.printing import display_value, write_value
 from repro.runtime.stats import current_stats
 
-#: one primitive's ``(fn, arity_min[, arity_max])``: the arguments of
-#: :class:`~repro.runtime.values.Primitive` after the name
+#: one primitive's ``(fn, arity_min[, arity_max[, facts]])``: the arguments
+#: of :class:`~repro.runtime.values.Primitive` after the name, ``facts``
+#: being its keyword arguments (``result``, ``binary``, ``op`` ...); a spec
+#: without facts is the record with the conservative defaults
 PrimSpec = tuple[Any, ...]
 
 
-def primitive_table(
-    *tables: Mapping[str, PrimSpec], allocating: frozenset[str] = frozenset()
-) -> Mapping[str, v.Primitive]:
+def primitive_table(*tables: Mapping[str, PrimSpec]) -> Mapping[str, v.Primitive]:
     """The read-only table of the primitives ``tables`` specify (a name in
-    only one of them); names in ``allocating`` are marked ``allocates``."""
+    only one of them)."""
     prims: dict[str, v.Primitive] = {}
     for table in tables:
         for name, spec in table.items():
             if name in prims:
                 raise ValueError(f"primitive {name} specified twice")
-            prims[name] = v.Primitive(name, *spec, allocates=name in allocating)
+            facts = spec[3] if len(spec) > 3 else {}
+            prims[name] = v.Primitive(name, *spec[:3], **facts)
     return MappingProxyType(prims)
 
 
@@ -53,13 +54,29 @@ _DEFINED: dict[str, PrimSpec] = {}
 
 
 def define_prim(
-    name: str, arity_min: int = 0, arity_max: Optional[int] = None
+    name: str, arity_min: int = 0, arity_max: Optional[int] = None, **facts: Any
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     def declare(fn: Callable[..., Any]) -> Callable[..., Any]:
-        _DEFINED[name] = (fn, arity_min, arity_max)
+        _DEFINED[name] = (fn, arity_min, arity_max, facts)
         return fn
 
     return declare
+
+
+#: the facts most records state. ``"one"``: the result is never a
+#: ``Values`` object, judged by the returned object's own type (numbers,
+#: booleans, fresh pairs, vectors and strings, void). A primitive that can
+#: hand back a stored or user-produced value (``car``, ``vector-ref``,
+#: ``apply``, ``identity``, ``append``'s last list ...) is ``"any"``: a
+#: Values object is first-class here. The unsafe accessors are ``"one"``
+#: anyway, because the typed optimizer only emits them on proven single
+#: values. ``"bool"``: always a Python ``bool``. ``allocates``: a
+#: constructor the resource governor charges (struct constructors are
+#: marked where they are built, in :mod:`repro.runtime.structs`).
+_ONE = {"result": "one"}
+_BOOL = {"result": "bool"}
+_ALLOC = {"allocates": True}
+_ALLOC_ONE = {"allocates": True, "result": "one"}
 
 
 # --- numeric operations -------------------------------------------------------
@@ -72,16 +89,26 @@ def _fold(op: Callable[[Any, Any], Any], init: Any, args: tuple[Any, ...]) -> An
     return acc
 
 
-@define_prim("+", 0)
+def _lone(who: str, x: Any, ok: Callable[[Any], bool], expected: str) -> Any:
+    """The one operand of ``+``, ``*``, ``min`` or ``max``, which no
+    two-operand step checks: checked here, as Racket does, and returned."""
+    if not ok(x):
+        raise WrongTypeError(who, expected, x)
+    return x
+
+
+@define_prim("+", 0, result="one", binary=num.generic_add, op="Add")
 def prim_add(*args: Any) -> Any:
     if len(args) == 2:
         return num.generic_add(args[0], args[1])
     if not args:
         return 0
+    if len(args) == 1:
+        return _lone("+", args[0], num.is_number, "number?")
     return _fold(num.generic_add, args[0], args[1:])
 
 
-@define_prim("-", 1)
+@define_prim("-", 1, result="one", binary=num.generic_sub, op="Sub")
 def prim_sub(*args: Any) -> Any:
     if len(args) == 2:
         return num.generic_sub(args[0], args[1])
@@ -90,16 +117,18 @@ def prim_sub(*args: Any) -> Any:
     return _fold(num.generic_sub, args[0], args[1:])
 
 
-@define_prim("*", 0)
+@define_prim("*", 0, result="one", binary=num.generic_mul, op="Mult")
 def prim_mul(*args: Any) -> Any:
     if len(args) == 2:
         return num.generic_mul(args[0], args[1])
     if not args:
         return 1
+    if len(args) == 1:
+        return _lone("*", args[0], num.is_number, "number?")
     return _fold(num.generic_mul, args[0], args[1:])
 
 
-@define_prim("/", 1)
+@define_prim("/", 1, result="one", binary=num.generic_div, op="Div")
 def prim_div(*args: Any) -> Any:
     if len(args) == 2:
         return num.generic_div(args[0], args[1])
@@ -118,17 +147,21 @@ def _chain(op: Callable[[Any, Any], bool]) -> Callable[..., bool]:
     return compare
 
 
-@define_prim("min", 1)
+@define_prim("min", 1, result="one")
 def prim_min(*args: Any) -> Any:
+    if len(args) == 1:
+        return _lone("min", args[0], num.is_real, "real?")
     return _fold(num.generic_min, args[0], args[1:])
 
 
-@define_prim("max", 1)
+@define_prim("max", 1, result="one")
 def prim_max(*args: Any) -> Any:
+    if len(args) == 1:
+        return _lone("max", args[0], num.is_real, "real?")
     return _fold(num.generic_max, args[0], args[1:])
 
 
-@define_prim("even?", 1, 1)
+@define_prim("even?", 1, 1, result="bool")
 def prim_even(x: Any) -> bool:
     current_stats().generic_dispatches += 1
     if not num.is_exact_integer(x):
@@ -136,7 +169,7 @@ def prim_even(x: Any) -> bool:
     return x % 2 == 0
 
 
-@define_prim("odd?", 1, 1)
+@define_prim("odd?", 1, 1, result="bool")
 def prim_odd(x: Any) -> bool:
     current_stats().generic_dispatches += 1
     if not num.is_exact_integer(x):
@@ -144,7 +177,7 @@ def prim_odd(x: Any) -> bool:
     return x % 2 == 1
 
 
-@define_prim("number->string", 1, 1)
+@define_prim("number->string", 1, 1, result="one")
 def prim_number_to_string(x: Any) -> str:
     return num.generic_number_to_string(x)
 
@@ -166,45 +199,53 @@ def prim_string_to_number(s: Any) -> Any:
 
 
 _NUMERIC: dict[str, PrimSpec] = {
-    "<": (_chain(num.generic_lt), 2),
-    "<=": (_chain(num.generic_le), 2),
-    ">": (_chain(num.generic_gt), 2),
-    ">=": (_chain(num.generic_ge), 2),
-    "=": (_chain(num.generic_num_eq), 2),
-    "quotient": (num.generic_quotient, 2, 2),
-    "remainder": (num.generic_remainder, 2, 2),
-    "modulo": (num.generic_modulo, 2, 2),
-    "abs": (num.generic_abs, 1, 1),
-    "sqrt": (num.generic_sqrt, 1, 1),
-    "expt": (num.generic_expt, 2, 2),
-    "exp": (num.generic_exp, 1, 1),
-    "log": (num.generic_log, 1, 1),
-    "sin": (num.generic_sin, 1, 1),
-    "cos": (num.generic_cos, 1, 1),
-    "tan": (num.generic_tan, 1, 1),
+    "<": (_chain(num.generic_lt), 2, None,
+          {"result": "bool", "binary": num.generic_lt, "op": "Lt"}),
+    "<=": (_chain(num.generic_le), 2, None,
+           {"result": "bool", "binary": num.generic_le, "op": "LtE"}),
+    ">": (_chain(num.generic_gt), 2, None,
+          {"result": "bool", "binary": num.generic_gt, "op": "Gt"}),
+    ">=": (_chain(num.generic_ge), 2, None,
+           {"result": "bool", "binary": num.generic_ge, "op": "GtE"}),
+    "=": (_chain(num.generic_num_eq), 2, None,
+          {"result": "bool", "binary": num.generic_num_eq, "op": "Eq"}),
+    "quotient": (num.generic_quotient, 2, 2, _ONE),
+    "remainder": (num.generic_remainder, 2, 2, _ONE),
+    "modulo": (num.generic_modulo, 2, 2, _ONE),
+    "abs": (num.generic_abs, 1, 1, _ONE),
+    "sqrt": (num.generic_sqrt, 1, 1, _ONE),
+    "expt": (num.generic_expt, 2, 2, _ONE),
+    "exp": (num.generic_exp, 1, 1, _ONE),
+    "log": (num.generic_log, 1, 1, _ONE),
+    "sin": (num.generic_sin, 1, 1, _ONE),
+    "cos": (num.generic_cos, 1, 1, _ONE),
+    "tan": (num.generic_tan, 1, 1, _ONE),
     "asin": (num.generic_asin, 1, 1),
     "acos": (num.generic_acos, 1, 1),
     "atan": (num.generic_atan, 1, 2),
-    "floor": (num.generic_floor, 1, 1),
-    "ceiling": (num.generic_ceiling, 1, 1),
-    "truncate": (num.generic_truncate, 1, 1),
-    "round": (num.generic_round, 1, 1),
+    "floor": (num.generic_floor, 1, 1, _ONE),
+    "ceiling": (num.generic_ceiling, 1, 1, _ONE),
+    "truncate": (num.generic_truncate, 1, 1, _ONE),
+    "round": (num.generic_round, 1, 1, _ONE),
     "magnitude": (num.generic_magnitude, 1, 1),
     "real-part": (num.generic_real_part, 1, 1),
     "imag-part": (num.generic_imag_part, 1, 1),
     "make-rectangular": (num.generic_make_rectangular, 2, 2),
-    "exact->inexact": (num.generic_exact_to_inexact, 1, 1),
-    "inexact->exact": (num.generic_inexact_to_exact, 1, 1),
-    "exact": (num.generic_inexact_to_exact, 1, 1),
-    "gcd": (num.generic_gcd, 2, 2),
+    "exact->inexact": (num.generic_exact_to_inexact, 1, 1, _ONE),
+    "inexact->exact": (num.generic_inexact_to_exact, 1, 1, _ONE),
+    "exact": (num.generic_inexact_to_exact, 1, 1, _ONE),
+    "gcd": (num.generic_gcd, 2, 2, _ONE),
     "numerator": (num.generic_numerator, 1, 1),
     "denominator": (num.generic_denominator, 1, 1),
-    "add1": (lambda x: num.generic_add(x, 1), 1, 1),
-    "sub1": (lambda x: num.generic_sub(x, 1), 1, 1),
-    "zero?": (lambda x: num.generic_num_eq(x, 0), 1, 1),
+    "add1": (lambda x: num.generic_add(x, 1), 1, 1,
+             {"result": "one", "op": "Add", "against": 1}),
+    "sub1": (lambda x: num.generic_sub(x, 1), 1, 1,
+             {"result": "one", "op": "Sub", "against": 1}),
+    "zero?": (lambda x: num.generic_num_eq(x, 0), 1, 1,
+              {"result": "bool", "op": "Eq", "against": 0}),
     "positive?": (lambda x: num.generic_gt(x, 0), 1, 1),
     "negative?": (lambda x: num.generic_lt(x, 0), 1, 1),
-    "number?": (num.is_number, 1, 1),
+    "number?": (num.is_number, 1, 1, _BOOL),
     "real?": (num.is_real, 1, 1),
     "rational?": (lambda x: num.is_real(x) and (not isinstance(x, float) or math.isfinite(x)), 1, 1),
     "integer?": (lambda x: num.is_exact_integer(x) or (isinstance(x, float) and x.is_integer()), 1, 1),
@@ -250,57 +291,100 @@ def _unsafe_vector_length(vec: v.MVector) -> int:
     return len(vec.items)
 
 
+def _unsafe(
+    fn: Callable[..., Any], arity: int, rule: str,
+    replaces: list[tuple[str, int]], **facts: Any,
+) -> PrimSpec:
+    """An ``unsafe-*`` primitive of fixed ``arity`` that the ``rule`` group
+    of the typed optimizer puts in place of each checked call ``(name,
+    operand count)`` in ``replaces``. A call one operand short of ``arity``
+    (``add1``, ``sub1``) gains the checked primitive's ``against`` constant
+    as its last operand."""
+    return (fn, arity, arity, {"rule": rule, "replaces": tuple(replaces), **facts})
+
+
 _UNSAFE: dict[str, PrimSpec] = {
-    "unsafe-fl+": (num.unsafe_fl_add, 2, 2),
-    "unsafe-fl-": (num.unsafe_fl_sub, 2, 2),
-    "unsafe-fl*": (num.unsafe_fl_mul, 2, 2),
-    "unsafe-fl/": (num.unsafe_fl_div, 2, 2),
-    "unsafe-fl<": (num.unsafe_fl_lt, 2, 2),
-    "unsafe-fl<=": (num.unsafe_fl_le, 2, 2),
-    "unsafe-fl>": (num.unsafe_fl_gt, 2, 2),
-    "unsafe-fl>=": (num.unsafe_fl_ge, 2, 2),
-    "unsafe-fl=": (num.unsafe_fl_eq, 2, 2),
-    "unsafe-flabs": (num.unsafe_fl_abs, 1, 1),
-    "unsafe-flmin": (num.unsafe_fl_min, 2, 2),
-    "unsafe-flmax": (num.unsafe_fl_max, 2, 2),
-    "unsafe-flneg": (num.unsafe_fl_neg, 1, 1),
-    "unsafe-flsqrt": (num.unsafe_fl_sqrt, 1, 1),
-    "unsafe-flsin": (num.unsafe_fl_sin, 1, 1),
-    "unsafe-flcos": (num.unsafe_fl_cos, 1, 1),
-    "unsafe-flfloor": (num.unsafe_fl_floor, 1, 1),
-    "unsafe-fx+": (num.unsafe_fx_add, 2, 2),
-    "unsafe-fx-": (num.unsafe_fx_sub, 2, 2),
-    "unsafe-fx*": (num.unsafe_fx_mul, 2, 2),
-    "unsafe-fx<": (num.unsafe_fx_lt, 2, 2),
-    "unsafe-fx<=": (num.unsafe_fx_le, 2, 2),
-    "unsafe-fx>": (num.unsafe_fx_gt, 2, 2),
-    "unsafe-fx>=": (num.unsafe_fx_ge, 2, 2),
-    "unsafe-fx=": (num.unsafe_fx_eq, 2, 2),
-    "unsafe-fxquotient": (num.unsafe_fx_quotient, 2, 2),
-    "unsafe-fxremainder": (num.unsafe_fx_remainder, 2, 2),
-    "unsafe-fc+": (num.unsafe_fc_add, 2, 2),
-    "unsafe-fc-": (num.unsafe_fc_sub, 2, 2),
-    "unsafe-fc*": (num.unsafe_fc_mul, 2, 2),
-    "unsafe-fc/": (num.unsafe_fc_div, 2, 2),
-    "unsafe-fcmagnitude": (num.unsafe_fc_magnitude, 1, 1),
-    "unsafe-fcreal-part": (num.unsafe_fc_real, 1, 1),
-    "unsafe-fcimag-part": (num.unsafe_fc_imag, 1, 1),
-    "unsafe-car": (_unsafe_car, 1, 1),
-    "unsafe-cdr": (_unsafe_cdr, 1, 1),
-    "unsafe-vector-ref": (_unsafe_vector_ref, 2, 2),
-    "unsafe-vector-set!": (_unsafe_vector_set, 3, 3),
-    "unsafe-vector-length": (_unsafe_vector_length, 1, 1),
+    "unsafe-fl+": _unsafe(num.unsafe_fl_add, 2, "float", [("+", 2), ("add1", 1)],
+                          result="one", op="Add"),
+    "unsafe-fl-": _unsafe(num.unsafe_fl_sub, 2, "float", [("-", 2), ("sub1", 1)],
+                          result="one", op="Sub"),
+    "unsafe-fl*": _unsafe(num.unsafe_fl_mul, 2, "float", [("*", 2)],
+                          result="one", op="Mult"),
+    "unsafe-fl/": _unsafe(num.unsafe_fl_div, 2, "float", [("/", 2)],
+                          result="one", op="Div"),
+    "unsafe-fl<": _unsafe(num.unsafe_fl_lt, 2, "float", [("<", 2)],
+                          result="bool", op="Lt"),
+    "unsafe-fl<=": _unsafe(num.unsafe_fl_le, 2, "float", [("<=", 2)],
+                           result="bool", op="LtE"),
+    "unsafe-fl>": _unsafe(num.unsafe_fl_gt, 2, "float", [(">", 2)],
+                          result="bool", op="Gt"),
+    "unsafe-fl>=": _unsafe(num.unsafe_fl_ge, 2, "float", [(">=", 2)],
+                           result="bool", op="GtE"),
+    "unsafe-fl=": _unsafe(num.unsafe_fl_eq, 2, "float", [("=", 2)],
+                          result="bool", op="Eq"),
+    "unsafe-flabs": _unsafe(num.unsafe_fl_abs, 1, "float", [("abs", 1)]),
+    "unsafe-flmin": _unsafe(num.unsafe_fl_min, 2, "float", [("min", 2)]),
+    "unsafe-flmax": _unsafe(num.unsafe_fl_max, 2, "float", [("max", 2)]),
+    "unsafe-flneg": _unsafe(num.unsafe_fl_neg, 1, "float", [("-", 1)],
+                            result="one"),
+    "unsafe-flsqrt": _unsafe(num.unsafe_fl_sqrt, 1, "float", [("sqrt", 1)]),
+    "unsafe-flsin": _unsafe(num.unsafe_fl_sin, 1, "float", [("sin", 1)]),
+    "unsafe-flcos": _unsafe(num.unsafe_fl_cos, 1, "float", [("cos", 1)]),
+    "unsafe-flfloor": _unsafe(num.unsafe_fl_floor, 1, "float", [("floor", 1)]),
+    "unsafe-fx+": _unsafe(num.unsafe_fx_add, 2, "fixnum", [("+", 2), ("add1", 1)],
+                          result="one", op="Add"),
+    "unsafe-fx-": _unsafe(num.unsafe_fx_sub, 2, "fixnum", [("-", 2), ("sub1", 1)],
+                          result="one", op="Sub"),
+    "unsafe-fx*": _unsafe(num.unsafe_fx_mul, 2, "fixnum", [("*", 2)],
+                          result="one", op="Mult"),
+    "unsafe-fx<": _unsafe(num.unsafe_fx_lt, 2, "fixnum", [("<", 2)],
+                          result="bool", op="Lt"),
+    "unsafe-fx<=": _unsafe(num.unsafe_fx_le, 2, "fixnum", [("<=", 2)],
+                           result="bool", op="LtE"),
+    "unsafe-fx>": _unsafe(num.unsafe_fx_gt, 2, "fixnum", [(">", 2)],
+                          result="bool", op="Gt"),
+    "unsafe-fx>=": _unsafe(num.unsafe_fx_ge, 2, "fixnum", [(">=", 2)],
+                           result="bool", op="GtE"),
+    "unsafe-fx=": _unsafe(num.unsafe_fx_eq, 2, "fixnum", [("=", 2)],
+                          result="bool", op="Eq"),
+    "unsafe-fxquotient": _unsafe(num.unsafe_fx_quotient, 2, "fixnum",
+                                 [("quotient", 2)], result="one"),
+    "unsafe-fxremainder": _unsafe(num.unsafe_fx_remainder, 2, "fixnum",
+                                  [("remainder", 2)], result="one"),
+    "unsafe-fc+": _unsafe(num.unsafe_fc_add, 2, "complex", [("+", 2)],
+                          result="one", op="Add"),
+    "unsafe-fc-": _unsafe(num.unsafe_fc_sub, 2, "complex", [("-", 2)],
+                          result="one", op="Sub"),
+    "unsafe-fc*": _unsafe(num.unsafe_fc_mul, 2, "complex", [("*", 2)],
+                          result="one", op="Mult"),
+    "unsafe-fc/": _unsafe(num.unsafe_fc_div, 2, "complex", [("/", 2)]),
+    "unsafe-fcmagnitude": _unsafe(num.unsafe_fc_magnitude, 1, "complex",
+                                  [("magnitude", 1)]),
+    "unsafe-fcreal-part": _unsafe(num.unsafe_fc_real, 1, "complex",
+                                  [("real-part", 1)]),
+    "unsafe-fcimag-part": _unsafe(num.unsafe_fc_imag, 1, "complex",
+                                  [("imag-part", 1)]),
+    "unsafe-car": _unsafe(_unsafe_car, 1, "pairs", [("car", 1), ("first", 1)],
+                          result="one"),
+    "unsafe-cdr": _unsafe(_unsafe_cdr, 1, "pairs", [("cdr", 1), ("rest", 1)],
+                          result="one"),
+    "unsafe-vector-ref": _unsafe(_unsafe_vector_ref, 2, "vectors",
+                                 [("vector-ref", 2)], result="one"),
+    "unsafe-vector-set!": _unsafe(_unsafe_vector_set, 3, "vectors",
+                                  [("vector-set!", 3)], result="one"),
+    "unsafe-vector-length": _unsafe(_unsafe_vector_length, 1, "vectors",
+                                    [("vector-length", 1)], result="one"),
 }
 
 
 # --- booleans and equality -----------------------------------------------------
 
 _EQUALITY: dict[str, PrimSpec] = {
-    "not": (lambda x: x is False, 1, 1),
-    "boolean?": (lambda x: isinstance(x, bool), 1, 1),
-    "eq?": (eq, 2, 2),
-    "eqv?": (eqv, 2, 2),
-    "equal?": (equal, 2, 2),
+    "not": (lambda x: x is False, 1, 1, _BOOL),
+    "boolean?": (lambda x: isinstance(x, bool), 1, 1, _BOOL),
+    "eq?": (eq, 2, 2, _BOOL),
+    "eqv?": (eqv, 2, 2, _BOOL),
+    "equal?": (equal, 2, 2, _BOOL),
 }
 
 
@@ -352,12 +436,12 @@ def _cxr(path: str) -> Callable[[Any], Any]:
     return access
 
 
-@define_prim("list*", 1)
+@define_prim("list*", 1, **_ALLOC)
 def prim_list_star(*args: Any) -> Any:
     return v.from_list(args[:-1], args[-1])
 
 
-@define_prim("length", 1, 1)
+@define_prim("length", 1, 1, **_ONE)
 def prim_length(lst: Any) -> int:
     try:
         return v.list_length(lst)
@@ -365,7 +449,7 @@ def prim_length(lst: Any) -> int:
         raise WrongTypeError("length", "list?", lst) from None
 
 
-@define_prim("append", 0)
+@define_prim("append", 0, **_ALLOC)
 def prim_append(*lists: Any) -> Any:
     if not lists:
         return v.NULL
@@ -379,7 +463,7 @@ def prim_append(*lists: Any) -> Any:
     return result
 
 
-@define_prim("reverse", 1, 1)
+@define_prim("reverse", 1, 1, **_ALLOC_ONE)
 def prim_reverse(lst: Any) -> Any:
     result: Any = v.NULL
     node = lst
@@ -464,14 +548,14 @@ def _apply(fn: Any, args: list[Any]) -> Any:
     return apply_procedure(fn, args)
 
 
-@define_prim("map", 2)
+@define_prim("map", 2, **_ALLOC_ONE)
 def prim_map(fn: Any, *lists: Any) -> Any:
     pylists = [v.to_list(lst) for lst in lists]
     n = min(len(lst) for lst in pylists)
     return v.from_list([_apply(fn, [lst[i] for lst in pylists]) for i in range(n)])
 
 
-@define_prim("for-each", 2)
+@define_prim("for-each", 2, **_ONE)
 def prim_for_each(fn: Any, *lists: Any) -> Any:
     pylists = [v.to_list(lst) for lst in lists]
     n = min(len(lst) for lst in pylists)
@@ -480,7 +564,7 @@ def prim_for_each(fn: Any, *lists: Any) -> Any:
     return v.VOID
 
 
-@define_prim("filter", 2, 2)
+@define_prim("filter", 2, 2, **_ONE)
 def prim_filter(pred: Any, lst: Any) -> Any:
     return v.from_list([x for x in v.to_list(lst) if _apply(pred, [x]) is not False])
 
@@ -528,7 +612,7 @@ def prim_ormap(fn: Any, *lists: Any) -> Any:
     return False
 
 
-@define_prim("sort", 2, 2)
+@define_prim("sort", 2, 2, **_ONE)
 def prim_sort(lst: Any, less_than: Any) -> Any:
     import functools
 
@@ -541,12 +625,12 @@ def prim_sort(lst: Any, less_than: Any) -> Any:
     return v.from_list(sorted(items, key=key))
 
 
-@define_prim("build-list", 2, 2)
+@define_prim("build-list", 2, 2, **_ALLOC_ONE)
 def prim_build_list(n: Any, fn: Any) -> Any:
     return v.from_list([_apply(fn, [i]) for i in range(n)])
 
 
-@define_prim("range", 1, 3)
+@define_prim("range", 1, 3, **_ONE)
 def prim_range(a: Any, b: Any = None, step: Any = 1) -> Any:
     if b is None:
         a, b = 0, a
@@ -564,22 +648,22 @@ def prim_range(a: Any, b: Any = None, step: Any = 1) -> Any:
 
 
 _LISTS: dict[str, PrimSpec] = {
-    "cons": (v.Pair, 2, 2),
-    "pair?": (lambda x: type(x) is v.Pair, 1, 1),
-    "null?": (lambda x: x is v.NULL, 1, 1),
-    "list?": (v.is_list, 1, 1),
-    "list": (lambda *args: v.from_list(args), 0),
+    "cons": (v.Pair, 2, 2, _ALLOC_ONE),
+    "pair?": (lambda x: type(x) is v.Pair, 1, 1, _BOOL),
+    "null?": (lambda x: x is v.NULL, 1, 1, _BOOL),
+    "list?": (v.is_list, 1, 1, _BOOL),
+    "list": (lambda *args: v.from_list(args), 0, None, _ALLOC_ONE),
     **{
         f"c{path}r": (_cxr(path), 1, 1)
         for path in ("aa", "ad", "da", "dd", "aaa", "aad", "ada", "add",
                      "daa", "dad", "dda", "ddd")
     },
-    "member": (_member_by(equal, "member"), 2, 2),
-    "memq": (_member_by(eq, "memq"), 2, 2),
-    "memv": (_member_by(eqv, "memv"), 2, 2),
-    "assoc": (_assoc_by(equal), 2, 2),
-    "assq": (_assoc_by(eq), 2, 2),
-    "assv": (_assoc_by(eqv), 2, 2),
+    "member": (_member_by(equal, "member"), 2, 2, _ONE),
+    "memq": (_member_by(eq, "memq"), 2, 2, _ONE),
+    "memv": (_member_by(eqv, "memv"), 2, 2, _ONE),
+    "assoc": (_assoc_by(equal), 2, 2, _ONE),
+    "assq": (_assoc_by(eq), 2, 2, _ONE),
+    "assv": (_assoc_by(eqv), 2, 2, _ONE),
     "first": (prim_car, 1, 1),
     "rest": (prim_cdr, 1, 1),
     **{
@@ -596,11 +680,12 @@ _LISTS: dict[str, PrimSpec] = {
 # --- symbols, keywords, chars ---------------------------------------------------
 
 _SYMBOLS_AND_CHARS: dict[str, PrimSpec] = {
-    "symbol?": (lambda x: isinstance(x, v.Symbol), 1, 1),
+    "symbol?": (lambda x: isinstance(x, v.Symbol), 1, 1, _BOOL),
     "keyword?": (lambda x: isinstance(x, v.Keyword), 1, 1),
-    "symbol->string": (lambda s: s.name, 1, 1),
-    "string->symbol": (lambda s: v.Symbol(s), 1, 1),
-    "gensym": (lambda base=None: v.gensym(base.name if isinstance(base, v.Symbol) else (base or "g")), 0, 1),
+    "symbol->string": (lambda s: s.name, 1, 1, _ONE),
+    "string->symbol": (lambda s: v.Symbol(s), 1, 1, _ONE),
+    "gensym": (lambda base=None: v.gensym(base.name if isinstance(base, v.Symbol) else (base or "g")),
+               0, 1, _ONE),
     "char?": (lambda x: isinstance(x, v.Char), 1, 1),
     "char->integer": (lambda c: ord(c.value), 1, 1),
     "integer->char": (lambda i: v.Char(chr(i)), 1, 1),
@@ -617,7 +702,7 @@ _SYMBOLS_AND_CHARS: dict[str, PrimSpec] = {
 # --- strings ---------------------------------------------------------------------
 
 
-@define_prim("string-append", 0)
+@define_prim("string-append", 0, **_ALLOC_ONE)
 def prim_string_append(*args: Any) -> str:
     for a in args:
         if not isinstance(a, str):
@@ -625,7 +710,7 @@ def prim_string_append(*args: Any) -> str:
     return "".join(args)
 
 
-@define_prim("substring", 2, 3)
+@define_prim("substring", 2, 3, **_ALLOC_ONE)
 def prim_substring(s: Any, start: Any, end: Any = None) -> str:
     return s[start:end] if end is not None else s[start:]
 
@@ -640,20 +725,20 @@ def prim_string_ref(s: Any, i: Any) -> v.Char:
 
 
 _STRINGS: dict[str, PrimSpec] = {
-    "string?": (lambda x: isinstance(x, str), 1, 1),
-    "string-length": (len, 1, 1),
+    "string?": (lambda x: isinstance(x, str), 1, 1, _BOOL),
+    "string-length": (len, 1, 1, _ONE),
     "string=?": (lambda a, b: a == b, 2, 2),
     "string<?": (lambda a, b: a < b, 2, 2),
     "string>?": (lambda a, b: a > b, 2, 2),
-    "string-upcase": (str.upper, 1, 1),
-    "string-downcase": (str.lower, 1, 1),
-    "string->list": (lambda s: v.from_list([v.Char(c) for c in s]), 1, 1),
-    "list->string": (lambda lst: "".join(c.value for c in v.to_list(lst)), 1, 1),
+    "string-upcase": (str.upper, 1, 1, _ONE),
+    "string-downcase": (str.lower, 1, 1, _ONE),
+    "string->list": (lambda s: v.from_list([v.Char(c) for c in s]), 1, 1, _ALLOC),
+    "list->string": (lambda lst: "".join(c.value for c in v.to_list(lst)), 1, 1, _ALLOC),
     "string-contains?": (lambda s, sub: sub in s, 2, 2),
     "string-join": (lambda lst, sep=" ": sep.join(v.to_list(lst)), 1, 2),
     "string-split": (lambda s, sep=None: v.from_list(s.split(sep)), 1, 2),
-    "string": (lambda *chars: "".join(c.value for c in chars), 0),
-    "make-string": (lambda n, c=None: (c.value if c else " ") * n, 1, 2),
+    "string": (lambda *chars: "".join(c.value for c in chars), 0, None, _ONE),
+    "make-string": (lambda n, c=None: (c.value if c else " ") * n, 1, 2, _ALLOC_ONE),
     "string->bytes": (lambda s: s, 1, 1),  # bytes are strings in this runtime
     "bytes?": (lambda x: isinstance(x, str), 1, 1),
 }
@@ -662,7 +747,7 @@ _STRINGS: dict[str, PrimSpec] = {
 # --- vectors ---------------------------------------------------------------------
 
 
-@define_prim("make-vector", 1, 2)
+@define_prim("make-vector", 1, 2, **_ALLOC_ONE)
 def prim_make_vector(n: Any, fill: Any = 0) -> v.MVector:
     if not num.is_exact_integer(n) or n < 0:
         raise WrongTypeError("make-vector", "exact-nonnegative-integer?", n)
@@ -679,7 +764,7 @@ def prim_vector_ref(vec: Any, i: Any) -> Any:
     return vec.items[i]
 
 
-@define_prim("vector-set!", 3, 3)
+@define_prim("vector-set!", 3, 3, **_ONE)
 def prim_vector_set(vec: Any, i: Any, value: Any) -> Any:
     current_stats().tag_checks += 1
     if type(vec) is not v.MVector:
@@ -690,7 +775,7 @@ def prim_vector_set(vec: Any, i: Any, value: Any) -> Any:
     return v.VOID
 
 
-@define_prim("vector-length", 1, 1)
+@define_prim("vector-length", 1, 1, **_ONE)
 def prim_vector_length(vec: Any) -> int:
     current_stats().tag_checks += 1
     if type(vec) is not v.MVector:
@@ -698,7 +783,7 @@ def prim_vector_length(vec: Any) -> int:
     return len(vec.items)
 
 
-@define_prim("vector-fill!", 2, 2)
+@define_prim("vector-fill!", 2, 2, **_ONE)
 def prim_vector_fill(vec: Any, value: Any) -> Any:
     for i in range(len(vec.items)):
         vec.items[i] = value
@@ -706,12 +791,13 @@ def prim_vector_fill(vec: Any, value: Any) -> Any:
 
 
 _VECTORS: dict[str, PrimSpec] = {
-    "vector?": (lambda x: type(x) is v.MVector, 1, 1),
-    "vector": (lambda *args: v.MVector(args), 0),
-    "vector->list": (lambda vec: v.from_list(vec.items), 1, 1),
-    "list->vector": (lambda lst: v.MVector(v.to_list(lst)), 1, 1),
-    "vector-copy": (lambda vec: v.MVector(list(vec.items)), 1, 1),
-    "vector-map": (lambda fn, vec: v.MVector([_apply(fn, [x]) for x in vec.items]), 2, 2),
+    "vector?": (lambda x: type(x) is v.MVector, 1, 1, _BOOL),
+    "vector": (lambda *args: v.MVector(args), 0, None, _ALLOC_ONE),
+    "vector->list": (lambda vec: v.from_list(vec.items), 1, 1, _ALLOC_ONE),
+    "list->vector": (lambda lst: v.MVector(v.to_list(lst)), 1, 1, _ALLOC_ONE),
+    "vector-copy": (lambda vec: v.MVector(list(vec.items)), 1, 1, _ALLOC_ONE),
+    "vector-map": (lambda fn, vec: v.MVector([_apply(fn, [x]) for x in vec.items]), 2, 2,
+                   _ALLOC),
     "build-vector": (lambda n, fn: v.MVector([_apply(fn, [i]) for i in range(n)]), 2, 2),
 }
 
@@ -734,7 +820,7 @@ def prim_set_box(b: Any, value: Any) -> Any:
     return v.VOID
 
 
-@define_prim("hash-set!", 3, 3)
+@define_prim("hash-set!", 3, 3, **_ONE)
 def prim_hash_set(h: Any, key: Any, value: Any) -> Any:
     h.set(key, value)
     return v.VOID
@@ -755,14 +841,14 @@ def prim_hash_ref(h: Any, key: Any, default: Any = _NO_DEFAULT) -> Any:
 
 
 _BOXES_AND_HASHES: dict[str, PrimSpec] = {
-    "box": (v.Box, 1, 1),
+    "box": (v.Box, 1, 1, _ALLOC_ONE),
     "box?": (lambda x: isinstance(x, v.Box), 1, 1),
-    "make-hash": (lambda: v.HashTable(), 0, 0),
+    "make-hash": (lambda: v.HashTable(), 0, 0, _ALLOC_ONE),
     "hash?": (lambda x: isinstance(x, v.HashTable), 1, 1),
     "hash-has-key?": (lambda h, k: h.has(k), 2, 2),
     "hash-remove!": (lambda h, k: (h.remove(k), v.VOID)[1], 2, 2),
-    "hash-count": (lambda h: h.count(), 1, 1),
-    "hash-keys": (lambda h: v.from_list(h.keys()), 1, 1),
+    "hash-count": (lambda h: h.count(), 1, 1, _ONE),
+    "hash-keys": (lambda h: v.from_list(h.keys()), 1, 1, _ONE),
 }
 
 
@@ -807,9 +893,9 @@ def prim_error(message: Any, *args: Any) -> Any:
 
 
 _CONTROL: dict[str, PrimSpec] = {
-    "void": (lambda *args: v.VOID, 0),
+    "void": (lambda *args: v.VOID, 0, None, _ONE),
     "void?": (lambda x: x is v.VOID, 1, 1),
-    "procedure?": (lambda x: isinstance(x, v.Procedure), 1, 1),
+    "procedure?": (lambda x: isinstance(x, v.Procedure), 1, 1, _BOOL),
     "eof-object?": (lambda x: x is v.EOF, 1, 1),
     "eof-object": (lambda: v.EOF, 0, 0),
     "identity": (lambda x: x, 1, 1),
@@ -819,25 +905,25 @@ _CONTROL: dict[str, PrimSpec] = {
 # --- output ------------------------------------------------------------------------
 
 
-@define_prim("display", 1, 2)
+@define_prim("display", 1, 2, **_ONE)
 def prim_display(x: Any, port: Any = None) -> Any:
     current_output_port().write(display_value(x))
     return v.VOID
 
 
-@define_prim("displayln", 1, 2)
+@define_prim("displayln", 1, 2, **_ONE)
 def prim_displayln(x: Any, port: Any = None) -> Any:
     current_output_port().write(display_value(x) + "\n")
     return v.VOID
 
 
-@define_prim("write", 1, 2)
+@define_prim("write", 1, 2, **_ONE)
 def prim_write(x: Any, port: Any = None) -> Any:
     current_output_port().write(write_value(x))
     return v.VOID
 
 
-@define_prim("newline", 0, 1)
+@define_prim("newline", 0, 1, **_ONE)
 def prim_newline(port: Any = None) -> Any:
     current_output_port().write("\n")
     return v.VOID
@@ -874,14 +960,14 @@ def format_string(fmt: str, args: tuple[Any, ...]) -> str:
     return "".join(out)
 
 
-@define_prim("format", 1)
+@define_prim("format", 1, **_ONE)
 def prim_format(fmt: Any, *args: Any) -> str:
     if not isinstance(fmt, str):
         raise WrongTypeError("format", "string?", fmt)
     return format_string(fmt, args)
 
 
-@define_prim("printf", 1)
+@define_prim("printf", 1, **_ONE)
 def prim_printf(fmt: Any, *args: Any) -> Any:
     current_output_port().write(format_string(fmt, args))
     return v.VOID
@@ -892,7 +978,7 @@ def prim_printf(fmt: Any, *args: Any) -> Any:
 _RNG = _py_random.Random(20110604)  # deterministic: the paper's publication date
 
 
-@define_prim("random", 0, 1)
+@define_prim("random", 0, 1, **_ONE)
 def prim_random(n: Any = None) -> Any:
     if n is None:
         return _RNG.random()
@@ -908,8 +994,8 @@ def prim_random_seed(seed: Any) -> Any:
 
 
 _TIME: dict[str, PrimSpec] = {
-    "current-seconds": (lambda: int(time.time()), 0, 0),
-    "current-inexact-milliseconds": (lambda: time.time() * 1000.0, 0, 0),
+    "current-seconds": (lambda: int(time.time()), 0, 0, _ONE),
+    "current-inexact-milliseconds": (lambda: time.time() * 1000.0, 0, 0, _ONE),
     "sleep": (lambda s=0: (time.sleep(min(float(s), 0.1)), v.VOID)[1], 0, 1),
 }
 
@@ -1084,16 +1170,6 @@ def prim_is_exn(x: Any) -> bool:
 
 # --- the kernel table ---------------------------------------------------------
 
-#: constructors whose call sites the resource governor (repro.guard) charges
-#: against an allocation budget; struct constructors are marked where they
-#: are built (repro.runtime.structs)
-ALLOCATING_PRIMITIVES = frozenset({
-    "cons", "list", "list*", "append", "reverse", "map", "build-list",
-    "vector", "make-vector", "list->vector", "vector->list", "vector-copy",
-    "vector-map", "string-append", "make-string", "list->string",
-    "string->list", "substring", "box", "make-hash",
-})
-
 #: every ``#%kernel`` primitive, read-only: the typed languages' support
 #: (add-type!, typed-context?, contract, ...), promises for the lazy
 #: language, structs and quasisyntax templates come from their own modules
@@ -1102,21 +1178,11 @@ PRIMITIVES: Mapping[str, v.Primitive] = primitive_table(
     _STRINGS, _VECTORS, _BOXES_AND_HASHES, _CONTROL, _TIME, _SYNTAX,
     typed_prims.PRIMITIVE_SPECS, promises.PRIMITIVE_SPECS,
     structs.PRIMITIVE_SPECS, quasisyntax.PRIMITIVE_SPECS,
-    allocating=ALLOCATING_PRIMITIVES,
 )
 
-#: the two-operand entry of each variadic arithmetic primitive: what its
-#: ``fn`` computes for exactly two arguments, without the ``*args`` tuple,
-#: the arity branch or ``_chain``'s ``zip``. Keyed by the kernel's own
-#: :class:`Primitive` object, so only a call site whose operator is that
-#: primitive (not some other procedure of the same name) may bind one.
-BINARY_ENTRIES: dict[v.Primitive, Callable[[Any, Any], Any]] = {
-    PRIMITIVES[name]: fn
-    for name, fn in (
-        ("+", num.generic_add), ("-", num.generic_sub),
-        ("*", num.generic_mul), ("/", num.generic_div),
-        ("<", num.generic_lt), ("<=", num.generic_le),
-        (">", num.generic_gt), (">=", num.generic_ge),
-        ("=", num.generic_num_eq),
-    )
-}
+#: ``(checked name, operand count)`` -> the ``unsafe-*`` primitives whose
+#: records replace that call, in table order: the optimizers' view
+REPLACEMENTS: Mapping[tuple[str, int], tuple[v.Primitive, ...]] = MappingProxyType({
+    call: tuple(p for p in PRIMITIVES.values() if call in p.replaces)
+    for call in dict.fromkeys(c for p in PRIMITIVES.values() for c in p.replaces)
+})

@@ -278,14 +278,31 @@ class Procedure:
 
 
 class Primitive(Procedure):
-    """A procedure implemented in Python.
+    """A procedure implemented in Python, with what compilers may know of it.
 
-    ``allocates`` marks constructors (pairs, vectors, strings, boxes,
-    hashes, struct instances) so the resource governor (:mod:`repro.guard`)
-    can charge an allocation budget at their call sites.
+    Beside ``fn`` and its arity, the record holds facts that both backends
+    and the optimizers read at compile and link time, never per call:
+
+    - ``allocates`` marks constructors (pairs, vectors, strings, boxes,
+      hashes, struct instances) so the resource governor
+      (:mod:`repro.guard`) can charge an allocation budget at their call
+      sites;
+    - ``result`` is ``"bool"`` (always a Python ``bool``), ``"one"`` (never
+      a :class:`Values`) or ``"any"``;
+    - ``binary`` is what ``fn`` computes for exactly two arguments, without
+      the ``*args`` tuple or the arity branch;
+    - ``op`` names the :mod:`ast` operator class the primitive is on its
+      representations (``"Add"``, ``"Lt"`` ...); with ``against`` set, it
+      is that binary operator against the constant ``against``
+      (``add1`` is ``"Add"`` against ``1``);
+    - an ``unsafe-*`` primitive names its optimizer ``rule`` group and the
+      checked calls it ``replaces``, as ``(name, operand count)`` pairs.
     """
 
-    __slots__ = ("name", "fn", "arity_min", "arity_max", "allocates")
+    __slots__ = (
+        "name", "fn", "arity_min", "arity_max", "allocates", "result",
+        "binary", "op", "against", "rule", "replaces",
+    )
 
     def __init__(
         self,
@@ -295,12 +312,24 @@ class Primitive(Procedure):
         arity_max: Optional[int] = None,
         *,
         allocates: bool = False,
+        result: str = "any",
+        binary: Optional[Callable[[Any, Any], Any]] = None,
+        op: Optional[str] = None,
+        against: Any = None,
+        rule: Optional[str] = None,
+        replaces: tuple[tuple[str, int], ...] = (),
     ) -> None:
         self.name = name
         self.fn = fn
         self.arity_min = arity_min
         self.arity_max = arity_max
         self.allocates = allocates
+        self.result = result
+        self.binary = binary
+        self.op = op
+        self.against = against
+        self.rule = rule
+        self.replaces = replaces
 
     def __repr__(self) -> str:
         return f"#<procedure:{self.name}>"

@@ -1,8 +1,8 @@
 """Property: each two-operand entry is its variadic primitive at two operands.
 
-``BINARY_ENTRIES`` (``repro.runtime.primitives``) maps ``+ - * / < <= > >=
-=`` to the function both backends call at a two-operand site instead of the
-primitive's ``*args`` implementation. For every operation and every ordered
+The kernel records of ``+ - * / < <= > >= =`` (``repro.runtime.primitives``)
+name, as ``Primitive.binary``, the function both backends call at a
+two-operand site instead of the primitive's ``*args`` implementation. For every operation and every ordered
 pair from the edge-value operand pool, the entry and ``Primitive.fn`` must
 return the same value (compared as ``eqv?`` does, so ``-0.0`` is not
 ``0.0`` and ``+nan.0`` is itself) or raise the same exception type with the
@@ -19,7 +19,7 @@ import pytest
 
 from repro.reader.reader import classify_atom
 from repro.runtime import numerics as num
-from repro.runtime.primitives import BINARY_ENTRIES, PRIMITIVES
+from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.stats import Stats, use_stats
 from repro.syn.srcloc import NO_SRCLOC
 
@@ -52,15 +52,16 @@ def _outcome(fn, a, b):
 
 
 def test_table_covers_the_binary_operations():
-    assert {prim.name for prim in BINARY_ENTRIES} == set(BINARY)
-    for prim in BINARY_ENTRIES:
+    with_entry = [prim for prim in PRIMITIVES.values() if prim.binary is not None]
+    assert {prim.name for prim in with_entry} == set(BINARY)
+    for prim in with_entry:
         assert PRIMITIVES[prim.name] is prim
 
 
 @pytest.mark.parametrize("op", BINARY)
 def test_binary_entry_agrees_with_variadic_primitive(op):
     prim = PRIMITIVES[op]
-    entry = BINARY_ENTRIES[prim]
+    entry = prim.binary
     mismatches = []
     for a, b in itertools.product(POOL, repeat=2):
         expected = _outcome(prim.fn, a, b)

@@ -358,6 +358,72 @@ def test_error_differential(name):
     assert_backends_agree(ERROR_PROGRAMS[name])
 
 
+
+# ---------------------------------------------------------------------------
+# single-value bindings: a primitive that can return an operand as it is
+# ---------------------------------------------------------------------------
+
+#: each binds one id to a call that hands back a Values operand: both
+#: backends must check the binding's value count (pyc skips the check only
+#: for primitives whose record says they never return a Values object)
+OPERAND_RETURNING = {
+    "append": '(let ([x (append (values 1 2))]) (displayln "bound"))',
+    "append-last": '(let ([x (append (list) (values 1 2))]) (displayln "bound"))',
+    "list*": '(let ([x (list* (values 1 2))]) (displayln "bound"))',
+    "list-tail": '(let ([x (list-tail (values 1 2) 0)]) (displayln "bound"))',
+    "in-function": "(define (f) (let ([x (append (list) (values 1 2))]) x))\n(f)",
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(OPERAND_RETURNING))
+def test_single_binding_checks_an_operand_returned_as_is(name, backend):
+    output, error, _ = run_under(
+        backend, "#lang racket\n" + OPERAND_RETURNING[name] + "\n"
+    )
+    assert output is None
+    assert error[2] == "binding expects 1 value, got 2"
+
+
+#: the one operand of ``+ * min max`` is checked as Racket checks it, with
+#: the error of the two-operand path and no counter charged
+LONE_OPERANDS = [
+    ("+", "'a", "number?"), ("*", "'a", "number?"),
+    ("min", "(list 1)", "real?"), ("max", '"s"', "real?"),
+    ("min", "1+2i", "real?"), ("+", "(values 1 2)", "number?"),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("op, operand, expected", LONE_OPERANDS)
+def test_lone_operand_is_checked(op, operand, expected, backend):
+    lone = run_under(backend, f"#lang racket\n(let ([x ({op} {operand})]) x)\n")
+    pair = run_under(backend, f"#lang racket\n({op} {operand} 1)\n")
+    assert lone[0] is None and lone[1][:2] == ("WrongTypeError", "X002")
+    assert lone[1][2].startswith(f"{op}: expected {expected}, given: ")
+    assert lone[1][2] == pair[1][2]
+    assert lone[2]["generic_dispatches"] == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lone_operand_in_domain_is_returned(backend):
+    source = ("#lang racket\n"
+              "(displayln (list (+ 5) (* 1/2) (min 2.5) (max -3) (+ 1+2i)))\n")
+    output, error, stats = run_under(backend, source)
+    assert (output, error) == ("(5 1/2 2.5 -3 1.0+2.0i)\n", None)
+    assert stats["generic_dispatches"] == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_typed_sqrt_of_a_negative_float_is_the_untyped_root(backend):
+    """The typed optimizer turns ``sqrt`` of a ``Float`` into
+    ``unsafe-flsqrt``, which must give a negative flonum's imaginary root
+    as ``sqrt`` does."""
+    typed = "#lang typed/racket\n(define x : Float -4.0)\n(displayln (sqrt x))\n"
+    untyped = "#lang racket\n(define x -4.0)\n(displayln (sqrt x))\n"
+    assert run_under(backend, typed)[:2] == ("0.0+2.0i\n", None)
+    assert run_under(backend, untyped)[:2] == ("0.0+2.0i\n", None)
+
 # ---------------------------------------------------------------------------
 # guard exhaustion: G001–G005 with identical codes and step counts
 # ---------------------------------------------------------------------------

@@ -195,6 +195,78 @@ class TestNothingWritesTheKernel:
                 table["x"] = PRIMITIVES["car"]
 
 
+
+def _typed_tables():
+    from repro.langs.simple_type import base_env as simple
+    from repro.langs.typed import base_env as typed
+
+    return {
+        "typed BASE_TYPES": typed.BASE_TYPES,
+        "typed DELTA_RULES": typed.DELTA_RULES,
+        "simple-type BASE_TYPES": simple.BASE_TYPES,
+    }
+
+
+class TestPrimitiveRecordsAgree:
+    """What the typed languages and the optimizers know of a primitive must
+    fit its kernel record. Types stay with the typed languages (the kernel
+    knows none); their tables must still name kernel primitives and give
+    them operand counts the primitives accept."""
+
+    @pytest.mark.parametrize("table, size", [
+        ("typed BASE_TYPES", 82), ("typed DELTA_RULES", 83),
+        ("simple-type BASE_TYPES", 25),
+    ])
+    def test_typed_tables_name_kernel_primitives(self, table, size):
+        names = _typed_tables()[table]
+        assert len(names) == size
+        assert [name for name in names if name not in PRIMITIVES] == []
+
+    @pytest.mark.parametrize("table", ["typed BASE_TYPES", "simple-type BASE_TYPES"])
+    def test_arity_admits_every_function_type_case(self, table):
+        from repro.langs.typed_common import types as ty
+
+        misfits = []
+        for name, t in _typed_tables()[table].items():
+            prim = PRIMITIVES[name]
+            for case in t.cases if isinstance(t, ty.CaseFunType) else [t]:
+                n = len(case.params)
+                if n < prim.arity_min or (
+                    prim.arity_max is not None and n > prim.arity_max
+                ):
+                    misfits.append((name, str(case)))
+        assert misfits == []
+
+    def test_every_unsafe_primitive_declares_its_twins_and_rule(self):
+        """An ``unsafe-*`` primitive without a twin would declare
+        ``rule=None``; none does today. A checked primitive declares
+        neither."""
+        from repro.langs.typed.optimizer import ALL_RULES
+
+        for name, prim in PRIMITIVES.items():
+            if not name.startswith("unsafe-"):
+                assert (prim.rule, prim.replaces) == (None, ()), name
+                continue
+            assert prim.rule in ALL_RULES and prim.replaces, name
+            for checked, n in prim.replaces:
+                plain = PRIMITIVES[checked]
+                assert plain.rule is None, (name, checked)
+                assert plain.arity_min <= n and (
+                    plain.arity_max is None or n <= plain.arity_max
+                ), (name, checked, n)
+                # a call one operand short gains the checked constant
+                assert n == prim.arity_min or (
+                    n == prim.arity_min - 1 and plain.against is not None
+                ), (name, checked, n)
+
+    def test_result_classes_and_operators_are_known(self):
+        import ast
+
+        for name, prim in PRIMITIVES.items():
+            assert prim.result in ("bool", "one", "any"), name
+            if prim.op is not None:
+                assert issubclass(getattr(ast, prim.op), (ast.operator, ast.cmpop)), name
+
 IMPORT_ORDER_PROBE = """
 import hashlib, json, sys
 if sys.argv[1] == "datalog":

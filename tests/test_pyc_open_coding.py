@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Runtime
-from repro.runtime.primitives import BINARY_ENTRIES, PRIMITIVES
+from repro.runtime.primitives import PRIMITIVES
 
 FLOAT_LOOP = """#lang racket
 (define (loop i x acc)
@@ -42,10 +42,8 @@ def primitive_calls(monkeypatch):
     for name in OPEN_CODED:
         prim = PRIMITIVES[name]
         monkeypatch.setattr(prim, "fn", counting(prim.fn, name))
-        if prim in BINARY_ENTRIES:
-            monkeypatch.setitem(
-                BINARY_ENTRIES, prim, counting(BINARY_ENTRIES[prim], name)
-            )
+        if prim.binary is not None:
+            monkeypatch.setattr(prim, "binary", counting(prim.binary, name))
     return calls
 
 
