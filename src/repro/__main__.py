@@ -1,12 +1,7 @@
 """``python -m repro program.rkt`` runs a ``#lang`` module file;
-``python -m repro --repl [language]`` starts a REPL."""
+``python -m repro --repl [language]`` starts a REPL (see ``repro.tools.runner``)."""
 
 import sys
-
-if len(sys.argv) > 1 and sys.argv[1] == "--repl":
-    from repro.tools.repl import main as repl_main
-
-    sys.exit(repl_main(sys.argv[2:]))
 
 from repro.tools.runner import main
 

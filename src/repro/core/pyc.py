@@ -33,11 +33,12 @@ code object per module. The mapping:
 Budgets thread through emitted code, but governance is a *link-time*
 binding, not a second code object: each unit carries one code object, and
 ``link_unit`` binds the module globals ``_G`` (``guard is not None``),
-``_guard``, ``_apply`` and ``_tail`` for the run at hand. Function entries
-are charged by the trampoline (a ``PyClosure`` application costs one step
-and one depth level, like an interp ``Closure``). Each loop back-edge
-carries, behind ``if _G:``, the same two inlined lines the interp
-trampoline uses (``guard.steps_used += 1; if ... >= guard.next_check:
+``_cg`` (the active-guard probe), ``_apply`` and ``_tail`` for the run at
+hand. Function entries are charged by the trampoline (a ``PyClosure``
+application costs one step and one depth level, like an interp
+``Closure``). Each loop back-edge carries, behind ``if _G`` and a guard
+active at that moment, the same two inlined lines the interp trampoline
+uses (``guard.steps_used += 1; if ... >= guard.next_check:
 checkpoint()``), and each direct call of a hoisted top-level function
 branches on ``_G`` to the governed trampoline, so G001–G005 fire with step
 and depth counts identical to the interp backend while an ungoverned run
@@ -72,6 +73,7 @@ from repro.core.lower import (
     stable_self_binding,
 )
 from repro.errors import RuntimeReproError
+from repro.guard.budget import current_guard
 from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.stats import current_stats
 from repro.runtime.values import (
@@ -842,12 +844,15 @@ class _Emitter:
         plus the primitive's exact ``tag_checks`` charge; operands outside
         the fast type fall back to the primitive itself (which charges its
         own counter and raises the proper error), so the deterministic
-        instrumentation matches the interp backend."""
+        instrumentation matches the interp backend. An unsafe vector access
+        keeps only the bounds test (the types prove the rest) and charges
+        ``unsafe_ops``."""
         n = len(args)
         name = prim.name
+        unsafe = name.startswith("unsafe-vector")
         pair = name in ("car", "cdr") and n == 1
-        vref = name == "vector-ref" and n == 2
-        vset = name == "vector-set!" and n == 3
+        vref = name in ("vector-ref", "unsafe-vector-ref") and n == 2
+        vset = name in ("vector-set!", "unsafe-vector-set!") and n == 3
         vlen = name == "vector-length" and n == 1
 
         # decide statically before emitting anything: a constant
@@ -869,9 +874,13 @@ class _Emitter:
                 ops=[py.Is()], comparators=[what],
             )
 
-        tests = [type_is(makers[0], _n("_Pair" if pair else "_MVector"))]
+        tests = [] if unsafe else [
+            type_is(makers[0], _n("_Pair" if pair else "_MVector"))
+        ]
         out = self.temp()
-        fast: list[py.stmt] = [self._charge("tag_checks")]
+        fast: list[py.stmt] = [
+            self._charge("unsafe_ops" if unsafe else "tag_checks")
+        ]
         if pair:
             fast.append(_assign(out, py.Attribute(
                 value=makers[0](), attr="car" if name == "car" else "cdr",
@@ -887,7 +896,7 @@ class _Emitter:
                 fast.append(_assign(out, length))
             else:
                 index = makers[1]()
-                if not isinstance(index, py.Constant):
+                if not (unsafe or isinstance(index, py.Constant)):
                     tests.append(type_is(makers[1], _n("int")))
                 tests.append(py.Compare(
                     left=_const(0), ops=[py.LtE(), py.Lt()],
@@ -918,8 +927,7 @@ class _Emitter:
                     else None)
         name = prim.name
         if (operator is not None
-                or name in ("unsafe-flneg", "unsafe-car", "unsafe-cdr",
-                            "unsafe-vector-ref", "unsafe-vector-set!")):
+                or name in ("unsafe-flneg", "unsafe-car", "unsafe-cdr")):
             # evaluate operands first, then charge: the interp primitive
             # charges unsafe_ops after its arguments are evaluated but
             # before it touches them, so error paths agree on counters too
@@ -934,21 +942,6 @@ class _Emitter:
             return py.Attribute(value=args[0], attr="car", ctx=py.Load())
         if name == "unsafe-cdr":
             return py.Attribute(value=args[0], attr="cdr", ctx=py.Load())
-        if name == "unsafe-vector-ref":
-            return py.Subscript(
-                value=py.Attribute(value=args[0], attr="items", ctx=py.Load()),
-                slice=args[1], ctx=py.Load(),
-            )
-        if name == "unsafe-vector-set!":
-            self.cur.append(py.Assign(
-                targets=[py.Subscript(
-                    value=py.Attribute(value=args[0], attr="items",
-                                       ctx=py.Load()),
-                    slice=args[1], ctx=py.Store(),
-                )],
-                value=args[2],
-            ))
-            return _n("_V")
         if name == "not":
             if isinstance(args[0], py.Constant):  # avoid `0 is False` warning
                 return _const(args[0].value is False)
@@ -1023,9 +1016,7 @@ class _Emitter:
                     )],
                     value=py.Tuple(elts=args, ctx=py.Load()),
                 ))
-            self.cur.append(py.If(test=_n("_G"),
-                                  body=self._back_edge_charge(loop.name),
-                                  orelse=[]))
+            self.cur.extend(self._back_edge_charge(loop.name))
             self.cur.append(py.Continue())
             return
         parts = self._expr_seq([node.fn, *node.args])
@@ -1045,29 +1036,38 @@ class _Emitter:
 
     def _back_edge_charge(self, where: str) -> list[py.stmt]:
         """The two inlined lines the governed interp trampoline charges per
-        application, emitted (behind ``if _G:``) at each loop back-edge."""
-        guard_steps = py.Attribute(value=_n("_guard"), attr="steps_used",
-                                   ctx=py.Load())
-        return [py.Assign(
+        application, emitted at each loop back-edge behind ``if _G and
+        (_gd := _cg()) is not None:``. Like ``apply_procedure`` it charges
+        the guard active now, so a function called after its governed
+        import returns runs ungoverned, as on interp."""
+        guard = py.NamedExpr(target=_s("_gd"), value=_call(_n("_cg"), []))
+        test = py.BoolOp(op=py.And(), values=[_n("_G"), py.Compare(
+            left=guard, ops=[py.IsNot()], comparators=[_const(None)],
+        )])
+        return [py.If(test=test, body=[py.Assign(
             targets=[
-                py.Attribute(value=_n("_guard"), attr="steps_used",
+                py.Attribute(value=_n("_gd"), attr="steps_used",
                              ctx=py.Store()),
                 _s("_steps"),
             ],
-            value=py.BinOp(left=guard_steps, op=py.Add(), right=_const(1)),
+            value=py.BinOp(
+                left=py.Attribute(value=_n("_gd"), attr="steps_used",
+                                  ctx=py.Load()),
+                op=py.Add(), right=_const(1),
+            ),
         ), py.If(
             test=py.Compare(
                 left=_n("_steps"), ops=[py.GtE()],
-                comparators=[py.Attribute(value=_n("_guard"),
+                comparators=[py.Attribute(value=_n("_gd"),
                                           attr="next_check", ctx=py.Load())],
             ),
             body=[py.Expr(value=_call(
-                py.Attribute(value=_n("_guard"), attr="checkpoint",
+                py.Attribute(value=_n("_gd"), attr="checkpoint",
                              ctx=py.Load()),
                 [_const(where)],
             ))],
             orelse=[],
-        )]
+        )], orelse=[])]
 
     # -- module forms ------------------------------------------------------
 
@@ -1213,7 +1213,7 @@ def codegen_module(compiled: Any, inline: bool) -> PycUnit:
 
     Namespace-independent: every namespace cell, quoted constant, and
     primitive is reached through a module global resolved at link time,
-    and so is governance (``_G``, ``_guard``). ``inline`` is the
+    and so is governance (``_G``, ``_cg``). ``inline`` is the
     registry's ``inline_primitives``.
     """
     analysis = module_analysis(compiled)
@@ -1289,9 +1289,9 @@ def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
     governed = guard is not None
     g: dict[str, Any] = {
         "_G": governed,
-        "_guard": guard,
-        # the guard is fixed for the whole run at link time (the same
-        # static assumption ``_G`` makes)
+        # governed code charges the guard active at each call, as the
+        # interp backend does (``_G`` is fixed at link time)
+        "_cg": current_guard,
         "_apply": apply_procedure if governed else apply_ungoverned,
         "_tail": tail_apply if governed else tail_ungoverned,
         "_dr": _drain,

@@ -61,6 +61,18 @@ def _check_limit(name: str, value: Any) -> Any:
     )
 
 
+def parse_limit(name: str, text: str) -> Any:
+    """Limit ``name`` read from command-line ``text`` (``,budget``, the
+    CLI's budget flags): an int, or a float for ``seconds``, held to
+    :func:`_check_limit`'s rule, the one a JSON budget meets. ValueError
+    otherwise."""
+    try:
+        value = float(text) if name == "seconds" else int(text)
+    except ValueError:
+        value = text  # not a number: the error names the text
+    return _check_limit(name, value)
+
+
 class CancelToken:
     """A cooperative cancellation flag a host hands to a Runtime.
 

@@ -110,12 +110,14 @@ if TYPE_CHECKING:
 #: (``#%datalog``, ``#%match-ext``), not under ``#%kernel``
 #: v7: pyc units check the value count of a single-id binding of
 #: ``append``, ``list*`` and ``list-tail``, which can return an operand
-FORMAT_VERSION = 7
+#: v8: pyc loop back-edges charge the active guard through the link-time
+#: ``_cg`` (no ``_guard`` global), and unsafe vector accesses test bounds
+FORMAT_VERSION = 8
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x07"
+MAGIC = b"REPROZO\x08"
 
 _DIGEST_LEN = 32
 

@@ -744,15 +744,22 @@ def unsafe_fx_eq(a: int, b: int) -> bool:
     return a == b
 
 
+# The unsafe operations drop the tag checks the types prove, never a check
+# on a value: a zero divisor raises exactly the checked primitive's error.
 def unsafe_fx_quotient(a: int, b: int) -> int:
     current_stats().unsafe_ops += 1
+    if b == 0:
+        raise WrongTypeError("quotient", "non-zero integer", b)
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
 
 
 def unsafe_fx_remainder(a: int, b: int) -> int:
     current_stats().unsafe_ops += 1
-    return a - unsafe_fx_quotient(a, b) * b
+    if b == 0:
+        raise WrongTypeError("remainder", "non-zero integer", b)
+    r = abs(a) % abs(b)  # truncating: the sign of the dividend
+    return -r if a < 0 else r
 
 
 def unsafe_fc_add(a: complex, b: complex) -> complex:
@@ -772,6 +779,8 @@ def unsafe_fc_mul(a: complex, b: complex) -> complex:
 
 def unsafe_fc_div(a: complex, b: complex) -> complex:
     current_stats().unsafe_ops += 1
+    if b == 0:
+        raise WrongTypeError("/", "non-zero number", b)
     return a / b
 
 

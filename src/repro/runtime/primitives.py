@@ -275,13 +275,23 @@ def _unsafe_cdr(p: v.Pair) -> Any:
     return p.cdr
 
 
+def _out_of_range(who: str, vec: v.MVector, i: Any) -> RuntimeReproError:
+    return RuntimeReproError(f"{who}: index {i} out of range [0, {len(vec.items)})")
+
+
+# the types prove a vector and an integer index, not that the index is in
+# range: that check stays, with the checked primitive's error
 def _unsafe_vector_ref(vec: v.MVector, i: int) -> Any:
     current_stats().unsafe_ops += 1
+    if not 0 <= i < len(vec.items):
+        raise _out_of_range("vector-ref", vec, i)
     return vec.items[i]
 
 
 def _unsafe_vector_set(vec: v.MVector, i: int, value: Any) -> Any:
     current_stats().unsafe_ops += 1
+    if not 0 <= i < len(vec.items):
+        raise _out_of_range("vector-set!", vec, i)
     vec.items[i] = value
     return v.VOID
 
@@ -760,7 +770,7 @@ def prim_vector_ref(vec: Any, i: Any) -> Any:
     if type(vec) is not v.MVector:
         raise WrongTypeError("vector-ref", "vector?", vec)
     if not (isinstance(i, int) and 0 <= i < len(vec.items)):
-        raise RuntimeReproError(f"vector-ref: index {i} out of range [0, {len(vec.items)})")
+        raise _out_of_range("vector-ref", vec, i)
     return vec.items[i]
 
 
@@ -770,7 +780,7 @@ def prim_vector_set(vec: Any, i: Any, value: Any) -> Any:
     if type(vec) is not v.MVector:
         raise WrongTypeError("vector-set!", "vector?", vec)
     if not (isinstance(i, int) and 0 <= i < len(vec.items)):
-        raise RuntimeReproError(f"vector-set!: index {i} out of range [0, {len(vec.items)})")
+        raise _out_of_range("vector-set!", vec, i)
     vec.items[i] = value
     return v.VOID
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -516,68 +517,24 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST", body)
 
 
-def serve_command(args: list[str]) -> int:
-    """``repro serve [--host H] [--port P] [--backend B] [--cache-dir D]
-    [--steps N] [--time-limit S] [--max-depth N]`` — run the service until
-    interrupted. Budget flags set the *default* per-request budget; a
-    request's own "budget" object overrides it."""
-    import sys
-
-    host, port = "127.0.0.1", 8737
-    backend: Optional[str] = None
-    cache_dir: Optional[str] = None
-    budget: dict[str, Any] = {}
-    flags = {
-        "--host": ("host", str), "--port": ("port", int),
-        "--backend": ("backend", str), "--cache-dir": ("cache_dir", str),
-        "--steps": ("steps", int), "--time-limit": ("seconds", float),
-        "--max-depth": ("max_depth", int),
-    }
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        name, raw = arg, None
-        if "=" in arg:
-            name, _, raw = arg.partition("=")
-        if name not in flags:
-            print(f"error: unknown serve option: {arg}", file=sys.stderr)
-            return 2
-        if raw is None:
-            if i + 1 >= len(args):
-                print(f"error: {name} requires a value", file=sys.stderr)
-                return 2
-            i += 1
-            raw = args[i]
-        key, convert = flags[name]
-        try:
-            value = convert(raw)
-        except ValueError:
-            print(f"error: {name} requires {convert.__name__}, got {raw!r}",
-                  file=sys.stderr)
-            return 2
-        if key == "host":
-            host = value
-        elif key == "port":
-            port = value
-        elif key == "backend":
-            backend = value
-        elif key == "cache_dir":
-            cache_dir = value
-        else:
-            budget[key] = value
-        i += 1
-    try:
-        resolve_budget(dict(budget))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+def serve_command(
+    *,
+    host: str,
+    port: int,
+    backend: Optional[str],
+    cache_dir: Optional[str],
+    budget: Optional[dict[str, Any]],
+) -> int:
+    """``repro serve`` — run the service until interrupted, with the values
+    the command line parsed and checked. ``budget`` is the *default*
+    per-request budget; a request's own "budget" object overrides it."""
     from repro.modules.cache import default_cache_dir
 
     server = ReproServer(
         host, port,
         cache_dir=cache_dir or default_cache_dir(),
         backend=backend,
-        default_budget=budget or None,
+        default_budget=budget,
     )
     try:
         bound_host, bound_port = server.start()

@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.guard import Budget
+from repro.guard.budget import Budget, parse_limit
 from repro.reader.reader import Reader
 from repro.tools.runner import Runtime
 
@@ -267,11 +267,9 @@ class Repl:
             budget.configure(**{attr: None})
             return f"{name}: unlimited\n"
         try:
-            value = float(raw) if name == "seconds" else int(raw)
-        except ValueError:
-            return f"error: {raw!r} is not a number\n"
-        if value <= 0:
-            return "error: budget limits must be positive\n"
+            value = parse_limit(attr, raw)
+        except ValueError as err:
+            return f"error: {err}\n"
         budget.configure(**{attr: value})
         return f"{name}: {value}\n"
 
@@ -376,15 +374,12 @@ class Repl:
                 stdout.write(f"error: internal: {type(error).__name__}: {error}\n")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
-    backend = None
-    if "--backend" in args:
-        i = args.index("--backend")
-        if i + 1 >= len(args):
-            sys.stderr.write("error: --backend needs a value\n")
-            return 2
-        backend = args[i + 1]
-        args = args[:i] + args[i + 2:]
-    language = args[0] if args else "racket"
-    return Repl(language, backend=backend).run()
+def main(language: str = "racket", backend: Optional[str] = None) -> int:
+    """Run a REPL on stdin/stdout (``python -m repro --repl [language]
+    [--backend NAME]``; :mod:`repro.tools.runner` parses that line)."""
+    try:
+        repl = Repl(language, backend=backend)
+    except ValueError as err:  # a $REPRO_BACKEND naming no backend
+        sys.stderr.write(f"error: {err}\n")
+        return 2
+    return repl.run()

@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import os
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NoReturn, Optional
 
 from repro.core.namespace import Namespace
 from repro.diagnostics import CompileResult, Diagnostic
 from repro.errors import CompilationFailed, ReproError
-from repro.guard.budget import Budget, CancelToken, resolve_budget, use_guard
+from repro.guard.budget import (
+    Budget, CancelToken, parse_limit, resolve_budget, use_guard,
+)
 from repro.langs.typed.optimizer import ALL_RULES
 from repro.modules.cache import ENV_CACHE_DIR, ModuleCache, default_cache_dir
 from repro.modules.instantiate import instantiate_module
@@ -292,11 +294,10 @@ usage: python -m repro [options] <file.rkt>
        python -m repro run [options] <file.rkt>
        python -m repro trace <file.rkt|script.py> [--format chrome|summary|jsonl] [--out FILE]
        python -m repro import-smoke [options] <module.name> [--dir DIR]
-       python -m repro serve [--host H] [--port P] [--backend B] [--cache-dir D]
-       python -m repro cache stats
-       python -m repro cache clear
-       python -m repro cache doctor
+       python -m repro serve [--host H] [--port P] [--backend B] [--cache-dir D] [budget options]
+       python -m repro cache [stats|clear|doctor] [--cache-dir D]
        python -m repro langs [--json]
+       python -m repro --repl [language] [--backend B]
 
 langs lists every registered language (with the dialect stack its #lang
 line implies) and every registered dialect (with the version folded into
@@ -314,6 +315,8 @@ reports its provides plus cache/expansion counters — "expansions=0" on a
 warm cache proves the import skipped macro expansion entirely. --dir DIR
 prepends DIR to sys.path (default: the working directory).
 
+run takes every option below, import-smoke all but --log-optimizations, and
+the other commands those on their usage line; any other is an error (exit 2).
 options:
   --backend NAME       execution backend: interp (closure trees, default)
                        or pyc (CPython code objects); also $REPRO_BACKEND
@@ -322,6 +325,7 @@ options:
   --cache-dir DIR      cache directory (default .repro-cache/ or $REPRO_CACHE_DIR)
   --log-optimizations  report fired + near-miss type specializations on
                        stderr after the run (implies --no-cache)
+budget options (each an integer >= 0, --time-limit a finite real >= 0):
   --steps N            evaluation step budget (G001 diagnostic on exhaustion)
   --time-limit SECS    wall-clock evaluation budget (G002 on exhaustion)
   --max-depth N        non-tail recursion depth budget (G003 on exhaustion)
@@ -333,12 +337,12 @@ directly, with the artifact cache off so the whole pipeline is visible.
 """
 
 
-def _cache_command(args: list[str], cache_dir: Optional[str]) -> int:
+def _cache_command(opts: Any) -> int:
+    """``repro cache stats|clear|doctor`` — inspect or sweep the cache."""
     import sys
 
-    cache = ModuleCache(cache_dir)
-    sub = args[0] if args else "stats"
-    if sub == "clear":
+    cache = ModuleCache(opts.cache_dir)
+    if opts.action == "clear":
         report = cache.clear()
         parts = [f"{report['artifacts']} artifact(s)"]
         if report["quarantined"]:
@@ -351,7 +355,7 @@ def _cache_command(args: list[str], cache_dir: Optional[str]) -> int:
         for problem in report["errors"]:
             print(f"  error: {problem}", file=sys.stderr)
         return 1 if report["errors"] else 0
-    if sub == "stats":
+    if opts.action == "stats":
         entries = cache.entries()
         total = sum(size for _name, size in entries)
         print(f"cache directory: {cache.dir}")
@@ -359,54 +363,44 @@ def _cache_command(args: list[str], cache_dir: Optional[str]) -> int:
         for name, size in entries:
             print(f"  {name}  {size} bytes")
         return 0
-    if sub == "doctor":
-        report = cache.doctor()
-        print(f"cache directory: {report['dir']}")
-        print(f"artifacts scanned: {report['scanned']} ({report['ok']} ok)")
-        for name, magic in report.get("old_version", []):
-            print(
-                f"  old format {name}: intact artifact from cache version "
-                f"{magic!r} (ignored by loads; safe to clear)"
-            )
-        for name, why, dest in report["quarantined"]:
-            print(f"  quarantined {name}: {why} -> {dest}")
-        for name in report["tmp_removed"]:
-            print(f"  removed torn-write debris {name}")
-        for name, pid in report.get("tmp_live", []):
-            print(
-                f"  in-flight write {name}: writer pid {pid} is alive "
-                f"(left alone; doctor is safe to run mid-compile)"
-            )
-        for name in report["locks_removed"]:
-            print(f"  removed stale lock {name}")
-        for name, pid in report.get("locks_held", []):
-            holder = f"pid {pid}" if pid and pid > 0 else "unknown pid"
-            print(f"  lock {name}: held by live {holder} (left alone)")
-        for problem in report["errors"]:
-            print(f"  error: {problem}")
-        if not (
-            report.get("old_version")
-            or report["quarantined"]
-            or report["tmp_removed"]
-            or report.get("tmp_live")
-            or report["locks_removed"]
-            or report.get("locks_held")
-            or report["errors"]
-        ):
-            print("no problems found")
-        return 1 if report["errors"] else 0
-    print(f"error: unknown cache command: {sub}", file=sys.stderr)
-    return 2
+    report = cache.doctor()
+    print(f"cache directory: {report['dir']}")
+    print(f"artifacts scanned: {report['scanned']} ({report['ok']} ok)")
+    for name, magic in report.get("old_version", []):
+        print(
+            f"  old format {name}: intact artifact from cache version "
+            f"{magic!r} (ignored by loads; safe to clear)"
+        )
+    for name, why, dest in report["quarantined"]:
+        print(f"  quarantined {name}: {why} -> {dest}")
+    for name in report["tmp_removed"]:
+        print(f"  removed torn-write debris {name}")
+    for name, pid in report.get("tmp_live", []):
+        print(
+            f"  in-flight write {name}: writer pid {pid} is alive "
+            f"(left alone; doctor is safe to run mid-compile)"
+        )
+    for name in report["locks_removed"]:
+        print(f"  removed stale lock {name}")
+    for name, pid in report.get("locks_held", []):
+        holder = f"pid {pid}" if pid and pid > 0 else "unknown pid"
+        print(f"  lock {name}: held by live {holder} (left alone)")
+    for problem in report["errors"]:
+        print(f"  error: {problem}")
+    if not (
+        report.get("old_version")
+        or report["quarantined"]
+        or report["tmp_removed"]
+        or report.get("tmp_live")
+        or report["locks_removed"]
+        or report.get("locks_held")
+        or report["errors"]
+    ):
+        print("no problems found")
+    return 1 if report["errors"] else 0
 
 
-def _import_smoke_command(
-    args: list[str],
-    *,
-    use_cache: Optional[bool],
-    cache_dir: Optional[str],
-    backend: Optional[str],
-    budget_limits: dict[str, Any],
-) -> int:
+def _import_smoke_command(opts: Any) -> int:
     """``repro import-smoke app.rules`` — import a ``#lang`` module through
     the meta-path hook and report provides + counters. Exit 0 on success,
     1 on ImportError (the diagnostic chain is printed)."""
@@ -415,83 +409,47 @@ def _import_smoke_command(
 
     from repro.importer import ReproImportError, install, uninstall
 
-    search_dir: Optional[str] = None
-    names: list[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--dir":
-            if i + 1 >= len(args):
-                print("error: --dir requires a directory", file=sys.stderr)
-                return 2
-            i += 1
-            search_dir = args[i]
-        elif arg.startswith("--dir="):
-            search_dir = arg[len("--dir="):]
-        else:
-            names.append(arg)
-        i += 1
-    if len(names) != 1:
-        print(_USAGE, file=sys.stderr)
-        return 2
-    sys.path.insert(0, search_dir if search_dir is not None else os.getcwd())
-    try:
-        rt = Runtime(
-            cache=use_cache,
-            cache_dir=cache_dir,
-            backend=backend,
-            budget=budget_limits or None,
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    name = opts.module
+    sys.path.insert(0, opts.dir if opts.dir is not None else os.getcwd())
+    rt = _runtime(opts)
+    if rt is None:
         return 2
     install(rt)
     try:
-        module = importlib.import_module(names[0])
-    except ReproImportError as err:
-        print(f"error: {err}", file=sys.stderr)
-        rt.close()
-        return 1
+        module = importlib.import_module(name)
     except ImportError as err:
-        print(f"error: cannot import {names[0]}: {err}", file=sys.stderr)
-        rt.close()
+        # a ReproImportError's message names the module and the diagnostics
+        why = err if isinstance(err, ReproImportError) else f"cannot import {name}: {err}"
+        print(f"error: {why}", file=sys.stderr)
         return 1
     finally:
         uninstall()
         for diag in rt.cache.diagnostics if rt.cache is not None else ():
             print(diag, file=sys.stderr)
+        rt.close()  # the counters below outlive the compiled modules
     language = getattr(module, "__language__", None)
     if language is None:
         print(
-            f"error: {names[0]} resolved to a plain Python module "
+            f"error: {name} resolved to a plain Python module "
             f"({getattr(module, '__file__', '?')}), not a #lang file",
             file=sys.stderr,
         )
         return 1
     snap = rt.stats
-    print(f"imported {names[0]} from {module.__file__} (#lang {language})")
+    print(f"imported {name} from {module.__file__} (#lang {language})")
     print(f"provides: {', '.join(module.__provides__) or '(none)'}")
     print(
         f"[import] expansions={snap.expansion_steps} "
         f"codegens={snap.pyc_codegens} cache hits={snap.cache_hits} "
         f"misses={snap.cache_misses} stores={snap.cache_stores}"
     )
-    rt.close()
     return 0
 
 
-def _langs_command(args: list[str]) -> int:
+def _langs_command(opts: Any) -> int:
     """``repro langs`` — list registered languages and dialects."""
     import json
-    import sys
 
-    as_json = False
-    for arg in args:
-        if arg == "--json":
-            as_json = True
-        else:
-            print(f"error: unknown langs option: {arg}", file=sys.stderr)
-            return 2
     rt = Runtime(cache=False)
     try:
         registry = rt.registry
@@ -511,7 +469,7 @@ def _langs_command(args: list[str]) -> int:
         ]
     finally:
         rt.close()
-    if as_json:
+    if opts.json:
         print(json.dumps(
             {
                 "schema": "repro-langs/1",
@@ -534,7 +492,7 @@ def _langs_command(args: list[str]) -> int:
     return 0
 
 
-def _trace_command(args: list[str]) -> int:
+def _trace_command(opts: Any) -> int:
     """``repro trace file`` — run under a full tracer, emit the trace.
 
     The trace goes to stdout (or ``--out FILE``); the traced program's own
@@ -550,39 +508,7 @@ def _trace_command(args: list[str]) -> int:
 
     from repro.observe.profiler import export as export_trace
 
-    fmt = "chrome"
-    out: Optional[str] = None
-    files: list[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--format":
-            if i + 1 >= len(args):
-                print("error: --format requires a value", file=sys.stderr)
-                return 2
-            i += 1
-            fmt = args[i]
-        elif arg.startswith("--format="):
-            fmt = arg[len("--format="):]
-        elif arg == "--out":
-            if i + 1 >= len(args):
-                print("error: --out requires a file", file=sys.stderr)
-                return 2
-            i += 1
-            out = args[i]
-        elif arg.startswith("--out="):
-            out = arg[len("--out="):]
-        else:
-            files.append(arg)
-        i += 1
-    if fmt not in ("chrome", "summary", "jsonl"):
-        print(f"error: unknown trace format: {fmt} (chrome|summary|jsonl)",
-              file=sys.stderr)
-        return 2
-    if len(files) != 1:
-        print(_USAGE, file=sys.stderr)
-        return 2
-    file = files[0]
+    fmt, out, file = opts.format, opts.out, opts.file
 
     tracer = Tracer(capture_syntax=True)
     if file.endswith(".py"):
@@ -628,133 +554,157 @@ def _trace_command(args: list[str]) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects: ``main`` reports it, exit 2."""
+
+
+def _parsers() -> dict[str, Any]:
+    """One parser per command, each taking exactly the options the command
+    uses; ``run`` is the default command and ``--repl`` one spelled as an
+    option. Each parser sets ``handler``, the function that runs it."""
+    import argparse
+
+    from repro.core.backend import BACKENDS
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            raise _UsageError(message)
+
+    def group(*parents: Any) -> Any:
+        return Parser(add_help=False, allow_abbrev=False, parents=list(parents))
+
+    def limit(name: str) -> Any:  # the argparse type of a budget flag
+        def parse(raw: str) -> Any:
+            try:
+                return parse_limit(name, raw)
+            except ValueError as err:
+                raise argparse.ArgumentTypeError(str(err)) from None
+        return parse
+
+    common = group()
+    common.add_argument("-h", "--help", action="store_true")
+    backend = group()
+    backend.add_argument("--backend", choices=BACKENDS)
+    cache_dir = group()
+    cache_dir.add_argument("--cache-dir")
+    budget = group()
+    for flag, name in (("--steps", "steps"), ("--time-limit", "seconds"),
+                       ("--max-depth", "max_depth")):
+        budget.add_argument(flag, dest=name, type=limit(name))
+    # the Runtime options: everything a command-line Runtime is built from
+    runtime = group(backend, cache_dir, budget)
+    runtime.add_argument("--cache", action="store_true", default=True)
+    runtime.add_argument("--no-cache", dest="cache", action="store_false")
+
+    def command(handler: Any, *parents: Any) -> Any:
+        parser = group(common, *parents)
+        parser.set_defaults(handler=handler)
+        return parser
+
+    run = command(_run_command, runtime)
+    run.add_argument("--log-optimizations", action="store_true")
+    run.add_argument("file", nargs="?")
+    trace = command(_trace_command)
+    trace.add_argument("--format", choices=("chrome", "summary", "jsonl"),
+                       default="chrome")
+    trace.add_argument("--out")
+    trace.add_argument("file")
+    smoke = command(_import_smoke_command, runtime)
+    smoke.add_argument("--dir")
+    smoke.add_argument("module")
+    serve = command(_serve_command, backend, cache_dir, budget)
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=8737)
+    cache = command(_cache_command, cache_dir)
+    cache.add_argument("action", nargs="?", default="stats",
+                       choices=("stats", "clear", "doctor"))
+    langs = command(_langs_command)
+    langs.add_argument("--json", action="store_true")
+    repl = command(_repl_command, backend)
+    repl.add_argument("--repl", dest="language", nargs="?", const="racket")
+    return {"run": run, "trace": trace, "import-smoke": smoke, "serve": serve,
+            "cache": cache, "langs": langs, "--repl": repl}
+
+
+def _budget(opts: Any) -> Optional[dict[str, Any]]:
+    """The budget flags given on the command line, as a budget dict."""
+    limits = {name: getattr(opts, name) for name in ("steps", "seconds", "max_depth")}
+    return {name: value for name, value in limits.items() if value is not None} or None
+
+
+def _runtime(opts: Any, **overrides: Any) -> Optional[Runtime]:
+    """A Runtime built from the Runtime options, or None after reporting a
+    ``$REPRO_BACKEND`` that names no backend (the flag was checked)."""
+    import sys
+
+    config = dict(cache=opts.cache, cache_dir=opts.cache_dir,
+                  backend=opts.backend, budget=_budget(opts))
+    try:
+        return Runtime(**{**config, **overrides})
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return None
+
+
+def _serve_command(opts: Any) -> int:
+    from repro.serve import serve_command
+
+    return serve_command(host=opts.host, port=opts.port, backend=opts.backend,
+                         cache_dir=opts.cache_dir, budget=_budget(opts))
+
+
+def _repl_command(opts: Any) -> int:
+    from repro.tools.repl import main as repl_main
+
+    return repl_main(opts.language, backend=opts.backend)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    """CLI: ``python -m repro program.rkt`` runs a ``#lang`` module file."""
+    """CLI: ``python -m repro program.rkt`` runs a ``#lang`` module file;
+    ``_USAGE`` lists the other commands. A command names itself first
+    (``--repl`` anywhere); anything else is ``run``'s."""
     import sys
 
     args = list(argv if argv is not None else sys.argv[1:])
-    use_cache: Optional[bool] = True  # the CLI mirrors Racket's compiled/
-    cache_dir: Optional[str] = None
-    backend: Optional[str] = None
-    log_optimizations = False
-    budget_limits: dict[str, Any] = {}
-
-    def _budget_value(name: str, raw: str, convert: Any) -> bool:
-        try:
-            value = convert(raw)
-        except ValueError:
-            print(f"error: {name} requires a number, got {raw!r}", file=sys.stderr)
-            return False
-        if not 0 < value < float("inf"):
-            print(f"error: {name} must be positive and finite", file=sys.stderr)
-            return False
-        budget_limits[
-            {"--steps": "steps", "--time-limit": "seconds",
-             "--max-depth": "max_depth"}[name]
-        ] = value
-        return True
-
-    _BUDGET_FLAGS = {"--steps": int, "--time-limit": float, "--max-depth": int}
-    rest: list[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--cache":
-            use_cache = True
-        elif arg == "--no-cache":
-            use_cache = False
-        elif arg == "--cache-dir":
-            if i + 1 >= len(args):
-                print("error: --cache-dir requires a directory", file=sys.stderr)
-                return 2
-            i += 1
-            cache_dir = args[i]
-        elif arg.startswith("--cache-dir="):
-            cache_dir = arg[len("--cache-dir="):]
-        elif arg == "--backend":
-            if i + 1 >= len(args):
-                print("error: --backend requires a name", file=sys.stderr)
-                return 2
-            i += 1
-            backend = args[i]
-        elif arg.startswith("--backend="):
-            backend = arg[len("--backend="):]
-        elif arg == "--log-optimizations":
-            log_optimizations = True
-        elif arg in _BUDGET_FLAGS:
-            if i + 1 >= len(args):
-                print(f"error: {arg} requires a value", file=sys.stderr)
-                return 2
-            i += 1
-            if not _budget_value(arg, args[i], _BUDGET_FLAGS[arg]):
-                return 2
-        elif any(arg.startswith(f"{flag}=") for flag in _BUDGET_FLAGS):
-            flag, _, raw = arg.partition("=")
-            if not _budget_value(flag, raw, _BUDGET_FLAGS[flag]):
-                return 2
-        else:
-            rest.append(arg)
-        i += 1
-
-    if rest and rest[0] == "serve":
-        from repro.serve import serve_command
-
-        serve_args = rest[1:]
-        if backend is not None:
-            serve_args = [f"--backend={backend}"] + serve_args
-        if cache_dir is not None:
-            serve_args = [f"--cache-dir={cache_dir}"] + serve_args
-        for key, flag in (("steps", "--steps"), ("seconds", "--time-limit"),
-                          ("max_depth", "--max-depth")):
-            if key in budget_limits:
-                serve_args = [f"{flag}={budget_limits[key]}"] + serve_args
-        return serve_command(serve_args)
-    if rest and rest[0] == "cache":
-        return _cache_command(rest[1:], cache_dir)
-    if rest and rest[0] == "langs":
-        return _langs_command(rest[1:])
-    if rest and rest[0] == "trace":
-        return _trace_command(rest[1:])
-    if rest and rest[0] == "import-smoke":
-        return _import_smoke_command(
-            rest[1:],
-            use_cache=use_cache,
-            cache_dir=cache_dir,
-            backend=backend,
-            budget_limits=budget_limits,
-        )
-    if rest and rest[0] == "run":
-        rest = rest[1:]
-
-    if "-h" in rest or "--help" in rest:
-        print(_USAGE, end="")
-        return 0
-    unknown = next((arg for arg in rest if arg.startswith("--")), None)
-    if unknown is not None:
-        print(f"error: unknown option {unknown}", file=sys.stderr)
+    parsers = _parsers()
+    if any(arg.split("=", 1)[0] == "--repl" for arg in args):
+        command = "--repl"
+    elif args and args[0] in parsers:
+        command = args.pop(0)
+    else:
+        command = "run"
+    try:
+        opts, extra = parsers[command].parse_known_args(args)
+        if command == "run" and opts.file in parsers:  # `--steps 5 serve`
+            raise _UsageError(f"options go after the command: "
+                              f"python -m repro {opts.file} [options]")
+        if extra:
+            kind = "option" if extra[0].startswith("-") else "argument"
+            raise _UsageError(f"unknown {kind} {extra[0]}")
+    except _UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
         print(_USAGE.splitlines()[0], file=sys.stderr)
         return 2
-    if not rest:
+    if opts.help:
+        print(_USAGE, end="")
+        return 0
+    return opts.handler(opts)
+
+
+def _run_command(opts: Any) -> int:
+    """``repro [run] file.rkt`` — run a ``#lang`` module file."""
+    import sys
+
+    if opts.file is None:
         print(_USAGE, file=sys.stderr)
         return 2
-    tracer: Optional[Tracer] = None
-    if log_optimizations:
-        # a cache hit would skip the optimizer — nothing for the coach to see
-        tracer = Tracer()
-        use_cache = False
-    try:
-        rt = Runtime(
-            cache=use_cache,
-            cache_dir=cache_dir,
-            trace=tracer,
-            budget=budget_limits or None,
-            backend=backend,
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    tracer = Tracer() if opts.log_optimizations else None
+    # a cache hit would skip the optimizer — nothing for the coach to see
+    rt = _runtime(opts, cache=opts.cache and tracer is None, trace=tracer)
+    if rt is None:
         return 2
     try:
-        path = rt.register_file(rest[0])
+        path = rt.register_file(opts.file)
         rt.instantiate(path)
     except ReproError as err:
         # a platform error (parse, expansion, type, module, runtime): render
@@ -762,7 +712,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(err, file=sys.stderr)
         return 1
     except OSError as err:
-        print(f"error: cannot read {rest[0]}: {err.strerror or err}", file=sys.stderr)
+        print(f"error: cannot read {opts.file}: {err.strerror or err}", file=sys.stderr)
         return 1
     finally:
         if rt.cache is not None:

@@ -425,6 +425,53 @@ def test_typed_sqrt_of_a_negative_float_is_the_untyped_root(backend):
     assert run_under(backend, untyped)[:2] == ("0.0+2.0i\n", None)
 
 # ---------------------------------------------------------------------------
+# unsafe operations keep the checks on values the types do not prove
+# ---------------------------------------------------------------------------
+
+#: (operation on ``a`` and ``b``, their types, their values): typed code
+#: runs the unsafe primitive, untyped code the checked one; both must fail
+#: with the same error
+UNPROVEN_CHECKS = {
+    "quotient-by-zero": ("(quotient a b)", ("Integer", "Integer"), "7 0"),
+    "remainder-by-zero": ("(remainder a b)", ("Integer", "Integer"), "7 0"),
+    "fc-div-by-zero": ("(/ a b)", ("Float-Complex", "Float-Complex"),
+                       "1.0+1.0i 0.0+0.0i"),
+    "vector-ref-past-end": ("(vector-ref a b)", ("(Vectorof Integer)", "Integer"),
+                            "(vector 1 2 3) 5"),
+    "vector-ref-negative": ("(vector-ref a b)", ("(Vectorof Integer)", "Integer"),
+                            "(vector 1 2 3) -1"),
+    "vector-set-past-end": ("(vector-set! a b 0)", ("(Vectorof Integer)", "Integer"),
+                            "(vector 1 2 3) 5"),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(UNPROVEN_CHECKS))
+def test_typed_code_keeps_checks_its_types_do_not_prove(name, backend):
+    body, (ta, tb), operands = UNPROVEN_CHECKS[name]
+    typed = (f"#lang typed/racket\n(define (f [a : {ta}] [b : {tb}]) {body})\n"
+             f"(f {operands})\n")
+    untyped = f"#lang racket\n(define (f a b) {body})\n(f {operands})\n"
+    t_out, t_err, t_stats = run_under(backend, typed)
+    u_out, u_err, _ = run_under(backend, untyped)
+    assert t_out is None and u_out is None
+    assert t_err == u_err
+    assert t_err[1] in ("X001", "X002")
+    # the unsafe primitive still charges one unsafe_ops and no tag check
+    assert (t_stats["unsafe_ops"], t_stats["tag_checks"]) == (1, 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("op", ["quotient", "remainder"])
+def test_typed_fixnum_division_charges_one_unsafe_op(op, backend):
+    source = (f"#lang typed/racket\n(define (f [a : Integer] [b : Integer])"
+              f" : Integer ({op} a b))\n(displayln (f -7 2))\n")
+    output, error, stats = run_under(backend, source)
+    assert (output, error) == ("-3\n" if op == "quotient" else "-1\n", None)
+    assert stats["unsafe_ops"] == 1
+
+
+# ---------------------------------------------------------------------------
 # guard exhaustion: G001–G005 with identical codes and step counts
 # ---------------------------------------------------------------------------
 

@@ -144,3 +144,97 @@ class TestCommandLineUsage:
             "usage: python -m repro [options] <file.rkt>",
         ]
         assert captured.out == ""
+
+
+@pytest.fixture()
+def no_start(monkeypatch):
+    """Neither the service nor the REPL may start: a test that reaches
+    either fails."""
+    from repro.serve.server import ReproServer
+    from repro.tools.repl import Repl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started despite a bad command line")
+
+    monkeypatch.setattr(ReproServer, "start", refuse)
+    monkeypatch.setattr(Repl, "run", refuse)
+
+
+class TestCommandLineContract:
+    """One parser: each command takes exactly the options it uses, and the
+    budget flags follow the rule a JSON budget sent to the service meets."""
+
+    @pytest.mark.parametrize("argv, unknown", [
+        (["trace", "--backend", "pyc", "t.rkt"], "--backend"),
+        (["import-smoke", "--log-optimizations", "app.rules"], "--log-optimizations"),
+        (["serve", "--no-cache"], "--no-cache"),
+        (["cache", "stats", "--steps", "5"], "--steps"),
+        (["langs", "--steps", "5"], "--steps"),
+        (["--repl", "racket", "--no-cache"], "--no-cache"),
+    ])
+    def test_a_command_rejects_an_option_it_does_not_use(
+        self, argv, unknown, capsys, no_start
+    ):
+        from repro.tools.runner import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: unknown option {unknown}",
+            "usage: python -m repro [options] <file.rkt>",
+        ]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--backend", "bogus"],
+        ["--repl", "racket", "--backend", "bogus"],
+    ])
+    def test_unknown_backend_exits_before_starting(self, argv, capsys, no_start):
+        from repro.tools.runner import main
+
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "interp" in err and "pyc" in err
+
+    def test_run_budget_flags_follow_the_json_budget_rule(self, tmp_path, capsys):
+        from repro.tools.runner import main
+
+        program = tmp_path / "p.rkt"
+        program.write_text("#lang racket\n(define (f) 1)\n(f)\n")
+        assert main(["--no-cache", "--steps", "0", str(program)]) == 1
+        assert "G001" in capsys.readouterr().err
+        for flag, value in (("--steps", "-1"), ("--steps", "x"),
+                            ("--time-limit", "inf")):
+            assert main(["--no-cache", flag, value, str(program)]) == 2
+            assert f"error: argument {flag}: budget limit" in capsys.readouterr().err
+
+    def test_serve_budget_flags_follow_the_json_budget_rule(
+        self, monkeypatch, capsys, no_start
+    ):
+        import repro.serve
+        from repro.tools.runner import main
+
+        served = []
+        monkeypatch.setattr(repro.serve, "serve_command",
+                            lambda **kwargs: served.append(kwargs) or 0)
+        assert main(["serve", "--steps", "0", "--time-limit=2.5"]) == 0
+        assert served[0]["budget"] == {"steps": 0, "seconds": 2.5}
+        for flag, value in (("--steps", "-1"), ("--steps", "x"),
+                            ("--time-limit", "inf")):
+            assert main(["serve", flag, value]) == 2
+            assert f"error: argument {flag}: budget limit" in capsys.readouterr().err
+        assert len(served) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--backend", "pyc", "--repl", "racket"],
+        ["--repl", "racket", "--backend", "pyc"],
+    ])
+    def test_repl_takes_the_backend_on_either_side(self, argv, monkeypatch, capsys):
+        import io
+
+        from repro.tools.runner import main
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(",backend\n"))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "#lang racket" in out and "backend: pyc\n" in out

@@ -204,6 +204,21 @@ class TestImportBudget:
         assert lib.answer == 42 and via.quadruple(1) == 4
 
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_budget_ends_with_the_import(self, project, backend):
+        """The import's budget governs the import, not later calls of what
+        it provides: five loops of 400 steps each run to completion under
+        a 1000-step import budget on both backends."""
+        (project / "spin.rkt").write_text(
+            "#lang racket\n(define (spin n)\n"
+            "  (let loop ([i 0]) (if (< i n) (loop (+ i 1)) i)))\n"
+            "(provide spin)\n"
+        )
+        install(Runtime(cache=False, backend=backend), budget={"steps": 1000})
+        mod = importlib.import_module("app.spin")
+        assert [mod.spin(400) for _ in range(5)] == [400] * 5
+
+
 class TestWarmImports:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_warm_reimport_zero_expansions_zero_codegen(
