@@ -16,7 +16,19 @@ from repro.syn.binding import Binding, LocalBinding, ModuleBinding
 from repro.syn.syntax import Syntax
 
 
-class CoreExpr:
+class _Node:
+    """Pickles as a constructor call on the fields, in ``__match_args__``
+    order: a frozen slotted dataclass's own ``__setstate__`` calls
+    ``dataclasses.fields`` on every node, which was half of decoding a
+    compiled artifact."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+
+
+class CoreExpr(_Node):
     __slots__ = ()
 
 
@@ -85,7 +97,7 @@ class App(CoreExpr):
 
 
 @dataclass(frozen=True, slots=True)
-class DefineValues:
+class DefineValues(_Node):
     bindings: tuple[ModuleBinding, ...]
     names: tuple[str, ...]
     expr: CoreExpr

@@ -19,7 +19,9 @@ _POSITION = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
 for _name in (
     # statements
     "Assign", "AugAssign", "Continue", "Expr", "FunctionDef", "If",
-    "Nonlocal", "Return", "While",
+    "Nonlocal", "Return", "Try", "While",
+    # exception handlers
+    "ExceptHandler",
     # expressions
     "Attribute", "BinOp", "BoolOp", "Call", "Compare", "Constant", "IfExp",
     "List", "Name", "NamedExpr", "Subscript", "Tuple", "UnaryOp",

@@ -844,9 +844,10 @@ class _Emitter:
         plus the primitive's exact ``tag_checks`` charge; operands outside
         the fast type fall back to the primitive itself (which charges its
         own counter and raises the proper error), so the deterministic
-        instrumentation matches the interp backend. An unsafe vector access
-        keeps only the bounds test (the types prove the rest) and charges
-        ``unsafe_ops``."""
+        instrumentation matches the interp backend. A vector index is
+        tested only for ``>= 0``; an ``IndexError`` past the end falls back
+        to the primitive too. An unsafe vector access keeps only that
+        bounds test (the types prove the rest) and charges ``unsafe_ops``."""
         n = len(args)
         name = prim.name
         unsafe = name.startswith("unsafe-vector")
@@ -878,46 +879,55 @@ class _Emitter:
             type_is(makers[0], _n("_Pair" if pair else "_MVector"))
         ]
         out = self.temp()
-        fast: list[py.stmt] = [
-            self._charge("unsafe_ops" if unsafe else "tag_checks")
-        ]
+        charge = self._charge("unsafe_ops" if unsafe else "tag_checks")
+
+        def slow() -> list[py.stmt]:
+            return [_assign(out, _call(_n(self.tables.prim_fn(prim)),
+                                       [m() for m in makers]))]
+
+        def items() -> py.expr:
+            return py.Attribute(value=makers[0](), attr="items",
+                                ctx=py.Load())
+
         if pair:
-            fast.append(_assign(out, py.Attribute(
+            fast: list[py.stmt] = [charge, _assign(out, py.Attribute(
                 value=makers[0](), attr="car" if name == "car" else "cdr",
                 ctx=py.Load(),
-            )))
+            ))]
+        elif vlen:
+            fast = [charge, _assign(out, _call(_n("len"), [items()]))]
         else:
-            items = py.Attribute(value=makers[0](), attr="items",
-                                 ctx=py.Load())
-            length = _call(_n("len"), [py.Attribute(
-                value=makers[0](), attr="items", ctx=py.Load()
-            )])
-            if vlen:
-                fast.append(_assign(out, length))
+            # the upper bound is the list's own: an index past the end
+            # raises IndexError, and the primitive (which charges its own
+            # counter) raises the proper error. The charge follows the
+            # access, so either path charges once.
+            index = makers[1]()
+            if not (unsafe or isinstance(index, py.Constant)):
+                tests.append(type_is(makers[1], _n("int")))
+            if not (isinstance(index, py.Constant) and index.value >= 0):
+                tests.append(py.Compare(left=makers[1](), ops=[py.GtE()],
+                                        comparators=[_const(0)]))
+            target = py.Subscript(value=items(), slice=makers[1](),
+                                  ctx=py.Store() if vset else py.Load())
+            if vset:
+                access = [py.Assign(targets=[target], value=makers[2]()),
+                          charge, _assign(out, _n("_V"))]
             else:
-                index = makers[1]()
-                if not (unsafe or isinstance(index, py.Constant)):
-                    tests.append(type_is(makers[1], _n("int")))
-                tests.append(py.Compare(
-                    left=_const(0), ops=[py.LtE(), py.Lt()],
-                    comparators=[makers[1](), length],
-                ))
-                target = py.Subscript(value=items, slice=makers[1](),
-                                      ctx=py.Store() if vset else py.Load())
-                if vset:
-                    fast.append(py.Assign(targets=[target],
-                                          value=makers[2]()))
-                    fast.append(_assign(out, _n("_V")))
-                else:
-                    target.ctx = py.Load()
-                    fast.append(_assign(out, target))
+                access = [_assign(out, target), charge]
+            fast = [py.Try(
+                body=access,
+                handlers=[py.ExceptHandler(type=_n("IndexError"), name=None,
+                                           body=slow())],
+                orelse=[], finalbody=[],
+            )]
+            if not tests:
+                self.cur.extend(fast)
+                return _n(out)
 
         test: py.expr = tests[0] if len(tests) == 1 else py.BoolOp(
             op=py.And(), values=tests
         )
-        slow = [_assign(out, _call(_n(self.tables.prim_fn(prim)),
-                                   [m() for m in makers]))]
-        self.cur.append(py.If(test=test, body=fast, orelse=slow))
+        self.cur.append(py.If(test=test, body=fast, orelse=slow()))
         return _n(out)
 
     def _open_coded(self, prim: Primitive,
@@ -1183,7 +1193,8 @@ def _canonical_code(code: "types.CodeType") -> "types.CodeType":
     dump to be a pure function of the code's *values*, so: intern every
     string (equal strings collapse to one identity everywhere) and
     rebuild nested tuples/frozensets fresh (equal composites never
-    accidentally share identity).
+    accidentally share identity). A function's qualified name is its own
+    name: the nested ``<locals>`` path would only lengthen every unit.
     """
     def const(c: Any) -> Any:
         if isinstance(c, str):
@@ -1198,7 +1209,7 @@ def _canonical_code(code: "types.CodeType") -> "types.CodeType":
 
     return code.replace(
         co_name=sys.intern(code.co_name),
-        co_qualname=sys.intern(code.co_qualname),
+        co_qualname=sys.intern(code.co_name),
         co_filename=sys.intern(code.co_filename),
         co_names=tuple(sys.intern(n) for n in code.co_names),
         co_varnames=tuple(sys.intern(n) for n in code.co_varnames),

@@ -3,7 +3,8 @@
 An :class:`ExpandContext` is created for each module compilation. It holds:
 
 - ``meanings`` — what each binding means at compile time (variable or macro
-  transformer);
+  transformer), beyond what the module's ``#lang`` gives its own exports
+  (looked up through ``language``);
 - ``phase1_ns`` — the module's **fresh compile-time store** (§2.3: "each
   module is compiled with a fresh store");
 - ``stores`` — named compile-time state for language libraries (type
@@ -30,7 +31,7 @@ from repro.syn.scopes import Scope
 if TYPE_CHECKING:
     from repro.core.namespace import Namespace
     from repro.expander.expander import Expander
-    from repro.modules.registry import ModuleRegistry
+    from repro.modules.registry import Language, ModuleRegistry
     from repro.syn.syntax import Syntax
 
 
@@ -72,12 +73,16 @@ class ExpandContext:
         self,
         module_path: str,
         registry: "ModuleRegistry",
+        language: "Language",
     ) -> None:
         from repro.core.namespace import Namespace
         from repro.diagnostics.session import DiagnosticSession
 
         self.module_path = module_path
         self.registry = registry
+        #: the module's ``#lang``: its transformer exports' meanings are
+        #: the language's, never copied into ``meanings``
+        self.language = language
         #: the compilation's one expander, while it runs
         self.expander: Optional["Expander"] = None
         #: per-compilation diagnostic collector (multi-error recovery)
@@ -110,7 +115,11 @@ class ExpandContext:
     # -- meanings ---------------------------------------------------------
 
     def meaning_of(self, binding: Binding) -> Meaning:
-        return self.meanings.get(binding.key(), VARIABLE)
+        key = binding.key()
+        meaning = self.meanings.get(key)
+        if meaning is None:
+            meaning = self.language.meaning_of(key)
+        return VARIABLE if meaning is None else meaning
 
     def set_meaning(self, binding: Binding, meaning: Meaning) -> None:
         self.meanings[binding.key()] = meaning

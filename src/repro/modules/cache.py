@@ -48,9 +48,10 @@ platform's hygiene machinery is identity-based:
 
 - **Symbols/keywords** re-intern on load (pattern matching compares them
   with ``is``).
-- **The core scope** and **language anchor scopes** map to the loading
-  process's own instances (they are re-created by every Runtime, and cached
-  macro templates must keep resolving to the language's bindings).
+- **The core scope**, **language anchor scopes** and **a module scope's
+  bulk ``#lang`` import** map to the loading process's own instances (they
+  are re-created by every Runtime, and cached macro templates must keep
+  resolving to the language's bindings).
 - **Every other scope** is named by a *persistent token* minted when the
   scope is first serialized and interned process-wide on load, so two
   artifacts that share a scope (a module and its requirer, compiled in the
@@ -59,8 +60,10 @@ platform's hygiene machinery is identity-based:
 Bindings live on scopes (:func:`repro.syn.binding.bind`), so an artifact
 carries bindings by reachability: after the module, the pickle holds the
 bindings stored on every token-named scope it met, closed over the scopes
-those bindings name. The core and language scopes are the loader's own and
-keep their own bindings. A load installs bindings only on the scopes it has
+those bindings name, and each such scope's bulk import. The core and
+language scopes are the loader's own and keep their own bindings; a
+module scope's ``#lang`` import is written as the language's name, never
+as a copy of its exports. A load installs bindings only on the scopes it has
 just created — a scope already live in this process has its bindings — and
 does so under ``_INTERN_LOCK``, before any other thread can intern the
 scope.
@@ -92,7 +95,7 @@ from repro.faults import fault_bytes, fault_point
 from repro.observe.recorder import current_recorder
 from repro.runtime.stats import current_stats
 from repro.runtime.values import Keyword, Symbol
-from repro.syn.binding import CoreFormBinding, ModuleBinding
+from repro.syn.binding import BulkImport, CoreFormBinding, ModuleBinding
 from repro.syn.scopes import EMPTY_SCOPES, Scope
 
 if TYPE_CHECKING:
@@ -112,12 +115,18 @@ if TYPE_CHECKING:
 #: ``append``, ``list*`` and ``list-tail``, which can return an operand
 #: v8: pyc loop back-edges charge the active guard through the link-time
 #: ``_cg`` (no ``_guard`` global), and unsafe vector accesses test bounds
-FORMAT_VERSION = 8
+#: v9: a module scope carries its ``#lang`` import as one bulk entry,
+#: pickled as the language's name, instead of a copy of every export's
+#: binding at phases 0 and 1, and core AST nodes pickle as constructor
+#: calls (a match-ext artifact: 53.5 KB -> 25.0 KB); pyc vector accesses test
+#: ``i >= 0`` and catch ``IndexError``, and code objects drop their nested
+#: qualified names
+FORMAT_VERSION = 9
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x08"
+MAGIC = b"REPROZO\x09"
 
 _DIGEST_LEN = 32
 
@@ -249,6 +258,10 @@ class _ArtifactPickler(pickle.Pickler):
             return pid
         if type(obj) is CoreFormBinding:
             return ("core-form", obj.name)
+        # a module scope's `#lang` import names its language; the loader
+        # reads the tables of its own Language of that name
+        if type(obj) is BulkImport:
+            return ("lang-bulk", obj.name)
         # scope sets: frozensets iterate in hash (= address) order, so one
         # pickled as-is bakes the process's allocation history into the
         # artifact bytes — the same module compiled by two Runtimes (or a
@@ -267,20 +280,24 @@ class _ArtifactPickler(pickle.Pickler):
         return None
 
     def dump_bindings(self) -> None:
-        """Pickle, after the artifact, ``[(scope, its bindings), ...]`` for
-        every token-named scope met so far and, transitively, every such
-        scope those bindings name."""
+        """Pickle, after the artifact, ``[(scope, its bindings, its bulk
+        import), ...]`` for every token-named scope met so far and,
+        transitively, every such scope those entries name."""
         order = list(self._named)
         for scope in order:
-            for entries in (scope.bindings or {}).values():
-                for rest, _ in entries:
-                    for other in sorted(rest, key=self._scope_order):
-                        if other in self._named or other.kind == "core":
-                            continue
-                        if not other.kind.startswith("lang:"):
-                            self._named[other] = None
-                            order.append(other)
-        self.dump([(scope, scope.bindings) for scope in order if scope.bindings])
+            rests = [rest for entries in (scope.bindings or {}).values()
+                     for rest, _ in entries]
+            if scope.bulk is not None:
+                rests.append(scope.bulk[0])
+            for rest in rests:
+                for other in sorted(rest, key=self._scope_order):
+                    if other in self._named or other.kind == "core":
+                        continue
+                    if not other.kind.startswith("lang:"):
+                        self._named[other] = None
+                        order.append(other)
+        self.dump([(scope, scope.bindings, scope.bulk) for scope in order
+                   if scope.bindings or scope.bulk])
 
     @staticmethod
     def _scope_order(scope: Scope) -> tuple:
@@ -315,10 +332,19 @@ class _ArtifactUnpickler(pickle.Unpickler):
         """Load the artifact and install the bindings that follow it on the
         scopes this load created. The caller holds ``_INTERN_LOCK``."""
         artifact = self.load()
-        for scope, table in self.load():
+        for scope, table, bulk in self.load():
             if scope in self._fresh:
                 scope.bindings = table
+                scope.bulk = bulk
         return artifact
+
+    def _language(self, name: str) -> Any:
+        lang = self._registry.languages.get(name)
+        if lang is None:
+            raise pickle.UnpicklingError(
+                f"artifact references unknown language: {name}"
+            )
+        return lang
 
     def persistent_load(self, pid: tuple) -> Any:
         tag = pid[0]
@@ -327,12 +353,7 @@ class _ArtifactUnpickler(pickle.Unpickler):
 
             return CORE_SCOPE
         if tag == "lang-scope":
-            lang = self._registry.languages.get(pid[1])
-            if lang is None:
-                raise pickle.UnpicklingError(
-                    f"artifact references unknown language: {pid[1]}"
-                )
-            return lang.scope
+            return self._language(pid[1]).scope
         if tag == "scope":
             token, kind = pid[1], pid[2]
             scope = _SCOPE_INTERN.get(token)
@@ -351,6 +372,8 @@ class _ArtifactUnpickler(pickle.Unpickler):
             return binding
         if tag == "core-form":
             return CORE_FORMS[pid[1]]
+        if tag == "lang-bulk":
+            return self._language(pid[1]).bulk
         if tag == "sym":
             return Symbol(pid[1])
         if tag == "kw":

@@ -24,7 +24,7 @@ from repro.expander.env import ExpandContext, TransformerMeaning, pop_context, p
 from repro.expander.expander import Expander
 from repro.modules.registry import CompiledModule, Export, ModuleRegistry
 from repro.runtime.values import Symbol
-from repro.syn.binding import bind, resolve
+from repro.syn.binding import bind_bulk, resolve
 from repro.syn.syntax import Syntax
 
 
@@ -41,7 +41,7 @@ def compile_module(
     from repro.observe.recorder import current_recorder
 
     lang, dialects = registry.resolve_lang_spec(lang_name)
-    ctx = ExpandContext(path, registry)
+    ctx = ExpandContext(path, registry, lang)
     session = ctx.diagnostics
     rec = current_recorder()
     push_context(ctx)
@@ -52,16 +52,10 @@ def compile_module(
 
             # The language's exports form the module's base environment (§2.3),
             # at phase 0 and — like `#lang racket`'s for-syntax self-import — at
-            # phase 1, so transformer bodies can use the language's own forms.
-            for name, export in lang.exports.items():
-                sym = Symbol(name)
-                bind(sym, scopes, export.binding, phase=0)
-                bind(sym, scopes, export.binding, phase=1)
-                if export.transformer is not None:
-                    ctx.set_meaning(export.binding, TransformerMeaning(export.transformer))
-            for name, export in registry.kernel_exports.items():
-                if name not in lang.exports:
-                    bind(Symbol(name), scopes, export.binding, phase=1)
+            # phase 1, so transformer bodies can use the language's own forms:
+            # one bulk import of the language's tables, which the module's own
+            # definitions and requires shadow name by name.
+            bind_bulk(scopes, lang.bulk)
 
             if dialects:
                 # dialects rewrite the whole body on reader output — before

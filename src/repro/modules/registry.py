@@ -26,7 +26,7 @@ from repro.expander.core_forms import CORE_FORMS
 from repro.expander.quasisyntax import expand_quasisyntax
 from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.values import Primitive, Symbol
-from repro.syn.binding import Binding, CoreFormBinding, ModuleBinding, bind
+from repro.syn.binding import Binding, BulkImport, CoreFormBinding, ModuleBinding, bind_bulk
 
 if TYPE_CHECKING:
     from repro.core.ast import CoreModuleBody
@@ -166,11 +166,17 @@ class CompiledModule:
 class Language:
     """A language: a base environment plus a ``#%module-begin``.
 
-    Each language owns an *anchor scope* in which all of its exports are
-    bound; syntax built with the language's :attr:`anchor` as lexical context
-    therefore resolves introduced identifiers to the language's own bindings
-    (plus the kernel). This plays the role that a Racket language module's
+    Each language owns an *anchor scope* on which its export table is
+    imported in bulk at phases 0 and 1; syntax built with the language's
+    :attr:`anchor` as lexical context therefore resolves introduced
+    identifiers to the language's own bindings (plus the kernel). This plays the role that a Racket language module's
     own lexical context plays for the syntax templates in its transformers.
+
+    :attr:`bulk` is the language as a module imports it (§2.3): its
+    exports at phases 0 and 1, and at phase 1 the kernel exports it lacks.
+    A module's compile binds it on the module scope as one entry
+    (:func:`~repro.syn.binding.bind_bulk`), and looks its transformer
+    exports' meanings up here (:meth:`meaning_of`).
     """
 
     def __init__(
@@ -191,6 +197,14 @@ class Language:
         self.exports: dict[str, Export] = {}
         self.scope = Scope(f"lang:{name}")
         self._anchor: Any = None
+        bind_bulk(frozenset({self.scope}),
+                  BulkImport(name, {0: (self.exports,), 1: (self.exports,)}))
+        self.bulk = BulkImport(
+            name, {0: (self.exports,), 1: (self.exports, KERNEL_EXPORTS)}
+        )
+        #: binding key -> TransformerMeaning of each transformer export;
+        #: built on first use, dropped by every :meth:`export`
+        self._meanings: Optional[dict[Any, Any]] = None
         if exports:
             for export_name, export in exports.items():
                 self.export(export_name, export.binding, export.transformer)
@@ -207,12 +221,23 @@ class Language:
             )
         return self._anchor
 
+    def meaning_of(self, key: Any) -> Any:
+        """The compile-time meaning of an export's binding key: a
+        ``TransformerMeaning`` for a transformer export, else None."""
+        meanings = self._meanings
+        if meanings is None:
+            from repro.expander.env import TransformerMeaning
+
+            meanings = self._meanings = {
+                export.binding.key(): TransformerMeaning(export.transformer)
+                for export in self.exports.values()
+                if export.transformer is not None
+            }
+        return meanings.get(key)
+
     def export(self, name: str, binding: Binding, transformer: Any = None) -> None:
         self.exports[name] = Export(name, binding, transformer)
-        scopes = frozenset({self.scope})
-        sym = Symbol(name)
-        bind(sym, scopes, binding, phase=0)
-        bind(sym, scopes, binding, phase=1)
+        self._meanings = None
 
     def export_macro(self, name: str, transformer: Callable[..., Any]) -> None:
         self.export(name, ModuleBinding(self.path, Symbol(name)), transformer)

@@ -214,7 +214,8 @@ def generic_remainder(a: Any, b: Any) -> Any:
         raise WrongTypeError("remainder", "integer?", a)
     if not is_exact_integer(b) or b == 0:
         raise WrongTypeError("remainder", "non-zero integer", b)
-    return a - generic_quotient(a, b) * b
+    r = abs(a) % abs(b)  # truncating: the sign of the dividend
+    return -r if a < 0 else r
 
 
 def generic_modulo(a: Any, b: Any) -> Any:

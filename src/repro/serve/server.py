@@ -521,12 +521,13 @@ def serve_command(
     *,
     host: str,
     port: int,
-    backend: Optional[str],
+    backend: str,
     cache_dir: Optional[str],
     budget: Optional[dict[str, Any]],
 ) -> int:
     """``repro serve`` — run the service until interrupted, with the values
-    the command line parsed and checked. ``budget`` is the *default*
+    the command line parsed and checked (``backend`` resolved from
+    ``--backend`` or ``$REPRO_BACKEND``). ``budget`` is the *default*
     per-request budget; a request's own "budget" object overrides it."""
     from repro.modules.cache import default_cache_dir
 
@@ -543,7 +544,7 @@ def serve_command(
               file=sys.stderr)
         return 1
     print(f"repro serve listening on http://{bound_host}:{bound_port} "
-          f"(backend={backend or 'interp'}, cache={server.pool.cache_dir})",
+          f"(backend={backend}, cache={server.pool.cache_dir})",
           file=sys.stderr)
     try:
         while True:

@@ -8,6 +8,13 @@ scope set; if no single candidate's scopes are a superset of every other
 candidate's, the reference is ambiguous (a hygiene error). A binding lives
 exactly as long as its scope.
 
+A scope may also carry one *bulk import* (:func:`bind_bulk`): a whole
+export table imported at once, as Racket's expander records a module's
+``#lang`` import. It stands for one entry per exported name, with the same
+scope set; :func:`resolve` and :func:`binding_at` consult it after the
+scope's own entries, and an own entry with the same scope set replaces it
+for its name, as a second :func:`bind` replaces the first.
+
 Two binding flavours exist:
 
 - :class:`LocalBinding` — introduced by ``#%plain-lambda``, ``let-values``,
@@ -25,11 +32,11 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from repro.errors import AmbiguousBindingError, UnboundIdentifierError
 from repro.runtime.values import Symbol
-from repro.syn.scopes import EMPTY_SCOPES, ScopeSet
+from repro.syn.scopes import EMPTY_SCOPES, Scope, ScopeSet
 from repro.syn.syntax import Syntax
 
 
@@ -106,7 +113,40 @@ class CoreFormBinding(Binding):
         return f"#<core:{self.name}>"
 
 
+class BulkImport:
+    """Export tables imported whole under their own names.
+
+    ``tables`` maps a phase to the tables consulted in order, each a
+    mapping from name to an export (anything with a ``binding``); ``name``
+    names the importer's source (a language) in compiled artifacts. The
+    tables are read at each lookup, never copied.
+    """
+
+    __slots__ = ("name", "tables")
+
+    def __init__(self, name: str, tables: Mapping[int, tuple[Mapping[str, Any], ...]]) -> None:
+        self.name = name
+        self.tables = tables
+
+    def lookup(self, name: Symbol, phase: int) -> Optional[Binding]:
+        for table in self.tables.get(phase, ()):
+            export = table.get(name.name)
+            if export is not None:
+                return export.binding
+        return None
+
+    def __repr__(self) -> str:
+        return f"#<bulk-import:{self.name}>"
+
+
 _scope_id = operator.attrgetter("id")
+
+
+def _home_and_rest(scopes: ScopeSet) -> tuple[Scope, ScopeSet]:
+    home = max(scopes, key=_scope_id)
+    # one shared empty set, as artifact loads produce: pickling shares sets
+    # by identity, so natively bound and loaded entries must agree
+    return home, (scopes - {home} if len(scopes) > 1 else EMPTY_SCOPES)
 
 
 def bind(name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> None:
@@ -122,15 +162,13 @@ def bind(name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> No
     on it, so no lock is needed.
 
     A second bind with exactly the same scope set *replaces* the first, as
-    in Racket: a module-level definition shadows the ``#lang`` import of
+    in Racket; so does a bind over a :func:`bind_bulk` import with the same
+    scope set: a module-level definition shadows the ``#lang`` import of
     the same name, because both are bound with the module's scope set.
     """
     if not scopes:
         raise ValueError(f"bind: {name} has no scopes to bind in")
-    home = max(scopes, key=_scope_id)
-    # one shared empty set, as artifact loads produce: pickling shares sets
-    # by identity, so natively bound and loaded entries must agree
-    rest = scopes - {home} if len(scopes) > 1 else EMPTY_SCOPES
+    home, rest = _home_and_rest(scopes)
     table = home.bindings
     if table is None:
         table = home.bindings = {}
@@ -142,15 +180,28 @@ def bind(name: Symbol, scopes: ScopeSet, binding: Binding, phase: int = 0) -> No
     entries.append((rest, binding))
 
 
+def bind_bulk(scopes: ScopeSet, bulk: BulkImport) -> None:
+    """Record that every name ``bulk`` exports, with exactly ``scopes``,
+    refers to its export's binding: one entry for the whole table, kept on
+    the home scope as :func:`bind` keeps one per name. A scope holds one
+    bulk import; a second replaces the first."""
+    if not scopes:
+        raise ValueError("bind_bulk: no scopes to bind in")
+    home, rest = _home_and_rest(scopes)
+    home.bulk = (rest, bulk)
+
+
 def binding_at(name: Symbol, scopes: ScopeSet, phase: int = 0) -> Optional[Binding]:
     """The binding recorded for ``name`` with exactly ``scopes``, if any."""
     if not scopes:
         return None
-    home = max(scopes, key=_scope_id)
-    rest = scopes - {home}
-    for other, binding in (home.bindings or {}).get((name, phase), ()):
+    home, rest = _home_and_rest(scopes)
+    entries = (home.bindings or {}).get((name, phase), ())
+    for other, binding in entries:
         if other == rest:
             return binding
+    if home.bulk is not None and home.bulk[0] == rest:
+        return home.bulk[1].lookup(name, phase)
     return None
 
 
@@ -163,8 +214,9 @@ def bind_identifier(ident: Syntax, binding: Binding, phase: int = 0) -> None:
 def resolve(ident: Syntax, phase: int = 0, exactly: bool = False) -> Optional[Binding]:
     """Resolve an identifier; None when unbound.
 
-    Candidates are the bindings, stored on the reference's own scopes, whose
-    scope sets are subsets of the reference's; the one with the largest set
+    Candidates are the bindings, stored (or imported in bulk) on the
+    reference's own scopes, whose scope sets are subsets of the
+    reference's; the one with the largest set
     wins, and it must contain every other candidate's set unless both
     denote the same binding. ``exactly`` requires the winner's scope set to
     equal the reference's (used when checking for duplicate definitions).
@@ -174,12 +226,19 @@ def resolve(ident: Syntax, phase: int = 0, exactly: bool = False) -> Optional[Bi
     candidates = []
     for home in ref_scopes:
         table = home.bindings
-        if table is not None:
-            entries = table.get(key)
-            if entries:
-                for rest, binding in entries:
-                    if rest <= ref_scopes:
-                        candidates.append((rest, home, binding))
+        entries = table.get(key) if table is not None else None
+        if entries:
+            for rest, binding in entries:
+                if rest <= ref_scopes:
+                    candidates.append((rest, home, binding))
+        bulk = home.bulk
+        # an own entry with the bulk import's rest set replaces it
+        if bulk is not None and bulk[0] <= ref_scopes and not any(
+            rest == bulk[0] for rest, _ in entries or ()
+        ):
+            binding = bulk[1].lookup(ident.e, phase)
+            if binding is not None:
+                candidates.append((bulk[0], home, binding))
     if not candidates:
         return None
     best_rest, best_home, best = max(candidates, key=lambda c: len(c[0]))

@@ -30,9 +30,14 @@ class Scope:
     ``bindings`` maps ``(symbol, phase)`` to the ``(other scopes, binding)``
     entries whose newest scope this is (see :func:`repro.syn.binding.bind`);
     ``None`` until the first binding lands here.
+
+    ``bulk`` is a whole export table imported on this scope, as a
+    ``(other scopes, BulkImport)`` pair (see
+    :func:`repro.syn.binding.bind_bulk`): a module scope's ``#lang``
+    import, or a language anchor scope's exports. ``None`` elsewhere.
     """
 
-    __slots__ = ("id", "kind", "token", "bindings", "__weakref__")
+    __slots__ = ("id", "kind", "token", "bindings", "bulk", "__weakref__")
     #: atomic id source (``next()`` is safe under the GIL; the old
     #: ``_counter += 1`` could mint duplicate ids on concurrent threads)
     _counter = itertools.count(1)
@@ -46,6 +51,7 @@ class Scope:
         self.kind = sys.intern(kind)
         self.token: "str | None" = None
         self.bindings: "dict | None" = None
+        self.bulk: "tuple | None" = None
 
     def __repr__(self) -> str:
         return f"#<scope:{self.kind}:{self.id}>"

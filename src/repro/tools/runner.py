@@ -412,8 +412,6 @@ def _import_smoke_command(opts: Any) -> int:
     name = opts.module
     sys.path.insert(0, opts.dir if opts.dir is not None else os.getcwd())
     rt = _runtime(opts)
-    if rt is None:
-        return 2
     install(rt)
     try:
         module = importlib.import_module(name)
@@ -632,18 +630,11 @@ def _budget(opts: Any) -> Optional[dict[str, Any]]:
     return {name: value for name, value in limits.items() if value is not None} or None
 
 
-def _runtime(opts: Any, **overrides: Any) -> Optional[Runtime]:
-    """A Runtime built from the Runtime options, or None after reporting a
-    ``$REPRO_BACKEND`` that names no backend (the flag was checked)."""
-    import sys
-
+def _runtime(opts: Any, **overrides: Any) -> Runtime:
+    """A Runtime built from the Runtime options."""
     config = dict(cache=opts.cache, cache_dir=opts.cache_dir,
                   backend=opts.backend, budget=_budget(opts))
-    try:
-        return Runtime(**{**config, **overrides})
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None
+    return Runtime(**{**config, **overrides})
 
 
 def _serve_command(opts: Any) -> int:
@@ -665,6 +656,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     (``--repl`` anywhere); anything else is ``run``'s."""
     import sys
 
+    from repro.core.backend import BACKENDS
+
     args = list(argv if argv is not None else sys.argv[1:])
     parsers = _parsers()
     if any(arg.split("=", 1)[0] == "--repl" for arg in args):
@@ -681,6 +674,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         if extra:
             kind = "option" if extra[0].startswith("-") else "argument"
             raise _UsageError(f"unknown {kind} {extra[0]}")
+        # without --backend, a command's Runtimes take $REPRO_BACKEND: it
+        # meets --backend's rule before anything runs, and a command
+        # taking --backend gets the backend it resolved
+        if not opts.help and getattr(opts, "backend", None) is None:
+            env_backend = os.environ.get(ENV_BACKEND)
+            if env_backend and env_backend not in BACKENDS:
+                raise _UsageError(
+                    f"unknown backend {env_backend!r} in ${ENV_BACKEND} "
+                    f"(expected one of {', '.join(BACKENDS)})"
+                )
+            if hasattr(opts, "backend"):
+                opts.backend = env_backend or "interp"
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         print(_USAGE.splitlines()[0], file=sys.stderr)
@@ -701,8 +706,6 @@ def _run_command(opts: Any) -> int:
     tracer = Tracer() if opts.log_optimizations else None
     # a cache hit would skip the optimizer — nothing for the coach to see
     rt = _runtime(opts, cache=opts.cache and tracer is None, trace=tracer)
-    if rt is None:
-        return 2
     try:
         path = rt.register_file(opts.file)
         rt.instantiate(path)

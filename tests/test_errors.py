@@ -196,6 +196,50 @@ class TestCommandLineContract:
         err = capsys.readouterr().err
         assert "bogus" in err and "interp" in err and "pyc" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["langs"],
+        ["trace", "t.rkt"],
+        ["serve"],
+        ["--repl", "racket"],
+        ["cache", "stats"],
+        ["t.rkt"],
+    ])
+    def test_unknown_backend_in_the_environment_is_a_usage_error(
+        self, argv, monkeypatch, capsys, no_start
+    ):
+        from repro.tools.runner import main
+
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: unknown backend 'bogus' in $REPRO_BACKEND "
+            "(expected one of interp, pyc)",
+            "usage: python -m repro [options] <file.rkt>",
+        ]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("env, argv, resolved", [
+        (None, ["serve"], "interp"),
+        ("pyc", ["serve"], "pyc"),
+        ("pyc", ["serve", "--backend", "interp"], "interp"),
+    ])
+    def test_serve_gets_the_backend_it_resolved(
+        self, env, argv, resolved, monkeypatch, no_start
+    ):
+        import repro.serve
+        from repro.tools.runner import main
+
+        if env is None:
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", env)
+        served = []
+        monkeypatch.setattr(repro.serve, "serve_command",
+                            lambda **kwargs: served.append(kwargs) or 0)
+        assert main(argv) == 0
+        assert served[0]["backend"] == resolved
+
     def test_run_budget_flags_follow_the_json_budget_rule(self, tmp_path, capsys):
         from repro.tools.runner import main
 
