@@ -16,11 +16,13 @@ constants or locals of the innermost frame), an optimized ``(unsafe-fl+ x
 y)`` one ``unsafe_fl_add`` call.
 
 The :class:`Compiler` runs under the owning Runtime's guard and captures
-it, so it picks the trampoline when it compiles, as the pyc backend does
-at link time: under no guard, application sites call
-:func:`~repro.core.interp.apply_ungoverned` directly and never read the
-guard context variable; under a guard they call
-:func:`~repro.core.interp.apply_procedure`, which charges steps and depth.
+it. Under a guard, each lambda body it builds charges its own entry, one
+step and one depth level, to the guard active when the body is entered
+(the lines of :func:`~repro.guard.budget.charge_entry`, which pyc's
+functions call), and allocating primitive sites charge one allocation
+when the guard has an allocation limit. Under no guard it emits no charging code.
+Application sites call :func:`~repro.core.interp.apply_procedure` either
+way: it is the one trampoline, and it charges nothing (DESIGN §8).
 """
 
 from __future__ import annotations
@@ -28,17 +30,11 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core import ast
-from repro.core.interp import (
-    UNDEFINED,
-    TailCall,
-    apply_procedure,
-    apply_ungoverned,
-    tail_apply,
-    tail_ungoverned,
-)
+from repro.core.interp import UNDEFINED, apply_procedure, tail_apply
 from repro.core.lower import kernel_primitive
 from repro.core.namespace import Namespace
 from repro.errors import RuntimeReproError
+from repro.guard.budget import current_guard
 from repro.runtime.values import Closure, Values
 from repro.syn.binding import LocalBinding, ModuleBinding
 
@@ -72,10 +68,8 @@ class Compiler:
         self.inline = inline
         # Compilation happens at instantiation time, under the owning
         # Runtime's guard (if any) — so governance checks are *compiled in*
-        # only for governed Runtimes, the way a bytecode backend would
-        # inline them, and ungoverned code carries no hooks at all.
-        from repro.guard.budget import current_guard
-
+        # only for governed Runtimes, as pyc links them in, and ungoverned
+        # code carries no hooks at all.
         self.guard = current_guard()
         #: optional :class:`repro.core.lower.ModuleAnalysis` — when present,
         #: reads of bindings the lower pass proves initialized (parameters,
@@ -200,8 +194,10 @@ class Compiler:
         if node.rest is not None:
             mapping[node.rest.uid] = len(node.params)
         inner = CEnv(mapping, cenv)
-        body_fn = self._compile_body(node.body, inner, True)
         name = node.name
+        body_fn = self._compile_body(node.body, inner, True)
+        if self.guard is not None:
+            body_fn = _charged_body(body_fn, name)
         nparams = len(node.params)
         has_rest = node.rest is not None
 
@@ -285,14 +281,7 @@ class Compiler:
             pyfn = value.fn
             guard = self.guard
             if guard is not None and guard.track_allocations and value.allocates:
-                # charge the allocation budget at this compiled call
-                # site; the wrapped pyfn keeps the inline fast path
-                raw = pyfn
-
-                def pyfn(*args: Any, _raw: Any = raw, _guard: Any = guard) -> Any:
-                    _guard.charge_alloc()
-                    return _raw(*args)
-
+                pyfn = charging_alloc(pyfn)
             elif nargs == 2 and value.binary is not None:
                 pyfn = value.binary
             if nargs == 2:
@@ -310,22 +299,9 @@ class Compiler:
 
         compiled_args = tuple(self.compile_expr(a, cenv, False) for a in node.args)
         fn = self.compile_expr(node.fn, cenv, False)
-        # the guard is fixed for this compilation (see __init__), so an
-        # ungoverned one binds the ungoverned trampoline here, once
         if tail:
-            tail_fn = tail_apply if self.guard is not None else tail_ungoverned
-
-            def app_tail(env: Any) -> Any:
-                return tail_fn(fn(env), [a(env) for a in compiled_args])
-
-            return app_tail
-
-        apply = apply_procedure if self.guard is not None else apply_ungoverned
-
-        def app(env: Any) -> Any:
-            return apply(fn(env), [a(env) for a in compiled_args])
-
-        return app
+            return lambda env: tail_apply(fn(env), [a(env) for a in compiled_args])
+        return lambda env: apply_procedure(fn(env), [a(env) for a in compiled_args])
 
     def _frame_slot(self, node: ast.CoreExpr, cenv: Optional[CEnv]) -> Optional[int]:
         """The innermost-frame index of ``node`` when it is a local that the
@@ -387,6 +363,47 @@ class Compiler:
             return run_define
         expr_fn = self.compile_expr(form, None, False)
         return lambda: expr_fn(None)
+
+
+def _charged_body(run: Compiled, name: str) -> Compiled:
+    """A governed lambda body: its entry charges one step and one depth
+    level to the guard active at that moment (none: it charges nothing),
+    and the depth level is taken back when ``run`` returns or raises."""
+
+    def body(env: Any) -> Any:
+        # charge_entry's lines, inlined: calling it would add a Python
+        # call to every governed entry
+        guard = current_guard()
+        if guard is None:
+            return run(env)
+        steps = guard.steps_used + 1
+        guard.steps_used = steps
+        if steps >= guard.next_check:
+            guard.checkpoint(name)
+        depth = guard.depth + 1
+        if depth > guard.depth_limit:
+            guard.exhaust_depth(name)
+        guard.depth = depth
+        try:
+            return run(env)
+        finally:
+            guard.depth -= 1
+
+    return body
+
+
+def charging_alloc(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn``, an allocating primitive's implementation, charging one
+    allocation to the guard active at each call. Bound at the call sites
+    that code compiled or linked under an allocation limit makes."""
+
+    def charged(*args: Any) -> Any:
+        guard = current_guard()
+        if guard is not None:
+            guard.charge_alloc()
+        return fn(*args)
+
+    return charged
 
 
 def _bind_values(frame: list[Any], start: int, count: int, result: Any) -> None:

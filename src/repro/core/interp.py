@@ -5,26 +5,20 @@ tail-recursive loops, as Scheme programs are). Compiled code in tail position
 returns a :class:`TailCall` record instead of recursing; the driver loop in
 :func:`apply_procedure` unwinds it, keeping the Python stack flat.
 
-Resource governance (:mod:`repro.guard`) hooks in here: when the current
-Runtime carries a :class:`~repro.guard.Budget`, applications take a second
-trampoline loop inlined in :func:`apply_procedure` that charges one *step*
-per closure invocation (tail calls included — each trampoline iteration is
-a step) and performs the amortized deadline/cancellation checkpoint.
-
-:func:`apply_ungoverned` is the one ungoverned loop. Code generators that
-know the guard when they build their code bind it directly: the interp
-:class:`~repro.core.compile.Compiler` picks it for application sites when
-it compiles under no guard, and the pyc backend's ``link_unit`` binds it
-at link time (DESIGN §8, §9). Such sites skip the guard context-variable
-read; :func:`apply_procedure`, the entry for everything else, reads it
-once and hands ungoverned applications to the same loop.
+Resource governance (:mod:`repro.guard`) does not live here. A closure
+compiled (interp) or linked (pyc) under a guard charges its own entry: one
+*step*, then one depth level for the extent of its body, against the guard
+active when it is entered (DESIGN §8). So :func:`apply_procedure` is the one
+trampoline of both backends, governed or not, and applying a closure costs
+the same in either mode; only an allocating primitive applied as a value
+is charged here (:func:`_apply_other`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from repro.errors import ArityError, ContractViolation, RuntimeReproError
+from repro.errors import ArityError, RuntimeReproError
 from repro.guard.budget import current_guard
 from repro.runtime.values import (
     Closure,
@@ -72,9 +66,15 @@ def _make_frame(closure: Closure, args: list[Any]) -> list[Any]:
 
 
 def _apply_other(fn: Any, args: list[Any]) -> Any:
-    """Apply a non-closure callable (shared by both trampolines)."""
+    """Apply a non-closure callable. An allocating primitive applied as a
+    value (``(map cons ...)``) is charged here, since no compiled call
+    site wraps it."""
     t = type(fn)
     if t is Primitive:
+        if fn.allocates:
+            guard = current_guard()
+            if guard is not None and guard.track_allocations:
+                guard.charge_alloc()
         if len(args) < fn.arity_min or (
             fn.arity_max is not None and len(args) > fn.arity_max
         ):
@@ -94,67 +94,9 @@ def _apply_other(fn: Any, args: list[Any]) -> Any:
 def apply_procedure(fn: Any, args: list[Any]) -> Any:
     """Apply ``fn`` to ``args``, draining tail calls.
 
-    The governed trampoline is inlined below rather than delegated: an
-    extra Python frame per application costs more than all of the charging
-    arithmetic combined, and applications are the platform's hottest path.
-    The per-step cost under a budget is one slot increment and one integer
-    compare; ``checkpoint`` (clock read, cancellation flag, step-limit
-    verdict) runs every ``CHECK_INTERVAL`` steps. Those same two lines are
-    what a bytecode backend would inline into emitted function prologues.
-    """
-    guard = current_guard()
-    if guard is None:
-        return apply_ungoverned(fn, args)
-    max_depth = guard.max_depth
-    alloc = guard.allocations is not None
-    while True:
-        t = type(fn)
-        if t is Closure or t is PyClosure:
-            steps = guard.steps_used + 1
-            guard.steps_used = steps
-            if steps >= guard.next_check:
-                guard.checkpoint(fn.name)
-            if t is Closure:
-                env = (_make_frame(fn, args), fn.env)
-                body = fn.body
-            else:
-                env = _make_frame(fn, args)
-                body = None
-            if max_depth is None:
-                result = fn.fn(*env) if body is None else body(env)
-            else:
-                # tail bounces balance the +1/-1 within this loop, so
-                # `depth` tracks true (non-tail) nesting
-                depth = guard.depth + 1
-                guard.depth = depth
-                if depth > max_depth:
-                    guard._exhaust(
-                        "depth", "G003",
-                        f"evaluation exceeded its recursion-depth budget "
-                        f"of {max_depth}",
-                        fn.name,
-                    )
-                try:
-                    result = fn.fn(*env) if body is None else body(env)
-                finally:
-                    guard.depth = depth - 1
-            if type(result) is TailCall:
-                fn = result.fn
-                args = result.args
-                continue
-            return result
-        if alloc and type(fn) is Primitive and fn.allocates:
-            guard.charge_alloc()
-        return _apply_other(fn, args)
-
-
-def apply_ungoverned(fn: Any, args: list[Any]) -> Any:
-    """Apply ``fn`` to ``args``, draining tail calls, charging nothing.
-
-    Bound in place of :func:`apply_procedure` by code compiled or linked
-    for an ungoverned Runtime: the guard is fixed for the whole run, so the
-    per-application context-variable read is paid once, at compile or link
-    time. Closures of both backends interoperate in this one loop.
+    The one trampoline of both backends. It charges nothing: a closure
+    compiled or linked under a guard charges its own entry (see the module
+    docstring), so governed and ungoverned code share this loop.
     """
     while True:
         t = type(fn)
@@ -177,11 +119,3 @@ def tail_apply(fn: Any, args: list[Any]) -> Any:
     if t is Closure or t is PyClosure:
         return TailCall(fn, args)
     return apply_procedure(fn, args)
-
-
-def tail_ungoverned(fn: Any, args: list[Any]) -> Any:
-    """:func:`tail_apply` for code bound to :func:`apply_ungoverned`."""
-    t = type(fn)
-    if t is Closure or t is PyClosure:
-        return TailCall(fn, args)
-    return apply_ungoverned(fn, args)

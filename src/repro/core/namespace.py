@@ -18,7 +18,10 @@ class Namespace:
     def __init__(self, name: str = "namespace") -> None:
         self.name = name
         self.cells: dict[Any, list[Any]] = {}
-        #: module path -> True once instantiated in this namespace
+        #: module path -> whether it was instantiated under a guard, for
+        #: every module instantiated in this namespace; the primitive
+        #: modules a registry prefills count as governed, having no
+        #: closures to charge (see repro.modules.instantiate)
         self.instantiated: dict[str, bool] = {}
 
     def cell(self, key: Any) -> list[Any]:

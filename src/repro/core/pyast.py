@@ -18,7 +18,7 @@ _POSITION = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
 
 for _name in (
     # statements
-    "Assign", "AugAssign", "Continue", "Expr", "FunctionDef", "If",
+    "Assign", "AugAssign", "Break", "Continue", "Expr", "FunctionDef", "If",
     "Nonlocal", "Return", "Try", "While",
     # exception handlers
     "ExceptHandler",

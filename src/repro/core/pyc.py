@@ -32,17 +32,18 @@ code object per module. The mapping:
 
 Budgets thread through emitted code, but governance is a *link-time*
 binding, not a second code object: each unit carries one code object, and
-``link_unit`` binds the module globals ``_G`` (``guard is not None``),
-``_cg`` (the active-guard probe), ``_apply`` and ``_tail`` for the run at
-hand. Function entries are charged by the trampoline (a ``PyClosure``
-application costs one step and one depth level, like an interp
-``Closure``). Each loop back-edge carries, behind ``if _G`` and a guard
-active at that moment, the same two inlined lines the interp trampoline
-uses (``guard.steps_used += 1; if ... >= guard.next_check:
-checkpoint()``), and each direct call of a hoisted top-level function
-branches on ``_G`` to the governed trampoline, so G001–G005 fire with step
-and depth counts identical to the interp backend while an ungoverned run
-pays one global truth test per back-edge and direct call.
+``link_unit`` binds the module globals ``_G`` (``guard is not None``) and
+``_enter`` (:func:`~repro.guard.budget.charge_entry`) for the run at hand.
+Every emitted function starts with ``_gd = _G and _enter(name)``: linked
+under a guard, its entry charges the guard active at that moment one step
+and one depth level, as an interp closure's entry does, and a
+``finally`` takes the depth level back. Each loop back-edge charges one
+more step to that ``_gd``. A direct call of a hoisted top-level function
+is the plain Python call in both modes, and every other application goes
+through the one trampoline (``_apply``/``_tail``), which charges nothing.
+So G001–G005 fire with step and depth counts identical to the interp
+backend, while an ungoverned run pays a ``_G`` and a ``_gd`` test per
+call and a ``_gd`` test per back-edge.
 """
 
 from __future__ import annotations
@@ -57,15 +58,8 @@ from typing import Any, Callable, Optional
 
 from repro.core import ast
 from repro.core import pyast as py
-from repro.core.compile import _bind_cells
-from repro.core.interp import (
-    UNDEFINED,
-    TailCall,
-    apply_procedure,
-    apply_ungoverned,
-    tail_apply,
-    tail_ungoverned,
-)
+from repro.core.compile import _bind_cells, charging_alloc
+from repro.core.interp import UNDEFINED, TailCall, apply_procedure, tail_apply
 from repro.core.lower import (
     ModuleAnalysis,
     kernel_primitive,
@@ -73,7 +67,7 @@ from repro.core.lower import (
     stable_self_binding,
 )
 from repro.errors import RuntimeReproError
-from repro.guard.budget import current_guard
+from repro.guard.budget import charge_entry
 from repro.runtime.primitives import PRIMITIVES
 from repro.runtime.stats import current_stats
 from repro.runtime.values import (
@@ -251,6 +245,19 @@ def _type_test(kinds: list[type], names: list[py.expr]) -> py.expr:
                                                    values=[same, alike])
 
 
+# The nodes every function's entry and exit share (see
+# ``_Emitter._charged_entry``). ``compile()`` only reads the tree, so one
+# instance serves them all; a copy per function made a cold compile's
+# peak RSS 1.2 MB larger.
+_G_NAME = _n("_G")
+_ENTER_NAME = _n("_enter")
+_DEPTH_BACK = [py.If(test=_n("_gd"), body=[py.AugAssign(
+    target=py.Attribute(value=_n("_gd"), attr="depth", ctx=py.Store()),
+    op=py.Sub(), value=_const(1),
+)], orelse=[])]
+_RETURN_R = py.Return(value=_n("_r"))
+
+
 class _LoopInfo:
     __slots__ = ("kind", "key", "uid", "param_names", "name")
 
@@ -352,8 +359,7 @@ class _Emitter:
         self.module_block: list[py.stmt] = []
         #: module binding key -> (fname, nparams, returns_tail) for
         #: top-level lambdas hoisted to module scope; applications of these
-        #: compile to direct Python calls when ungoverned (a governed run
-        #: takes the trampoline, see ``_app_expr``)
+        #: compile to direct Python calls (see ``_app_expr``)
         self.module_fns: dict[tuple, tuple[str, int, bool]] = {}
         #: keys bound by *earlier* top-level forms: reads skip the
         #: UNDEFINED check, because any code emitted for a later form can
@@ -456,7 +462,13 @@ class _Emitter:
         if t is ast.App:
             self._app_tail(node)
             return
-        self.cur.append(py.Return(value=self.expr(node)))
+        self._leaf(self.expr(node))
+
+    def _leaf(self, value: py.expr) -> None:
+        """End a tail path with ``value`` as the function's result: it goes
+        to ``_r``, which the one ``return`` after the body returns (see
+        ``_charged_entry``)."""
+        self.cur.append(_assign("_r", value))
 
     def test_expr(self, node: ast.CoreExpr) -> py.expr:
         """Compile a conditional test: results proven to be Python bools
@@ -633,7 +645,10 @@ class _Emitter:
         self.tail(node.body[-1])
         self.blocks.pop()
         if loop is not None:
-            body = [py.While(test=_const(True), body=body, orelse=[])]
+            # a tail path that did not `continue` has set `_r`
+            body = [py.While(test=_const(True), body=[*body, py.Break()],
+                             orelse=[])]
+        body = self._charged_entry(node.name, body)
         if self.fctx.nonlocals:
             body.insert(0, py.Nonlocal(names=sorted(self.fctx.nonlocals)))
         self.fctx = outer
@@ -977,32 +992,18 @@ class _Emitter:
                 return coded
             return _call(_n(self.tables.prim_fn(prim, len(args))), args)
         if type(node.fn) is ast.ModuleRef:
-            # non-tail call of a hoisted module function: when ungoverned,
-            # call the Python function directly, skipping the trampoline.
-            # Arity is checked statically (the entry records nparams); a
-            # mismatch falls through to _apply for the proper ArityError.
-            # Tail calls never take this path — mutual recursion must stay
-            # on the trampoline.
-            key = node.fn.binding.key()
-            entry = self.module_fns.get(key)
+            # non-tail call of a hoisted module function: call the Python
+            # function directly, skipping the trampoline; its entry charges
+            # itself. Arity is checked statically (the entry records
+            # nparams); a mismatch falls through to _apply for the proper
+            # ArityError. Tail calls never take this path — mutual
+            # recursion must stay on the trampoline.
+            entry = self.module_fns.get(node.fn.binding.key())
             if entry is not None and entry[1] == len(node.args):
-                # atoms: both branches name each argument, and a nested
-                # direct call as an argument must not be emitted twice
-                makers = self._atomize(self._expr_seq(list(node.args)))
-                direct = _call(_n(entry[0]), [m() for m in makers])
+                direct = _call(_n(entry[0]), self._expr_seq(list(node.args)))
                 if entry[2]:  # the callee may return a TailCall: drain it
                     direct = _call(_n("_dr"), [direct])
-                # governed: the trampoline charges the step and depth level
-                # of the application. The cell needs no initialization
-                # check: a hoisted binding is never set!, and no code that
-                # calls it can run before its defining form bound it.
-                trampolined = _call(_n("_apply"), [
-                    py.Subscript(value=_n(self.tables.cell(key)),
-                                 slice=_const(0), ctx=py.Load()),
-                    py.List(elts=[m() for m in makers], ctx=py.Load()),
-                ])
-                return py.IfExp(test=_n("_G"), body=trampolined,
-                                orelse=direct)
+                return direct
         parts = self._expr_seq([node.fn, *node.args])
         return _call(_n("_apply"), [
             parts[0], py.List(elts=parts[1:], ctx=py.Load())
@@ -1011,7 +1012,7 @@ class _Emitter:
     def _app_tail(self, node: ast.App) -> None:
         if self._inlined(node) is not None:
             # primitives never tail-call; return the value directly
-            self.cur.append(py.Return(value=self._app_expr(node)))
+            self._leaf(self._app_expr(node))
             return
         loop = self.fctx.loop
         if loop is not None and self._is_self_call(node, loop):
@@ -1026,13 +1027,15 @@ class _Emitter:
                     )],
                     value=py.Tuple(elts=args, ctx=py.Load()),
                 ))
-            self.cur.extend(self._back_edge_charge(loop.name))
+            self.cur.append(py.If(test=_n("_gd"),
+                                  body=self._step_charge(loop.name),
+                                  orelse=[]))
             self.cur.append(py.Continue())
             return
         parts = self._expr_seq([node.fn, *node.args])
-        self.cur.append(py.Return(value=_call(_n("_tail"), [
+        self._leaf(_call(_n("_tail"), [
             parts[0], py.List(elts=parts[1:], ctx=py.Load())
-        ])))
+        ]))
 
     def _is_self_call(self, node: ast.App, loop: _LoopInfo) -> bool:
         if len(node.args) != len(loop.param_names):
@@ -1044,40 +1047,44 @@ class _Emitter:
         return (type(fn) is ast.LocalRef
                 and fn.binding.uid == loop.uid)
 
-    def _back_edge_charge(self, where: str) -> list[py.stmt]:
-        """The two inlined lines the governed interp trampoline charges per
-        application, emitted at each loop back-edge behind ``if _G and
-        (_gd := _cg()) is not None:``. Like ``apply_procedure`` it charges
-        the guard active now, so a function called after its governed
-        import returns runs ungoverned, as on interp."""
-        guard = py.NamedExpr(target=_s("_gd"), value=_call(_n("_cg"), []))
-        test = py.BoolOp(op=py.And(), values=[_n("_G"), py.Compare(
-            left=guard, ops=[py.IsNot()], comparators=[_const(None)],
-        )])
-        return [py.If(test=test, body=[py.Assign(
-            targets=[
-                py.Attribute(value=_n("_gd"), attr="steps_used",
-                             ctx=py.Store()),
-                _s("_steps"),
-            ],
-            value=py.BinOp(
-                left=py.Attribute(value=_n("_gd"), attr="steps_used",
-                                  ctx=py.Load()),
-                op=py.Add(), right=_const(1),
-            ),
+    @staticmethod
+    def _step_charge(where: str) -> list[py.stmt]:
+        """A loop back-edge's step, charged to the guard the function's
+        entry found (``_gd``): ``_gd.steps_used = _steps = _gd.steps_used +
+        1`` and the amortized checkpoint when ``_steps`` reaches
+        ``_gd.next_check``, the lines ``charge_entry`` starts with."""
+        def gd(attr: str, ctx: py.expr_context) -> py.Attribute:
+            return py.Attribute(value=_n("_gd"), attr=attr, ctx=ctx)
+
+        return [py.Assign(
+            targets=[gd("steps_used", py.Store()), _s("_steps")],
+            value=py.BinOp(left=gd("steps_used", py.Load()), op=py.Add(),
+                           right=_const(1)),
         ), py.If(
-            test=py.Compare(
-                left=_n("_steps"), ops=[py.GtE()],
-                comparators=[py.Attribute(value=_n("_gd"),
-                                          attr="next_check", ctx=py.Load())],
-            ),
-            body=[py.Expr(value=_call(
-                py.Attribute(value=_n("_gd"), attr="checkpoint",
-                             ctx=py.Load()),
-                [_const(where)],
-            ))],
+            test=py.Compare(left=_n("_steps"), ops=[py.GtE()],
+                            comparators=[gd("next_check", py.Load())]),
+            body=[py.Expr(value=_call(gd("checkpoint", py.Load()),
+                                      [_const(where)]))],
             orelse=[],
-        )], orelse=[])]
+        )]
+
+    @staticmethod
+    def _charged_entry(where: str, body: list[py.stmt]) -> list[py.stmt]:
+        """A function's statements around ``body``: ``_gd = _G and
+        _enter(where)`` charges its entry (``charge_entry``: a step and a
+        depth level) when the unit was linked under a guard and one is
+        active now, a ``finally`` takes the depth level back, and the one
+        ``return`` returns ``_r``, which every tail path sets. One exit
+        keeps the ``finally``, which CPython copies to every ``return``,
+        to one copy. Linked with no guard, a call pays one ``_G`` and one
+        ``_gd`` test."""
+        return [
+            _assign("_gd", py.BoolOp(op=py.And(), values=[
+                _G_NAME, _call(_ENTER_NAME, [_const(where)]),
+            ])),
+            py.Try(body=body, handlers=[], orelse=[], finalbody=_DEPTH_BACK),
+            _RETURN_R,
+        ]
 
     # -- module forms ------------------------------------------------------
 
@@ -1224,7 +1231,7 @@ def codegen_module(compiled: Any, inline: bool) -> PycUnit:
 
     Namespace-independent: every namespace cell, quoted constant, and
     primitive is reached through a module global resolved at link time,
-    and so is governance (``_G``, ``_cg``). ``inline`` is the
+    and so is governance (``_G``, ``_enter``). ``inline`` is the
     registry's ``inline_primitives``.
     """
     analysis = module_analysis(compiled)
@@ -1278,15 +1285,15 @@ def _drain(result: Any) -> Any:
     value. Emitted around direct calls of hoisted functions whose tail
     positions may bounce (``_returns_tailcall``)."""
     if type(result) is TailCall:
-        return apply_ungoverned(result.fn, result.args)
+        return apply_procedure(result.fn, result.args)
     return result
 
 
 def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
     """Bind a unit's code object to a namespace and guard: resolve cell
     keys against ``ns``, install constants, primitive implementations and
-    the governance globals (``_G`` selects the governed branches at
-    back-edges and direct calls), and exec the module code, returning the
+    the governance globals (``_G`` turns on the charges at function
+    entries and back-edges), and exec the module code, returning the
     per-form thunks.
 
     Raises :class:`StaleUnitError` when the marshalled code targets a
@@ -1297,14 +1304,13 @@ def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
             "pyc unit was generated by a different Python version"
         )
     code = marshal.loads(unit.code)
-    governed = guard is not None
     g: dict[str, Any] = {
-        "_G": governed,
-        # governed code charges the guard active at each call, as the
-        # interp backend does (``_G`` is fixed at link time)
-        "_cg": current_guard,
-        "_apply": apply_procedure if governed else apply_ungoverned,
-        "_tail": tail_apply if governed else tail_ungoverned,
+        "_G": guard is not None,
+        # governed code charges the guard active at each function entry,
+        # as the interp backend does (``_G`` is fixed at link time)
+        "_enter": charge_entry,
+        "_apply": apply_procedure,
+        "_tail": tail_apply,
         "_dr": _drain,
         "_PyClosure": PyClosure,
         "_U": UNDEFINED,
@@ -1328,18 +1334,12 @@ def link_unit(unit: PycUnit, ns: Any, guard: Any) -> list[Callable[[], Any]]:
         g[pyname] = ns.cell(tuple(key))
     for pyname, value in unit.constants.items():
         g[pyname] = value
-    track = governed and guard.track_allocations
+    track = guard is not None and guard.track_allocations
     for pyname, prim_name in unit.prims.items():
         prim = PRIMITIVES[prim_name]
-        fn = prim.fn
-        if track and prim.allocates:
-            # charge the allocation budget at this linked call site, the
-            # same capture the interp compiler performs per compile
-            def fn(*args: Any, _raw: Any = fn, _guard: Any = guard) -> Any:
-                _guard.charge_alloc()
-                return _raw(*args)
-
-        g[pyname] = fn
+        # charge the allocation budget at this linked call site, as the
+        # interp compiler does per compile
+        g[pyname] = charging_alloc(prim.fn) if track and prim.allocates else prim.fn
     for pyname, prim_name in unit.binaries.items():
         g[pyname] = PRIMITIVES[prim_name].binary
     for pyname, prim_name in unit.prim_values.items():

@@ -55,6 +55,7 @@ CODES: dict[str, str] = {
     "G003": "evaluation recursion-depth budget exhausted",
     "G004": "evaluation allocation budget exhausted",
     "G005": "evaluation cancelled by the host",
+    "G006": "governed run reaches a module instantiated with no budget",
     # runtime / aggregate
     "X001": "runtime error",
     "X002": "wrong runtime type",

@@ -34,10 +34,10 @@ up that library's scope.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Generic, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.errors import SyntaxExpansionError
 from repro.reader.reader import read_string_one
@@ -46,46 +46,6 @@ from repro.syn.syntax import ImproperList, Syntax, VectorDatum, syntax_to_datum
 
 _ELLIPSIS = Symbol("...")
 _WILDCARD = Symbol("_")
-
-_K = TypeVar("_K")
-_V = TypeVar("_V")
-
-
-class _LRUCache(Generic[_K, _V]):
-    """A small bounded mapping: least-recently-used entries are evicted.
-
-    The pattern/template caches are process-global (compiled patterns are
-    pure data, safely shared across Runtimes), so without a bound every
-    distinct pattern string ever compiled would stay resident forever.
-    """
-
-    __slots__ = ("maxsize", "_data")
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._data: OrderedDict[_K, _V] = OrderedDict()
-
-    def get(self, key: _K) -> Optional[_V]:
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
-
-    def put(self, key: _K, value: _V) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: _K) -> bool:
-        return key in self._data
-
-    def clear(self) -> None:
-        self._data.clear()
-
 
 # --- syntax classes ---------------------------------------------------------
 
@@ -242,22 +202,19 @@ class Pattern:
         return f"#<pattern {self.source}>"
 
 
-_PATTERN_CACHE: _LRUCache[tuple[str, frozenset[str]], Pattern] = _LRUCache(1024)
-
-
 def compile_pattern(source: str, literals: Iterable[str] = ()) -> Pattern:
-    lit_set = frozenset(literals)
-    key = (source, lit_set)
-    cached = _PATTERN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    stx = read_string_one(source, "<pattern>")
-    node = _parse_pattern(stx, lit_set)
+    return _compile_pattern(source, frozenset(literals))
+
+
+# Compiled patterns and templates are pure data, safely shared across
+# Runtimes; the bound keeps every distinct string ever compiled from
+# staying resident forever.
+@functools.lru_cache(maxsize=1024)
+def _compile_pattern(source: str, literals: frozenset[str]) -> Pattern:
+    node = _parse_pattern(read_string_one(source, "<pattern>"), literals)
     variables: dict[str, int] = {}
     _pattern_vars(node, 0, variables)
-    pat = Pattern(source, node, variables)
-    _PATTERN_CACHE.put(key, pat)
-    return pat
+    return Pattern(source, node, variables)
 
 
 def _match(node: PatternNode, stx: Syntax, bindings: dict[str, Any]) -> bool:
@@ -414,9 +371,7 @@ def _collect_symbol_names(stx: Syntax) -> frozenset[str]:
     return frozenset(names)
 
 
-_TEMPLATE_CACHE: _LRUCache[str, Template] = _LRUCache(1024)
-
-
+@functools.lru_cache(maxsize=1024)
 def compile_template(source: str) -> Template:
     # Keying by source text alone is sound *because compiled templates are
     # context-free*: `read_string_one` produces syntax with empty scope sets
@@ -425,12 +380,7 @@ def compile_template(source: str) -> Template:
     # Two languages sharing a template string therefore share the compiled
     # Template but can never observe each other's scopes through it — see
     # test_pattern.py::TestCacheBounds for the regression test.
-    cached = _TEMPLATE_CACHE.get(source)
-    if cached is not None:
-        return cached
-    tpl = Template(source, read_string_one(source, "<template>"))
-    _TEMPLATE_CACHE.put(source, tpl)
-    return tpl
+    return Template(source, read_string_one(source, "<template>"))
 
 
 def _to_syntax(value: Any, ctx: Optional[Syntax], where: Syntax) -> Syntax:

@@ -9,9 +9,11 @@ warning) plus a successful recompile — never a crash, hang, or wrong
 result.
 
 Call sites are *guarded no-ops*: production code calls
-:func:`fault_point` (and :func:`fault_bytes` for payload-garbling sites),
-which return immediately when no plan is active. Activate a plan for a
-dynamic extent with :func:`use_fault_plan`.
+:func:`fault_point` (and :func:`fault_bytes` for payload-garbling sites)
+with the plan of the object it serves, which return immediately when that
+plan is ``None``. A plan is attached to one cache handle,
+``ModuleCache.fault_plan`` (``rt.cache.fault_plan = plan``), never to the
+process: two Runtimes in one process inject only their own faults.
 
 Fault kinds
 -----------
@@ -35,8 +37,8 @@ Example::
         FaultRule("cache.read", "fail", times=2),       # transient
         FaultRule("cache.write", "garble", times=1),    # corruption
     ])
-    with use_fault_plan(plan):
-        ...exercise the cache...
+    rt.cache.fault_plan = plan
+    ...exercise the cache...
     assert plan.fired == [("cache.read", "fail"), ...]
 """
 
@@ -45,9 +47,8 @@ from __future__ import annotations
 import errno as _errno
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class InjectedCrash(BaseException):
@@ -129,28 +130,8 @@ class FaultPlan:
         return bytes(data)
 
 
-#: the active plan — a one-element cell, read by every fault point
-_ACTIVE: list[Optional[FaultPlan]] = [None]
-
-
-def current_plan() -> Optional[FaultPlan]:
-    return _ACTIVE[0]
-
-
-@contextmanager
-def use_fault_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Activate ``plan`` for a dynamic extent (plans do not nest)."""
-    previous = _ACTIVE[0]
-    _ACTIVE[0] = plan
-    try:
-        yield plan
-    finally:
-        _ACTIVE[0] = previous
-
-
-def fault_point(site: str) -> None:
-    """Raise/delay here if the active plan says so; no-op otherwise."""
-    plan = _ACTIVE[0]
+def fault_point(plan: Optional[FaultPlan], site: str) -> None:
+    """Raise/delay here if ``plan`` says so; no-op without a plan."""
     if plan is None:
         return
     rule = plan.decide(site)
@@ -159,9 +140,8 @@ def fault_point(site: str) -> None:
     _execute(rule, site)
 
 
-def fault_bytes(site: str, payload: bytes) -> bytes:
+def fault_bytes(plan: Optional[FaultPlan], site: str, payload: bytes) -> bytes:
     """Like :func:`fault_point`, but can also corrupt a byte payload."""
-    plan = _ACTIVE[0]
     if plan is None:
         return payload
     rule = plan.decide(site)

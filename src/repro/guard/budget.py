@@ -2,18 +2,18 @@
 
 Design (mirrors :mod:`repro.observe.recorder`): the evaluator's hot paths
 pay for governance only when a guard is active. :func:`current_guard`
-returns ``None`` for ungoverned Runtimes — the trampoline in
-:mod:`repro.core.interp` checks that once per application and stays on its
-unguarded fast loop. Under a guard, the trampoline charges one *step* per
-closure invocation and calls :meth:`Budget.checkpoint` only every
-:data:`CHECK_INTERVAL` steps, so the expensive checks (monotonic clock read,
-cancellation flag) are amortized; the step-limit comparison itself is exact
-because ``next_check`` never exceeds the step limit.
+returns ``None`` for ungoverned Runtimes. Code compiled (interp) or linked
+(pyc) under a guard charges each closure entry one *step* and one depth
+level, against the guard active at entry; code made with no guard carries
+no charging code at all (DESIGN §8). :meth:`Budget.checkpoint` runs only
+every :data:`CHECK_INTERVAL` steps, so the expensive checks (monotonic
+clock read, cancellation flag) are amortized; the step-limit comparison
+itself is exact because ``next_check`` never exceeds the step limit.
 
 The hooks are deliberately *data* (plain attributes on one object), not a
-callback protocol: a future bytecode backend can inline
-``guard.steps_used += 1; if guard.steps_used >= guard.next_check: ...``
-directly into emitted code instead of inheriting interpreter-only checks.
+callback protocol: both backends inline ``guard.steps_used += 1; if
+guard.steps_used >= guard.next_check: ...`` and the ``depth`` /
+``depth_limit`` pair into the code they build.
 
 Exhaustion raises :class:`~repro.errors.BudgetExhausted` (stable ``G``
 codes, see :mod:`repro.diagnostics.codes`) carrying the steps consumed and
@@ -123,7 +123,7 @@ class Budget:
     __slots__ = (
         "steps", "seconds", "max_depth", "allocations", "cancel",
         "steps_used", "allocs_used", "depth", "next_check", "deadline",
-        "_armed",
+        "depth_limit", "_armed",
     )
 
     def __init__(
@@ -146,6 +146,7 @@ class Budget:
         self.deadline: Optional[float] = None
         self._armed = 0
         self.next_check = self._compute_next_check()
+        self.depth_limit = self._compute_depth_limit()
 
     # -- configuration -------------------------------------------------------
 
@@ -161,6 +162,7 @@ class Budget:
         for name, value in limits.items():
             setattr(self, name, value)
         self.next_check = self._compute_next_check()
+        self.depth_limit = self._compute_depth_limit()
 
     def reset(self) -> None:
         """Zero the consumed counters (limits are kept)."""
@@ -174,6 +176,10 @@ class Budget:
         if self.steps is not None and nxt > self.steps:
             return self.steps
         return nxt
+
+    def _compute_depth_limit(self) -> int:
+        # an int either way, so a closure entry's depth test is one compare
+        return sys.maxsize if self.max_depth is None else self.max_depth
 
     # -- arming (one deadline per outermost governed operation) --------------
 
@@ -192,9 +198,10 @@ class Budget:
     def checkpoint(self, where: Optional[str] = None) -> None:
         """Amortized slow check: step limit, deadline, cancellation.
 
-        Called by the governed trampoline when ``steps_used`` reaches
-        ``next_check``, and directly at coarse sites (between module-level
-        forms) to bound the latency of deadline/cancel detection.
+        Called by a governed closure entry or loop back-edge when
+        ``steps_used`` reaches ``next_check``, and directly at coarse sites
+        (between module-level forms) to bound the latency of
+        deadline/cancel detection.
         """
         if self.steps is not None and self.steps_used > self.steps:
             self._exhaust(
@@ -220,6 +227,16 @@ class Budget:
                 where,
             )
         self.next_check = self._compute_next_check()
+
+    def exhaust_depth(self, where: Optional[str]) -> None:
+        """Called by a closure entry whose depth level passed
+        ``depth_limit``."""
+        self._exhaust(
+            "depth", "G003",
+            f"evaluation exceeded its recursion-depth budget of "
+            f"{self.max_depth}",
+            where,
+        )
 
     def charge_alloc(self, n: int = 1) -> None:
         """Called at compiled constructor call sites (see core.compile)."""
@@ -288,6 +305,28 @@ _ACTIVE: contextvars.ContextVar[Optional[Budget]] = contextvars.ContextVar(
 
 #: bound C method — the cheapest "is governance on?" probe for hot paths
 current_guard = _ACTIVE.get
+
+
+def charge_entry(where: str) -> Optional[Budget]:
+    """Charge the entry of a closure that code made under a guard built:
+    one step to the guard active now, then one depth level (``G003`` past
+    ``depth_limit``), which the caller takes back when the closure's body
+    returns or raises. Returns that guard, or None (nothing charged).
+
+    pyc calls it at the top of every emitted function when the unit was
+    linked under a guard; the interp ``Compiler`` inlines the same lines
+    into each governed lambda body (DESIGN §8)."""
+    guard = _ACTIVE.get()
+    if guard is not None:
+        steps = guard.steps_used + 1
+        guard.steps_used = steps
+        if steps >= guard.next_check:
+            guard.checkpoint(where)
+        depth = guard.depth + 1
+        if depth > guard.depth_limit:
+            guard.exhaust_depth(where)
+        guard.depth = depth
+    return guard
 
 
 @contextmanager

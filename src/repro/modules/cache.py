@@ -91,7 +91,7 @@ except ImportError:  # pragma: no cover - non-posix fallback
 
 from repro.diagnostics.diagnostic import Diagnostic
 from repro.expander.core_forms import CORE_FORMS
-from repro.faults import fault_bytes, fault_point
+from repro.faults import FaultPlan, fault_bytes, fault_point
 from repro.observe.recorder import current_recorder
 from repro.runtime.stats import current_stats
 from repro.runtime.values import Keyword, Symbol
@@ -121,12 +121,16 @@ if TYPE_CHECKING:
 #: calls (a match-ext artifact: 53.5 KB -> 25.0 KB); pyc vector accesses test
 #: ``i >= 0`` and catch ``IndexError``, and code objects drop their nested
 #: qualified names
-FORMAT_VERSION = 9
+#: v10: every pyc function charges its own entry (a step and a depth level,
+#: behind ``_G``), and a direct call of a hoisted function is the plain
+#: Python call in both modes: a v9 unit charged governed calls through
+#: ``_apply``, so linked under a guard now it would charge nothing
+FORMAT_VERSION = 10
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x09"
+MAGIC = b"REPROZO\x0a"
 
 _DIGEST_LEN = 32
 
@@ -416,6 +420,9 @@ class ModuleCache:
         #: publish the artifact before giving up and compiling anyway
         self.winner_timeout = 30.0
         self._dir_ok = False
+        #: the :class:`~repro.faults.FaultPlan` whose faults this cache's
+        #: fault points inject (chaos tests set it); None injects nothing
+        self.fault_plan: Optional[FaultPlan] = None
 
     # -- paths and keys -----------------------------------------------------
 
@@ -459,7 +466,7 @@ class ModuleCache:
         if self.disabled:
             return False
         try:
-            fault_point("cache.makedirs")
+            fault_point(self.fault_plan, "cache.makedirs")
             os.makedirs(self.dir, exist_ok=True)
         except OSError as err:
             self.disabled = True
@@ -517,7 +524,7 @@ class ModuleCache:
         name = os.path.basename(file)
         qdir = os.path.join(self.dir, QUARANTINE_DIR)
         try:
-            fault_point("cache.quarantine")
+            fault_point(self.fault_plan, "cache.quarantine")
             os.makedirs(qdir, exist_ok=True)
             dest = os.path.join(qdir, name)
             n = 0
@@ -544,7 +551,7 @@ class ModuleCache:
         """
         lock_path = f"{file}.lock"
         try:
-            fault_point("cache.lock")
+            fault_point(self.fault_plan, "cache.lock")
             if fcntl is not None:
                 fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
                 try:
@@ -706,7 +713,7 @@ class ModuleCache:
 
         def read() -> bytes:
             with open(file, "rb") as f:
-                return fault_bytes("cache.read", f.read())
+                return fault_bytes(self.fault_plan, "cache.read", f.read())
 
         try:
             data = self._retrying("cache.read", read)
@@ -848,12 +855,12 @@ class ModuleCache:
             # no existence short-circuit: the same source hash can hold a
             # *stale* artifact (a dependency's full key changed), and the
             # rename is atomic either way
-            envelope = fault_bytes("cache.write", envelope)
+            envelope = fault_bytes(self.fault_plan, "cache.write", envelope)
 
             def write() -> None:
                 with open(tmp, "wb") as f:
                     f.write(envelope)
-                fault_point("cache.replace")
+                fault_point(self.fault_plan, "cache.replace")
                 os.replace(tmp, file)
 
             self._retrying("cache.write", write)
@@ -867,7 +874,7 @@ class ModuleCache:
             # failing unlink (gone already, permissions, injected fault)
             # is suppressed entirely
             with suppress(Exception):
-                fault_point("cache.unlink")
+                fault_point(self.fault_plan, "cache.unlink")
                 os.unlink(tmp)
             return False
         finally:

@@ -160,15 +160,15 @@ def generic_div(a: Any, b: Any) -> Any:
     current_stats().generic_dispatches += 1
     _check_number("/", a)
     _check_number("/", b)
+    if b == 0 and isinstance(b, (int, Fraction)):
+        # an exact zero divisor is an error whatever the dividend, as in
+        # Racket: `(/ 1.5 0)` raises where `(/ 1.5 0.0)` is `+inf.0`
+        raise WrongTypeError("/", "non-zero number", b)
     if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise WrongTypeError("/", "non-zero number", b)
         if a % b == 0:
             return a // b
         return Fraction(a, b)
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        if b == 0:
-            raise WrongTypeError("/", "non-zero number", b)
         return normalize(Fraction(a) / Fraction(b))
     a, b = _inexact_contagion(a, b)
     if isinstance(b, complex):

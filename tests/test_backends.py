@@ -31,7 +31,7 @@ from repro import (
     ReproError,
     Runtime,
 )
-from repro.faults import FaultPlan, InjectedCrash, use_fault_plan
+from repro.faults import FaultPlan, InjectedCrash
 
 BACKENDS = ("interp", "pyc")
 
@@ -644,9 +644,9 @@ class TestPycCache:
         torn-write debris (never a torn artifact), and a later runtime
         recovers by recompiling."""
         rt = pyc_cached_runtime(tmp_path, m=SOURCE)
+        rt.cache.fault_plan = FaultPlan().rule("cache.replace", "crash")
         with pytest.raises(InjectedCrash):
-            with use_fault_plan(FaultPlan().rule("cache.replace", "crash")):
-                rt.run("m")
+            rt.run("m")
         cache_dir = rt.cache.dir
         debris = [n for n in os.listdir(cache_dir) if ".tmp." in n]
         assert debris

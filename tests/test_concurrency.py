@@ -35,7 +35,7 @@ import time
 import pytest
 
 from repro import Runtime
-from repro.faults import FaultPlan, FaultRule, InjectedCrash, use_fault_plan
+from repro.faults import FaultPlan, FaultRule, InjectedCrash
 from repro.modules.cache import ModuleCache
 
 
@@ -225,8 +225,11 @@ class TestConcurrentRuntimes:
         errors: list[BaseException] = []
         barrier = threading.Barrier(3)
 
+        plan = FaultPlan(rules=[FaultRule("cache.replace", "crash", times=1)])
+
         def worker() -> None:
             rt = Runtime(cache_dir=shared)
+            rt.cache.fault_plan = plan  # one plan shared by the three caches
             try:
                 module = rt.register_file(top)
                 barrier.wait(timeout=30)
@@ -238,13 +241,11 @@ class TestConcurrentRuntimes:
             finally:
                 rt.close()
 
-        plan = FaultPlan(rules=[FaultRule("cache.replace", "crash", times=1)])
-        with use_fault_plan(plan):
-            threads = [threading.Thread(target=worker) for _ in range(3)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=300)
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
 
         assert not errors, errors
         assert len(crashes) == 1  # the fault fired in exactly one Runtime

@@ -16,12 +16,9 @@ import pytest
 from repro import Runtime
 from repro.faults import (
     FaultPlan,
-    FaultRule,
     InjectedCrash,
-    current_plan,
     fault_bytes,
     fault_point,
-    use_fault_plan,
 )
 from repro.modules.cache import MAGIC, ModuleCache, QUARANTINE_DIR
 
@@ -46,27 +43,39 @@ def warm_cache(tmp_path) -> str:
 
 class TestPlanMechanics:
     def test_fault_points_are_noops_without_a_plan(self):
-        assert current_plan() is None
-        fault_point("cache.read")  # must not raise
-        assert fault_bytes("cache.read", b"abc") == b"abc"
+        assert ModuleCache("unused").fault_plan is None
+        fault_point(None, "cache.read")  # must not raise
+        assert fault_bytes(None, "cache.read", b"abc") == b"abc"
 
     def test_rules_fire_a_bounded_number_of_times(self):
         plan = FaultPlan().rule("s", "fail", times=2)
-        with use_fault_plan(plan):
-            for _ in range(2):
-                with pytest.raises(OSError):
-                    fault_point("s")
-            fault_point("s")  # exhausted: behaves
+        for _ in range(2):
+            with pytest.raises(OSError):
+                fault_point(plan, "s")
+        fault_point(plan, "s")  # exhausted: behaves
         assert plan.fired == [("s", "fail"), ("s", "fail")]
 
     def test_prefix_sites_match(self):
         plan = FaultPlan().rule("cache.*", "fail", times=None)
-        with use_fault_plan(plan):
-            with pytest.raises(OSError):
-                fault_point("cache.read")
-            with pytest.raises(OSError):
-                fault_point("cache.write")
-            fault_point("other.site")
+        with pytest.raises(OSError):
+            fault_point(plan, "cache.read")
+        with pytest.raises(OSError):
+            fault_point(plan, "cache.write")
+        fault_point(plan, "other.site")
+
+    def test_a_plan_belongs_to_one_cache(self, tmp_path):
+        """Two Runtimes in one process: only the cache that holds the plan
+        injects its faults."""
+        warm_cache(tmp_path)
+        plan = FaultPlan().rule("cache.read", "fail", times=None)
+        with cached_runtime(tmp_path, m=SOURCE) as faulty, \
+                cached_runtime(tmp_path, m=SOURCE) as clean:
+            faulty.cache.fault_plan = plan
+            assert clean.run("m") == EXPECTED
+            assert clean.stats.cache_hits == 1 and not plan.fired
+            assert faulty.run("m") == EXPECTED
+            assert faulty.stats.cache_hits == 0
+            assert plan.fired == [("cache.read", "fail")] * 3
 
     def test_garbling_is_deterministic_per_seed(self):
         payload = bytes(range(256)) * 4
@@ -89,8 +98,8 @@ class TestCorruption:
     def test_corrupt_read_quarantines_and_recompiles(self, tmp_path, kind):
         warm_cache(tmp_path)
         with cached_runtime(tmp_path, m=SOURCE) as rt:
-            with use_fault_plan(FaultPlan(seed=9).rule("cache.read", kind)):
-                assert rt.run("m") == EXPECTED
+            rt.cache.fault_plan = FaultPlan(seed=9).rule("cache.read", kind)
+            assert rt.run("m") == EXPECTED
             assert any(d.code == "C104" for d in rt.cache.diagnostics)
             assert rt.stats.cache_hits == 0
             qdir = os.path.join(rt.cache.dir, QUARANTINE_DIR)
@@ -105,8 +114,8 @@ class TestCorruption:
     @pytest.mark.parametrize("kind", ["garble", "torn"])
     def test_corrupt_write_is_caught_on_next_load(self, tmp_path, kind):
         with cached_runtime(tmp_path, m=SOURCE) as rt:
-            with use_fault_plan(FaultPlan(seed=5).rule("cache.write", kind)):
-                assert rt.run("m") == EXPECTED  # the run itself is unharmed
+            rt.cache.fault_plan = FaultPlan(seed=5).rule("cache.write", kind)
+            assert rt.run("m") == EXPECTED  # the run itself is unharmed
         with cached_runtime(tmp_path, m=SOURCE) as rt2:
             assert rt2.run("m") == EXPECTED
             assert any(d.code == "C104" for d in rt2.cache.diagnostics)
@@ -126,8 +135,8 @@ class TestTransientIO:
     def test_transient_read_failure_is_retried_to_a_hit(self, tmp_path):
         warm_cache(tmp_path)
         with cached_runtime(tmp_path, m=SOURCE) as rt:
-            with use_fault_plan(FaultPlan().rule("cache.read", "fail", times=2)):
-                assert rt.run("m") == EXPECTED
+            rt.cache.fault_plan = FaultPlan().rule("cache.read", "fail", times=2)
+            assert rt.run("m") == EXPECTED
             assert rt.stats.cache_hits == 1
             assert rt.cache.retries == 2
             assert not rt.cache.diagnostics  # fully recovered: no warning
@@ -135,19 +144,19 @@ class TestTransientIO:
     def test_persistent_read_failure_degrades_to_recompile(self, tmp_path):
         warm_cache(tmp_path)
         with cached_runtime(tmp_path, m=SOURCE) as rt:
-            with use_fault_plan(
+            rt.cache.fault_plan = (
                 FaultPlan().rule("cache.read", "fail", times=None)
-            ):
-                assert rt.run("m") == EXPECTED
+            )
+            assert rt.run("m") == EXPECTED
             assert rt.stats.cache_hits == 0
             assert rt.cache.diagnostics  # warned, structured
 
     def test_persistent_store_failure_warns_c103(self, tmp_path):
         with cached_runtime(tmp_path, m=SOURCE) as rt:
-            with use_fault_plan(
+            rt.cache.fault_plan = (
                 FaultPlan().rule("cache.write", "fail", times=None)
-            ):
-                assert rt.run("m") == EXPECTED
+            )
+            assert rt.run("m") == EXPECTED
             assert any(d.code == "C103" for d in rt.cache.diagnostics)
             assert rt.stats.cache_stores == 0
             # the failed store's temp file was cleaned up
@@ -157,11 +166,11 @@ class TestTransientIO:
 
     def test_unavailable_cache_dir_disables_with_one_c105(self, tmp_path):
         with cached_runtime(tmp_path, a=SOURCE, b="#lang racket\n(displayln 2)\n") as rt:
-            with use_fault_plan(
+            rt.cache.fault_plan = (
                 FaultPlan().rule("cache.makedirs", "fail", times=None)
-            ):
-                assert rt.run("a") == EXPECTED
-                assert rt.run("b") == "2\n"
+            )
+            assert rt.run("a") == EXPECTED
+            assert rt.run("b") == "2\n"
             assert rt.cache.disabled
             # one warning for the whole session, not one per store
             assert [d.code for d in rt.cache.diagnostics] == ["C105"]
@@ -191,16 +200,16 @@ class TestLocking:
         # protocol landed: the pre-compile claim and the store itself; when
         # both fail, the run still succeeds and the store is skipped
         with cached_runtime(tmp_path, m=SOURCE) as rt:
-            with use_fault_plan(FaultPlan().rule("cache.lock", "fail", times=2)):
-                assert rt.run("m") == EXPECTED
+            rt.cache.fault_plan = FaultPlan().rule("cache.lock", "fail", times=2)
+            assert rt.run("m") == EXPECTED
             assert rt.stats.cache_stores == 0
 
     def test_lock_failure_at_claim_only_still_stores(self, tmp_path):
         # a transient lock failure at claim time degrades to an unclaimed
         # compile; the store's own acquisition then succeeds and publishes
         with cached_runtime(tmp_path, m=SOURCE) as rt:
-            with use_fault_plan(FaultPlan().rule("cache.lock", "fail", times=1)):
-                assert rt.run("m") == EXPECTED
+            rt.cache.fault_plan = FaultPlan().rule("cache.lock", "fail", times=1)
+            assert rt.run("m") == EXPECTED
             assert rt.stats.cache_stores == 1
 
     def test_lock_is_released_after_store(self, tmp_path):
@@ -214,9 +223,9 @@ class TestCrash:
     ):
         before = live_bindings()
         rt = cached_runtime(tmp_path, m=SOURCE)
+        rt.cache.fault_plan = FaultPlan().rule("cache.replace", "crash")
         with pytest.raises(InjectedCrash):
-            with use_fault_plan(FaultPlan().rule("cache.replace", "crash")):
-                rt.run("m")
+            rt.run("m")
         cache_dir = rt.cache.dir
         # the "crash" left a torn-write temp file, never a torn artifact
         debris = [n for n in os.listdir(cache_dir) if ".tmp." in n]
@@ -310,13 +319,13 @@ class TestEndToEnd:
             .rule("cache.makedirs", "delay", times=1, delay=0.001)
         )
         outputs = []
-        with use_fault_plan(plan):
-            for _ in range(4):
-                with cached_runtime(tmp_path, m=SOURCE) as rt:
-                    outputs.append(rt.run("m"))
-                    for diag in rt.cache.diagnostics:
-                        assert diag.severity == "warning"
-                        assert diag.code.startswith("C1")
+        for _ in range(4):
+            with cached_runtime(tmp_path, m=SOURCE) as rt:
+                rt.cache.fault_plan = plan
+                outputs.append(rt.run("m"))
+                for diag in rt.cache.diagnostics:
+                    assert diag.severity == "warning"
+                    assert diag.code.startswith("C1")
         assert outputs == [EXPECTED] * 4
         # the storm is over: the cache settles into steady warm hits
         with cached_runtime(tmp_path, m=SOURCE) as rt:

@@ -19,6 +19,7 @@ from repro import (
     BudgetExhausted,
     CancelToken,
     EvaluationCancelled,
+    ReproError,
     Runtime,
 )
 from repro.guard import resolve_budget
@@ -203,6 +204,69 @@ class TestStateIntegrity:
             rt1.run_source(calls_program(4))
             rt2.run_source(calls_program(3))
         assert budget.steps_used == 7
+
+
+SPIN_LIB = """#lang racket
+(define (spin n) (if (= n 0) 'done (spin (- n 1))))
+(provide spin)
+"""
+
+COUNT_LIB = """#lang racket
+(define (count-up n) (if (= n 0) 0 (+ 1 (count-up (- n 1)))))
+(provide count-up)
+"""
+
+
+@pytest.mark.parametrize("backend", ["interp", "pyc"])
+class TestSharedNamespace:
+    """Code compiled or linked with no guard is never charged, so a governed
+    run must not reach a module that its namespace instantiated ungoverned:
+    G006, before any module body runs."""
+
+    def _runtime(self, backend, lib, call):
+        rt = Runtime(backend=backend)
+        rt.register_module("lib", lib)
+        rt.register_module(
+            "main", f'#lang racket\n(require "lib")\n(displayln {call})\n'
+        )
+        return rt
+
+    @pytest.mark.parametrize("lib, call, steps", [
+        (SPIN_LIB, "(spin 100000)", 1000),
+        (COUNT_LIB, "(count-up 500)", 100),
+    ])
+    def test_ungoverned_module_is_refused(self, backend, lib, call, steps):
+        with self._runtime(backend, lib, call) as rt:
+            ns = rt.make_namespace()
+            rt.instantiate("lib", ns)
+            rt.budget = Budget(steps=steps)
+            with pytest.raises(ReproError) as excinfo:
+                rt.run("main", ns)
+            assert excinfo.value.code == "G006"
+            assert "lib" in str(excinfo.value)
+            assert "main" not in ns.instantiated  # nothing of main ran
+            assert rt.budget.steps_used == 0
+
+    def test_governed_then_ungoverned_is_allowed(self, backend):
+        with self._runtime(backend, COUNT_LIB, "(count-up 500)") as rt:
+            ns = rt.make_namespace()
+            rt.budget = Budget(steps=100)
+            rt.instantiate("lib", ns)
+            rt.budget = None
+            assert rt.run("main", ns) == "500\n"
+
+    def test_governed_code_charges_the_active_guard(self, backend):
+        """A module instantiated under one budget charges the budget of
+        the run that enters its code."""
+        with self._runtime(backend, COUNT_LIB, "(count-up 500)") as rt:
+            ns = rt.make_namespace()
+            rt.budget = Budget()
+            rt.instantiate("lib", ns)
+            rt.budget = Budget(steps=100)
+            with pytest.raises(BudgetExhausted) as excinfo:
+                rt.run("main", ns)
+            assert excinfo.value.code == "G001"
+            assert excinfo.value.steps_consumed == 101
 
 
 class TestObservability:

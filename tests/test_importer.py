@@ -218,6 +218,21 @@ class TestImportBudget:
         mod = importlib.import_module("app.spin")
         assert [mod.spin(400) for _ in range(5)] == [400] * 5
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_allocation_budget_ends_with_the_import(self, project, backend):
+        """Allocation charges go to the guard active at the call too: a
+        provide that conses 300 pairs runs after an import whose budget
+        allowed 100 allocations."""
+        (project / "build.rkt").write_text(
+            "#lang racket\n(define (build n)\n"
+            "  (if (= n 0) '() (cons n (build (- n 1)))))\n"
+            "(provide build)\n"
+        )
+        install(Runtime(cache=False, backend=backend),
+                budget={"allocations": 100})
+        mod = importlib.import_module("app.build")
+        assert len(list(mod.build(300))) == 300
+
 
 class TestWarmImports:
     @pytest.mark.parametrize("backend", BACKENDS)

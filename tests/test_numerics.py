@@ -67,6 +67,41 @@ class TestDivision:
     def test_zero_over_float_zero_is_nan(self):
         assert math.isnan(num.generic_div(0.0, 0.0))
 
+    @pytest.mark.parametrize("a", [1.5, -1.5, 0.0, Fraction(1, 2),
+                                   complex(1.0, 2.0), 0])
+    def test_exact_zero_divisor_raises_whatever_the_dividend(self, a):
+        with use_stats(Stats()) as s:
+            with pytest.raises(WrongTypeError, match="non-zero number"):
+                num.generic_div(a, 0)
+        assert s.generic_dispatches == 1
+
+    #: a divisor computed at run time, so pyc cannot decide it statically
+    DIVIDE = "#lang racket\n(define (f x y) (/ x y))\n"
+
+    @pytest.mark.parametrize("backend", ["interp", "pyc"])
+    @pytest.mark.parametrize("expr", [
+        "(/ 1.5 0)", "(f 1.5 0)", "(/ 0.0 0)", "(f 0.0 0)", "(f -2.5 0)",
+        "(f 1/2 0)",
+    ])
+    def test_exact_zero_divisor_raises_on_both_backends(self, backend, expr):
+        with Runtime(backend=backend) as rt:
+            with pytest.raises(WrongTypeError) as excinfo:
+                rt.run_source(f"{self.DIVIDE}(displayln {expr})\n")
+            assert str(excinfo.value) == "/: expected non-zero number, given: 0"
+            assert rt.stats.generic_dispatches == 1
+
+    @pytest.mark.parametrize("backend", ["interp", "pyc"])
+    @pytest.mark.parametrize("expr, expected", [
+        ("(/ 1.5 0.0)", "+inf.0"), ("(f 1.5 0.0)", "+inf.0"),
+        ("(/ -1.5 0.0)", "-inf.0"), ("(f 1.5 -0.0)", "-inf.0"),
+        ("(f 0.0 0.0)", "+nan.0"), ("(f 3 4)", "3/4"),
+    ])
+    def test_float_zero_divisor_is_an_infinity(self, backend, expr, expected):
+        with Runtime(backend=backend) as rt:
+            out = rt.run_source(f"{self.DIVIDE}(displayln {expr})\n")
+            assert out == expected + "\n"
+            assert rt.stats.generic_dispatches == 1
+
     def test_quotient_truncates_toward_zero(self):
         assert num.generic_quotient(7, 2) == 3
         assert num.generic_quotient(-7, 2) == -3

@@ -97,3 +97,19 @@ def test_typed_flonum_division_by_zero(backend):
         out = rt.run_source(source)
         assert rt.stats.snapshot()["unsafe_ops"] == 4
     assert out == "(+inf.0 -inf.0 +nan.0 1.5)\n"
+
+
+@pytest.mark.parametrize("source", [
+    # a constant exact 0 divisor is decided at compile time: the site is
+    # only the primitive's call, never the flonum path
+    "(define (f a) (/ a 0))\n(f 1.5)",
+    # a variable one fails the run-time representation test
+    "(define (f a b) (/ a b))\n(f 1.5 0)",
+])
+def test_exact_zero_divisor_calls_the_primitive(primitive_calls, source):
+    from repro.errors import WrongTypeError
+
+    with Runtime(backend="pyc") as rt:
+        with pytest.raises(WrongTypeError, match="non-zero number"):
+            rt.run_source("#lang racket\n" + source + "\n")
+    assert primitive_calls["/"] == 1

@@ -22,7 +22,7 @@ from typing import Optional
 
 import pytest
 
-from repro.faults import FaultPlan, FaultRule, use_fault_plan
+from repro.faults import FaultPlan, FaultRule
 from repro.serve import ReproServer
 from repro.serve.server import MAX_BODY_BYTES, _BadRequest, _Handler
 
@@ -42,6 +42,14 @@ BUSY = (
 def srv(tmp_path):
     with ReproServer(cache_dir=str(tmp_path / "cache")) as server:
         yield server
+
+
+def with_fault_plan(server, tenant, plan):
+    """Pool a Runtime for ``tenant`` whose cache injects ``plan``'s faults:
+    the tenant's next request checks it out."""
+    rt = server.pool.checkout(tenant)
+    rt.cache.fault_plan = plan
+    server.pool.checkin(tenant, rt)
 
 
 class TestEnvelope:
@@ -270,10 +278,11 @@ class TestFaults:
     def test_cache_fault_degrades_with_diagnostics(self, srv):
         srv.handle("POST", "/run", {"source": HELLO, "tenant": "a"})
         plan = FaultPlan(rules=[FaultRule("cache.read", "garble", times=1)])
-        with use_fault_plan(plan):
-            _, payload = srv.handle(
-                "POST", "/run", {"source": HELLO, "tenant": "b"}
-            )
+        with_fault_plan(srv, "b", plan)
+        _, payload = srv.handle(
+            "POST", "/run", {"source": HELLO, "tenant": "b"}
+        )
+        assert plan.fired == [("cache.read", "garble")]
         # the garbled artifact is quarantined and the module recompiled:
         # the request still succeeds, carrying the C-coded warning
         assert payload["ok"] is True and payload["output"] == "42\n"
@@ -354,10 +363,11 @@ class TestHTTP:
     def test_cache_fault_over_http(self, srv):
         self._post(srv.url, "/run", {"source": HELLO, "tenant": "a"})
         plan = FaultPlan(rules=[FaultRule("cache.read", "garble", times=1)])
-        with use_fault_plan(plan):
-            status, payload = self._post(
-                srv.url, "/run", {"source": HELLO, "tenant": "b"}
-            )
+        with_fault_plan(srv, "b", plan)
+        status, payload = self._post(
+            srv.url, "/run", {"source": HELLO, "tenant": "b"}
+        )
+        assert plan.fired == [("cache.read", "garble")]
         assert status == 200 and payload["ok"] is True
         assert payload["output"] == "42\n"
         assert payload.get("diagnostics"), payload
