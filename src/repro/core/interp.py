@@ -96,14 +96,21 @@ def apply_procedure(fn: Any, args: list[Any]) -> Any:
 
     The one trampoline of both backends. It charges nothing: a closure
     compiled or linked under a guard charges its own entry (see the module
-    docstring), so governed and ungoverned code share this loop.
+    docstring), so governed and ungoverned code share this loop. A call
+    with exactly the parameter count of a closure without a rest
+    parameter uses ``args`` as its frame; only the others take
+    :func:`_make_frame`.
     """
     while True:
         t = type(fn)
         if t is Closure:
-            result = fn.body((_make_frame(fn, args), fn.env))
+            if fn.rest or len(args) != fn.params:
+                args = _make_frame(fn, args)
+            result = fn.body((args, fn.env))
         elif t is PyClosure:
-            result = fn.fn(*_make_frame(fn, args))
+            if fn.rest or len(args) != fn.params:
+                args = _make_frame(fn, args)
+            result = fn.fn(*args)
         else:
             return _apply_other(fn, args)
         if type(result) is TailCall:

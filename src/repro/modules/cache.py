@@ -125,12 +125,15 @@ if TYPE_CHECKING:
 #: behind ``_G``), and a direct call of a hoisted function is the plain
 #: Python call in both modes: a v9 unit charged governed calls through
 #: ``_apply``, so linked under a guard now it would charge nothing
-FORMAT_VERSION = 10
+#: v11: pyc calls known local procedures and acyclic tail calls directly
+#: and copies unassigned captures into closures; a v10 unit still runs
+#: correctly, but a warm cache would keep serving its trampolined calls
+FORMAT_VERSION = 11
 
 #: artifact envelope: MAGIC + SHA-256(payload) + payload. The digest makes
 #: corruption (truncation, bit-flips) a *detected* condition rather than a
 #: probabilistic unpickling failure.
-MAGIC = b"REPROZO\x0a"
+MAGIC = b"REPROZO\x0b"
 
 _DIGEST_LEN = 32
 

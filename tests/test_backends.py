@@ -557,6 +557,166 @@ class TestGuardParity:
 
 
 # ---------------------------------------------------------------------------
+# pyc calls with a known target (DESIGN.md §9): known local procedures,
+# acyclic direct tail calls and flat closures keep interp's semantics
+# ---------------------------------------------------------------------------
+
+#: the budgets every program below runs under: none, counting only, and
+#: limits that the runs below reach on some programs
+CALL_BUDGETS = (None, True, {"max_depth": 40}, {"steps": 5000})
+
+CALL_PROGRAMS = {
+    # a self tail call loop whose closures capture the parameter and a
+    # `let` id of the body: each closure keeps its own iteration's value
+    "closure-per-iteration": """#lang racket
+(define (collect i acc)
+  (if (= i 5)
+      acc
+      (let ([j (* i 10)])
+        (collect (+ i 1) (cons (lambda () (+ i j)) acc)))))
+(displayln (map (lambda (f) (f)) (collect 0 '())))
+(define (named n)
+  (let loop ([i 0] [acc '()])
+    (if (= i n) acc (loop (+ i 1) (cons (lambda () i) acc)))))
+(displayln (map (lambda (f) (f)) (named 4)))
+""",
+    # a closure over a `set!` parameter shares its cell: the loop that
+    # makes it must not rebind one cell for every iteration
+    "closure-over-set!-local": """#lang racket
+(define (collect i acc)
+  (if (= i 3)
+      acc
+      (collect (+ i 1) (cons (lambda () (set! i (+ i 100)) i) acc))))
+(displayln (map (lambda (f) (f)) (collect 0 '())))
+(define (pair)
+  (let ([x 1])
+    (let ([get (lambda () x)] [put (lambda (v) (set! x v))])
+      (put 5)
+      (get))))
+(displayln (pair))
+""",
+    # a closure made before a letrec procedure is initialized sees it
+    # once it is
+    "closure-over-letrec-procedure": """#lang racket
+(define (f)
+  (letrec ([call-h (lambda () (h 1))]
+           [saved call-h]
+           [h (lambda (n) (* n 10))])
+    (saved)))
+(displayln (f))
+""",
+    # a letrec procedure called before its clause runs
+    "letrec-call-before-initialization": """#lang racket
+(define (f)
+  (letrec ([a (lambda () (b 1))]
+           [x (a)]
+           [b (lambda (n) n)])
+    x))
+(f)
+""",
+    "non-tail-call-of-a-later-definition": """#lang racket
+(define (f n) (+ 1 (g n)))
+(displayln (f 1))
+(define (g n) n)
+""",
+    "tail-call-of-a-later-definition": """#lang racket
+(define (f n) (g n))
+(displayln (f 1))
+(define (g n) n)
+""",
+    # a chain of known procedures in tail position inside a non-tail
+    # recursion: every level charges each procedure's entry
+    "known-tail-chain": """#lang racket
+(define (deep n)
+  (let ([k1 (lambda (m) (+ 1 (deep (- m 1))))])
+    (let ([k2 (lambda (m) (k1 m))])
+      (let ([k3 (lambda (m) (k2 m))])
+        (if (= n 0) 0 (k3 n))))))
+(displayln (deep 200))
+""",
+    "top-level-tail-chain": """#lang racket
+(define (a n) (if (= n 0) 0 (b n)))
+(define (b n) (c n))
+(define (c n) (+ 1 (a (- n 1))))
+(displayln (a 200))
+""",
+}
+
+#: mutual tail recursion far past CPython's recursion limit
+MUTUAL_TAIL = {
+    "top-level": """#lang racket
+(define (ev? n) (if (= n 0) #t (od? (- n 1))))
+(define (od? n) (if (= n 0) #f (ev? (- n 1))))
+(displayln (ev? 200000))
+""",
+    "letrec": """#lang racket
+(define (run n)
+  (letrec ([ev? (lambda (n) (if (= n 0) #t (od? (- n 1))))]
+           [od? (lambda (n) (if (= n 0) #f (ev? (- n 1))))])
+    (ev? n)))
+(displayln (run 200000))
+""",
+    "known-hop": """#lang racket
+(define (g n) (let ([k (lambda (m) (h m))]) (k n)))
+(define (h n) (if (= n 0) 'done (g (- n 1))))
+(displayln (g 200000))
+""",
+}
+
+
+@pytest.mark.parametrize("budget", CALL_BUDGETS, ids=str)
+@pytest.mark.parametrize("name", sorted(CALL_PROGRAMS))
+def test_known_call_differential(name, budget):
+    assert_backends_agree(CALL_PROGRAMS[name], budget=budget)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("closure-per-iteration", "(44 33 22 11 0)\n(3 2 1 0)\n"),
+    ("closure-over-set!-local", "(102 101 100)\n5\n"),
+    ("closure-over-letrec-procedure", "10\n"),
+    ("known-tail-chain", "200\n"),
+    ("top-level-tail-chain", "200\n"),
+])
+def test_known_call_output(name, expected):
+    output, error, _ = run_under("pyc", CALL_PROGRAMS[name])
+    assert (output, error) == (expected, None)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("letrec-call-before-initialization", "b: used before initialization"),
+    ("non-tail-call-of-a-later-definition",
+     "g: undefined; referenced before definition"),
+    ("tail-call-of-a-later-definition",
+     "g: undefined; referenced before definition"),
+])
+def test_call_before_definition_raises(name, message):
+    _, error, _ = run_under("pyc", CALL_PROGRAMS[name])
+    assert error is not None and error[2] == message
+
+
+@pytest.mark.parametrize("name", ["known-tail-chain", "top-level-tail-chain"])
+def test_tail_chain_g003_at_interp_step_count(name):
+    budget = {"max_depth": 40}
+    assert_backends_agree(CALL_PROGRAMS[name], budget=budget)
+    _, error, _ = run_under("pyc", CALL_PROGRAMS[name], budget=budget)
+    assert error[1] == "G003"
+
+
+@pytest.mark.parametrize("budget", [None, {"max_depth": 40},
+                                    {"steps": 150000}], ids=str)
+@pytest.mark.parametrize("shape", sorted(MUTUAL_TAIL))
+def test_deep_mutual_tail_recursion(shape, budget):
+    """No RecursionError on either backend, and the same step count at
+    G001 when a budget ends the run."""
+    assert_backends_agree(MUTUAL_TAIL[shape], budget=budget)
+    output, error, _ = run_under("pyc", MUTUAL_TAIL[shape], budget=budget)
+    if budget is not None and "steps" in budget:
+        assert error[1] == "G001"
+    else:
+        assert error is None and output in ("#t\n", "done\n")
+
+
+# ---------------------------------------------------------------------------
 # examples/ as subprocesses, selected via $REPRO_BACKEND
 # ---------------------------------------------------------------------------
 
