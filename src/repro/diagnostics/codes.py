@@ -3,7 +3,7 @@
 Codes never change meaning once assigned, so tools (editors, CI annotators,
 test suites) can match on them instead of on message text. The namespaces:
 
-- ``R00x`` — reader / lexer errors
+- ``R00x`` — reader errors
 - ``E00x`` — expander errors
 - ``T00x`` — typechecker errors
 - ``M00x`` — module system errors

@@ -95,7 +95,7 @@ def _source_line(
     sources: Optional[Mapping[str, str]], loc: Optional["SrcLoc"]
 ) -> Optional[str]:
     """The 1-based ``loc.line``-th line of ``loc.source``'s text, or None.
-    Only a newline ends a line, as the lexer counts them (``splitlines``
+    Only a newline ends a line, as the reader counts them (``splitlines``
     would also split at form feeds and other separators)."""
     if sources is None or loc is None or loc.line < 1:
         return None

@@ -47,30 +47,19 @@ def _write_seq(items: list[str]) -> str:
     return " ".join(items)
 
 
-# characters that end an atom in the lexer (plus the bar/backslash the
-# |symbol| syntax itself uses)
-_SYMBOL_BREAKERS = set("()[]\";'`,| \t\n\r\\#")
-
-
 def write_symbol(name: str) -> str:
     """Render a symbol so it reads back as the same symbol.
 
-    Most names print bare; a name the reader would misparse — one that
-    lexes as a number/boolean, contains a delimiter, or starts like a hash
+    A name prints bare when the reader, given it bare, reads exactly one
+    atom that classifies as this symbol; any other name — one that reads
+    as a number or boolean, contains a delimiter, or starts like a hash
     syntax — prints in ``|...|`` bars (with ``\\|``/``\\\\`` escapes), like
     Racket's ``write``.
     """
-    body = name[2:] if name.startswith("#%") else name
-    if name and name != "." and not (_SYMBOL_BREAKERS & set(body)):
-        from repro.reader.reader import classify_atom
-        from repro.syn.srcloc import SrcLoc
+    from repro.reader.reader import reads_as_symbol
 
-        try:
-            reread = classify_atom(name, SrcLoc("<write>", 1, 0))
-        except Exception:
-            reread = None
-        if isinstance(reread, v.Symbol):
-            return name
+    if reads_as_symbol(name):
+        return name
     escaped = name.replace("\\", "\\\\").replace("|", "\\|")
     return f"|{escaped}|"
 

@@ -1,5 +1,6 @@
-"""Property: written datums read back to equal datums (reader/printer
-roundtrip), for the full value grammar."""
+"""Properties: written datums read back to equal datums (reader/printer
+roundtrip), for the full value grammar; and any text over the lexical
+alphabet either reads or raises a ``ReaderError``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.reader import read_string_one
+from repro.diagnostics.session import DiagnosticSession
+from repro.errors import ReaderError
+from repro.reader import read_string_all, read_string_one
 from repro.runtime import values as v
 from repro.runtime.equality import equal
 from repro.runtime.printing import write_value
@@ -16,17 +19,14 @@ from repro.syn.syntax import datum_to_value, syntax_to_datum
 
 # -- strategies ----------------------------------------------------------------
 
-symbols = st.from_regex(r"[a-zA-Z<>=!?*+/_-][a-zA-Z0-9<>=!?*+/_-]{0,10}", fullmatch=True).filter(
-    lambda s: s not in (".", "...", "-", "+") and not _looks_numeric(s)
+# any printable name: delimiters, `#` prefixes, `.`, `|` and `\` included
+symbols = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=10),
+    st.lists(
+        st.sampled_from(["#", "#%", "#|", "|#", ".", "|", "\\", "{", "}", ";", "a", "1", " "]),
+        max_size=6,
+    ).map("".join),
 ).map(v.Symbol)
-
-
-def _looks_numeric(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return s[0].isdigit() or (len(s) > 1 and s[0] in "+-" and s[1].isdigit())
 
 
 integers = st.integers(min_value=-(10**12), max_value=10**12)
@@ -88,3 +88,29 @@ def test_complex_roundtrip_with_infinite_and_nan_parts(re_part, im_part):
     reread = datum_to_value(syntax_to_datum(read_string_one(write_value(z))))
     assert isinstance(reread, complex), f"{write_value(z)!r} reread as {reread!r}"
     assert _same_float(reread.real, z.real) and _same_float(reread.imag, z.imag)
+
+
+# -- malformed input --------------------------------------------------------------
+
+LEXICAL_ALPHABET = (
+    list("()[]{}\"';`,@#|\\:.0123456789+-/e \t\r\n\f")
+    + [chr(c) for c in range(ord("a"), ord("z") + 1)]
+    + [chr(c) for c in range(ord("A"), ord("Z") + 1)]
+)
+# multi-character pieces over the same alphabet, so short texts reach
+# escapes, character names and nested comments
+_PIECES = ['"\\x', "\\x", "#\\u", "#\\x", "FFFFFFFFFFFFFFFFFFFFFF", "110000", "#|", "|#", "#;"]
+lexical_texts = st.lists(st.sampled_from(LEXICAL_ALPHABET + _PIECES), max_size=30).map("".join)
+
+
+@given(lexical_texts)
+@settings(max_examples=500, deadline=None)
+def test_any_text_reads_or_raises_a_reader_error(text):
+    try:
+        read_string_all(text)
+    except ReaderError as err:
+        assert err.code.startswith("R"), err.code
+    # with a session the reader records every error and never raises
+    session = DiagnosticSession("<string>")
+    read_string_all(text, session=session)
+    assert all(d.code.startswith("R") for d in session.diagnostics)

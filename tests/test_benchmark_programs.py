@@ -4,6 +4,8 @@ suite itself re-validates all of them against pinned outputs)."""
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 
 import pytest
@@ -49,3 +51,13 @@ def test_expected_outputs_pinned(harness):
         if program.expected is not None:
             result = harness.run(program, "untyped")
             assert result.output == program.expected
+
+
+def test_perfbench_snapshot_matches_the_programs():
+    """``perfbench/programs.json`` freezes these programs as the benchmark's
+    inputs; its ``figures`` entries must be exactly ``ALL_PROGRAMS``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "programs.json"), encoding="utf-8") as f:
+        figures = json.load(f)["figures"]
+    fields = ("name", "figure", "untyped", "typed", "expected")
+    assert figures == [{k: getattr(p, k) for k in fields} for p in ALL_PROGRAMS]

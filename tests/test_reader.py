@@ -13,6 +13,7 @@ from repro.reader import (
     read_string_one,
     split_lang_line,
 )
+from repro.runtime.printing import write_value
 from repro.runtime.values import Char, Keyword, Symbol
 from repro.syn.syntax import (
     ImproperList,
@@ -117,6 +118,24 @@ class TestAtoms:
     def test_string_hex_escape(self):
         assert datum(r'"\x41;"') == "A"
 
+    def test_string_hex_escape_ends_at_the_last_hex_digit(self):
+        assert datum(r'"\x41 b"') == "A b"
+        assert datum(r'"\x41\x42;c"') == "ABc"
+
+    @pytest.mark.parametrize(
+        "text", [r'"\x"', r'"\xZZ;"', r'"\x110000;"', r'"\xFFFFFFFFFFFFFFFFFFFFFF;"']
+    )
+    def test_bad_hex_escape_is_a_reader_error(self, text):
+        with pytest.raises(ReaderError) as exc_info:
+            read_string_all("x " + text, source="f.rkt")
+        assert exc_info.value.code == "R001"
+        assert str(exc_info.value.srcloc) == "f.rkt:1:2"
+
+    def test_backslash_at_end_of_input_is_an_unterminated_string(self):
+        with pytest.raises(ReaderError) as exc_info:
+            datum('"abc\\')
+        assert exc_info.value.code == "R003"
+
     def test_unterminated_string(self):
         with pytest.raises(ReaderError):
             datum('"oops')
@@ -135,6 +154,11 @@ class TestAtoms:
     def test_unknown_char_name(self):
         with pytest.raises(ReaderError):
             datum(r"#\bogus")
+
+    def test_char_code_point_too_large(self):
+        with pytest.raises(ReaderError) as exc_info:
+            datum(r"#\uFFFFFFFFFFFFFFFFFFFFFF")
+        assert exc_info.value.code == "R001"
 
 
 class TestCompound:
@@ -315,3 +339,25 @@ class TestMultipleDatums:
     def test_read_one_rejects_extra(self):
         with pytest.raises(ReaderError):
             read_string_one("1 2")
+
+
+class TestWriteReadsBack:
+    @pytest.mark.parametrize(
+        "name, written",
+        [
+            ("plain", "plain"),
+            ("#%app", "#%app"),
+            ("a#b", "a#b"),
+            ("a{b", "|a{b|"),
+            ("}", "|}|"),
+            ("#foo", "|#foo|"),
+            ("#|x", "|#\\|x|"),
+            (".", "|.|"),
+            ("1", "|1|"),
+            ("", "||"),
+            ("a b", "|a b|"),
+        ],
+    )
+    def test_symbol_written_bare_only_when_it_reads_back(self, name, written):
+        assert write_value(Symbol(name)) == written
+        assert datum(written) is Symbol(name)
