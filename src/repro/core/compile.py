@@ -21,8 +21,17 @@ step and one depth level, to the guard active when the body is entered
 (the lines of :func:`~repro.guard.budget.charge_entry`, which pyc's
 functions call), and allocating primitive sites charge one allocation
 when the guard has an allocation limit. Under no guard it emits no charging code.
-Application sites call :func:`~repro.core.interp.apply_procedure` either
-way: it is the one trampoline, and it charges nothing (DESIGN §8).
+
+Calls with a known target skip the trampoline, on the lower pass's facts
+(:mod:`repro.core.lower`) that pyc uses too: a call of a hoisted
+top-level function or a known local procedure with its arity enters the
+callee's body directly. A non-tail one drains a ``TailCall`` the body
+returns; a tail one is direct only when ``direct_tail`` holds it and no
+guard is compiled in. Every other application goes through
+:func:`~repro.core.interp.apply_procedure`, the one trampoline, which
+charges nothing (DESIGN §8); in tail position a closure goes back to it
+as a ``TailCall``. These sites and a hoisted function's write their
+argument lists out up to four arguments.
 """
 
 from __future__ import annotations
@@ -30,15 +39,18 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core import ast
-from repro.core.interp import UNDEFINED, apply_procedure, tail_apply
+from repro.core.interp import UNDEFINED, TailCall, apply_procedure
 from repro.core.lower import kernel_primitive
 from repro.core.namespace import Namespace
 from repro.errors import RuntimeReproError
 from repro.guard.budget import current_guard
-from repro.runtime.values import Closure, Values
+from repro.runtime.values import Closure, PyClosure, Values
 from repro.syn.binding import LocalBinding, ModuleBinding
 
 Compiled = Callable[[Any], Any]
+
+#: the procedures a tail call returns to the trampoline as a ``TailCall``
+_BOUNCE = (Closure, PyClosure)
 
 class CEnv:
     """Compile-time environment: local binding uid -> (depth, index)."""
@@ -72,9 +84,21 @@ class Compiler:
         # code carries no hooks at all.
         self.guard = current_guard()
         #: optional :class:`repro.core.lower.ModuleAnalysis` — when present,
-        #: reads of bindings the lower pass proves initialized (parameters,
-        #: non-recursive let ids) skip the UNDEFINED check
+        #: calls with a known target skip the trampoline, and reads of
+        #: bindings the lower pass proves initialized skip the UNDEFINED
+        #: check: parameters, non-recursive let ids, and ``ready_uids``,
+        #: which nothing reads before their ``letrec`` has bound them all
         self.analysis = analysis
+        self.unchecked: set[int] = set() if analysis is None else (
+            analysis.initialized_uids | analysis.ready_uids
+        )
+        #: the body of each hoisted lambda, in a one-element holder filled
+        #: when the lambda compiles, so calls compiled before it reach it
+        self.bodies: dict[int, list[Any]] = {} if analysis is None else {
+            id(lam): [None] for _index, lam in analysis.hoisted.values()
+        }
+        #: index of the module-level form after the one being compiled
+        self.next_form = 0
 
     # -- expressions ------------------------------------------------------
 
@@ -113,10 +137,7 @@ class Compiler:
             raise RuntimeReproError(f"compile: local {node.name} not in scope")
         depth, idx = loc
         name = node.name
-        if (
-            self.analysis is not None
-            and node.binding.uid in self.analysis.initialized_uids
-        ):
+        if node.binding.uid in self.unchecked:
             if depth == 0:
                 return lambda env: env[0][idx]
             if depth == 1:
@@ -198,6 +219,9 @@ class Compiler:
         body_fn = self._compile_body(node.body, inner, True)
         if self.guard is not None:
             body_fn = _charged_body(body_fn, name)
+        holder = self.bodies.get(id(node))
+        if holder is not None:
+            holder[0] = body_fn
         nparams = len(node.params)
         has_rest = node.rest is not None
 
@@ -297,11 +321,58 @@ class Compiler:
                 return lambda env: pyfn(a0(env), a1(env), a2(env))
             return lambda env: pyfn(*[a(env) for a in compiled_args])
 
-        compiled_args = tuple(self.compile_expr(a, cenv, False) for a in node.args)
-        fn = self.compile_expr(node.fn, cenv, False)
-        if tail:
-            return lambda env: tail_apply(fn(env), [a(env) for a in compiled_args])
-        return lambda env: apply_procedure(fn(env), [a(env) for a in compiled_args])
+        args = tuple(self.compile_expr(a, cenv, False) for a in node.args)
+        direct = self._direct_app(node, cenv, tail, args)
+        if direct is not None:
+            return direct
+        return _trampoline_site(self.compile_expr(node.fn, cenv, False), args, tail)
+
+    def _direct_app(self, node: ast.App, cenv: Optional[CEnv], tail: bool,
+                    args: tuple[Compiled, ...]) -> Optional[Compiled]:
+        """A call of a hoisted function or a known procedure with its arity
+        (``ModuleAnalysis.hoisted``/``known``) enters the callee's body
+        directly, as pyc's ``_direct_callee`` does. A non-tail call drains
+        a returned ``TailCall`` whatever ``LambdaInfo.bounces`` says: that
+        fact counts pyc's loop-safe self tail calls as loops, and interp's
+        bounce. A tail call is direct only in ``direct_tail`` and under no
+        guard (a governed caller holds its depth level until it returns),
+        and returns what the callee does to the caller's trampoline. Every
+        other call of these takes the trampoline."""
+        analysis = self.analysis
+        if analysis is None or (tail and (
+                self.guard is not None or id(node) not in analysis.direct_tail)):
+            return None
+        fn = node.fn
+        if type(fn) is ast.LocalRef and fn.binding.uid in analysis.known:
+            get = self._compile_local_ref(fn, cenv)
+            drain = not tail
+
+            def known_site(env: Any) -> Any:
+                c = get(env)
+                r = c.body(([a(env) for a in args], c.env))
+                return apply_procedure(r.fn, r.args) if drain and type(r) is TailCall else r
+
+            return known_site
+        if type(fn) is not ast.ModuleRef:
+            return None
+        key = fn.binding.key()
+        entry = analysis.hoisted.get(key)
+        if entry is None or len(entry[1].params) != len(args):
+            return None  # the trampoline raises the ArityError
+        index, lam = entry
+        site = _hoisted_site(self.bodies[id(lam)], args, tail)
+        if index < self.next_form:
+            return site
+        # the defining form comes later: it may not have run yet
+        cell = self.ns.cell(key)
+        name = fn.binding.name.name
+
+        def defined_first(env: Any) -> Any:
+            if cell[0] is UNDEFINED:
+                raise RuntimeReproError(f"{name}: undefined; referenced before definition")
+            return site(env)
+
+        return defined_first
 
     def _frame_slot(self, node: ast.CoreExpr, cenv: Optional[CEnv]) -> Optional[int]:
         """The innermost-frame index of ``node`` when it is a local that the
@@ -309,8 +380,7 @@ class Compiler:
         if (
             type(node) is ast.LocalRef
             and cenv is not None
-            and self.analysis is not None
-            and node.binding.uid in self.analysis.initialized_uids
+            and node.binding.uid in self.unchecked
         ):
             return cenv.mapping.get(node.binding.uid)
         return None
@@ -348,6 +418,8 @@ class Compiler:
     # -- module-level forms -------------------------------------------------
 
     def compile_module_form(self, form: ast.ModuleForm) -> Callable[[], Any]:
+        """Compile the module's next form: forms compile in their order."""
+        self.next_form += 1
         if isinstance(form, ast.DefineValues):
             expr = self.compile_expr(form.expr, None, False)
             cells = [self.ns.cell(b.key()) for b in form.bindings]
@@ -390,6 +462,87 @@ def _charged_body(run: Compiled, name: str) -> Compiled:
             guard.depth -= 1
 
     return body
+
+
+def _trampoline_site(fn: Compiled, args: tuple[Compiled, ...], tail: bool) -> Compiled:
+    """An application through the one trampoline. In tail position, a
+    closure goes back to the caller's trampoline as a ``TailCall`` and
+    anything else is applied (:func:`~repro.core.interp.tail_apply`,
+    inlined). The argument list is written out up to four arguments: a
+    list comprehension runs in a frame of its own."""
+    n = len(args)
+    if n == 1:
+        a0, = args
+
+        def site(env: Any) -> Any:
+            f = fn(env)
+            argv = [a0(env)]
+            return TailCall(f, argv) if tail and type(f) in _BOUNCE else apply_procedure(f, argv)
+    elif n == 2:
+        a0, a1 = args
+
+        def site(env: Any) -> Any:
+            f = fn(env)
+            argv = [a0(env), a1(env)]
+            return TailCall(f, argv) if tail and type(f) in _BOUNCE else apply_procedure(f, argv)
+    elif n == 3:
+        a0, a1, a2 = args
+
+        def site(env: Any) -> Any:
+            f = fn(env)
+            argv = [a0(env), a1(env), a2(env)]
+            return TailCall(f, argv) if tail and type(f) in _BOUNCE else apply_procedure(f, argv)
+    elif n == 4:
+        a0, a1, a2, a3 = args
+
+        def site(env: Any) -> Any:
+            f = fn(env)
+            argv = [a0(env), a1(env), a2(env), a3(env)]
+            return TailCall(f, argv) if tail and type(f) in _BOUNCE else apply_procedure(f, argv)
+    else:
+        def site(env: Any) -> Any:
+            f = fn(env)
+            argv = [a(env) for a in args]
+            return TailCall(f, argv) if tail and type(f) in _BOUNCE else apply_procedure(f, argv)
+    return site
+
+
+def _hoisted_site(holder: list[Compiled], args: tuple[Compiled, ...],
+                  tail: bool) -> Compiled:
+    """A direct call of a hoisted function: its body, from ``holder``, on
+    the argument list and no closure environment; a non-tail call drains
+    a returned ``TailCall`` (:meth:`Compiler._direct_app`)."""
+    n = len(args)
+    drain = not tail
+    if n == 1:
+        a0, = args
+
+        def site(env: Any) -> Any:
+            r = holder[0](([a0(env)], None))
+            return apply_procedure(r.fn, r.args) if drain and type(r) is TailCall else r
+    elif n == 2:
+        a0, a1 = args
+
+        def site(env: Any) -> Any:
+            r = holder[0](([a0(env), a1(env)], None))
+            return apply_procedure(r.fn, r.args) if drain and type(r) is TailCall else r
+    elif n == 3:
+        a0, a1, a2 = args
+
+        def site(env: Any) -> Any:
+            r = holder[0](([a0(env), a1(env), a2(env)], None))
+            return apply_procedure(r.fn, r.args) if drain and type(r) is TailCall else r
+    elif n == 4:
+        a0, a1, a2, a3 = args
+
+        def site(env: Any) -> Any:
+            r = holder[0](([a0(env), a1(env), a2(env), a3(env)], None))
+            return apply_procedure(r.fn, r.args) if drain and type(r) is TailCall else r
+    else:
+        def site(env: Any) -> Any:
+            r = holder[0](([a(env) for a in args], None))
+            return apply_procedure(r.fn, r.args) if drain and type(r) is TailCall else r
+    return site
 
 
 def charging_alloc(fn: Callable[..., Any]) -> Callable[..., Any]:

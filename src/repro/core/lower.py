@@ -31,17 +31,20 @@ backend needs to emit better code than a naive tree traversal:
 - **known local procedures** (``ModuleAnalysis.known``): lambdas bound by
   a single-id ``let``/``letrec`` clause, with no rest parameter, never
   ``set!``, referenced only as the operator of calls with their exact
-  arity, and reached by no cyclic tail call. pyc emits them as bare
-  ``def``s and calls them directly; ``ready_uids`` are the ``letrec``
+  arity, and reached by no cyclic tail call. Both backends call them
+  directly (pyc emits them as bare ``def``s, interp enters the body of
+  the closure in their frame slot); ``ready_uids`` are the ``letrec``
   ids no call of which can run before initialization;
 - **direct tail calls** (``ModuleAnalysis.direct_tail``): the tail-call
   graph has a node per lambda and an edge per tail call of a hoisted
   top-level function (``ModuleAnalysis.hoisted``) or a known procedure.
   A tail call whose callee cannot reach back to its caller (they lie in
-  different strongly connected components) may be a direct Python call:
-  a chain of such calls never enters a lambda twice, so proper tail calls
-  hold. ``LambdaInfo.bounces`` says whether a direct call of a hoisted or
-  known lambda may return a ``TailCall`` the caller must drain;
+  different strongly connected components) may be a direct call on
+  either backend: a chain of such calls never enters a lambda twice, so
+  proper tail calls hold. ``LambdaInfo.bounces`` says whether a pyc
+  direct call of a hoisted or known lambda may return a ``TailCall`` the
+  caller must drain. It counts loop-safe self tail calls as pyc's loops;
+  interp's bounce, so interp drains every non-tail direct call;
 - **kernel primitives** (:func:`kernel_primitive`): which references
   denote a ``#%kernel`` primitive. That is a static fact: a module-level
   definition binds the module's own key (it shadows the ``#lang`` import),
@@ -76,8 +79,8 @@ class LambdaInfo:
     #: the captures that are never ``set!`` and not ``letrec``-bound, which
     #: pyc copies into the closure when it is made
     flat: frozenset[int] = frozenset()
-    #: for a hoisted or known procedure: may a direct call of it return a
-    #: ``TailCall`` (some tail path bounces off the trampoline)?
+    #: for a hoisted or known procedure: may a pyc direct call of it
+    #: return a ``TailCall`` (some tail path bounces off the trampoline)?
     bounces: bool = True
 
 
@@ -91,7 +94,8 @@ class ModuleAnalysis:
     mutated_module_keys: set[tuple] = field(default_factory=set)
     lambdas: dict[int, LambdaInfo] = field(default_factory=dict)
     #: module binding key -> (index of its defining form, lambda) for the
-    #: top-level functions pyc hoists to module scope
+    #: top-level functions pyc hoists to module scope and both backends
+    #: call directly
     hoisted: dict[tuple, tuple[int, ast.Lambda]] = field(default_factory=dict)
     #: known local procedures: binding uid -> lambda
     known: dict[int, ast.Lambda] = field(default_factory=dict)

@@ -44,6 +44,7 @@ _BLOCK_RE = re.compile(r"#\||\|#")
 _NEWLINE_RE = re.compile(r"\n")
 _STRING_ESCAPE_RE = re.compile(r"\\(?:x([0-9a-fA-F]*);?|(.))", re.DOTALL)
 _BAR_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
 _STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"'}
 _CHAR_NAMES = {
@@ -141,11 +142,12 @@ def _char(name: str, loc: SrcLoc) -> Char:
         return Char(name)
     if name in _CHAR_NAMES:
         return Char(_CHAR_NAMES[name])
-    if name[:1] in ("u", "x"):
-        try:
-            return Char(chr(int(name[1:], 16)))
-        except (ValueError, OverflowError):
-            pass
+    if name[:1] in ("u", "x") and _HEX_RE.fullmatch(name, 1):
+        code = int(name[1:], 16)
+        if 0xD800 <= code <= 0xDFFF:
+            raise ReaderError(f"#\\{name} is a surrogate, not a character", loc)
+        if code <= 0x10FFFF:
+            return Char(chr(code))
     raise ReaderError(f"unknown character literal: #\\{name}", loc)
 
 
@@ -227,13 +229,18 @@ class Reader:
             digits, esc = m.groups()
             if esc in _STRING_ESCAPES:
                 return _STRING_ESCAPES[esc]
-            if digits and int(digits, 16) <= 0x10FFFF:
-                return chr(int(digits, 16))
+            code = int(digits, 16) if digits else None
+            if code is not None and code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                return chr(code)
             self.pos = offset + m.end()
             if esc is not None:
                 raise ReaderError(f"unknown string escape: \\{esc}", loc)
-            if not digits:
+            if code is None:
                 raise ReaderError("string escape \\x has no hex digits", loc)
+            if code <= 0x10FFFF:
+                raise ReaderError(
+                    f"string escape \\x{digits} is a surrogate, not a character", loc
+                )
             raise ReaderError(
                 f"string escape \\x{digits} is beyond the last code point, 10FFFF", loc
             )

@@ -160,6 +160,31 @@ class TestAtoms:
             datum(r"#\uFFFFFFFFFFFFFFFFFFFFFF")
         assert exc_info.value.code == "R001"
 
+    @pytest.mark.parametrize(
+        "text", [r"#\u+41", r"#\u4_1", r"#\u0x41", r"#\x-41", r"#\uD800", r"#\xDFFF"]
+    )
+    def test_char_code_point_is_hex_digits_and_no_surrogate(self, text):
+        """A code point is hex digits only, as Python's `int(s, 16)` is
+        not (it takes a sign, `_` and a `0x` prefix), and names no
+        surrogate, which no port could write."""
+        with pytest.raises(ReaderError) as exc_info:
+            read_string_all("x " + text, source="f.rkt")
+        assert exc_info.value.code == "R001"
+        assert str(exc_info.value.srcloc) == "f.rkt:1:2"
+
+    @pytest.mark.parametrize("text", [r'"a\xD800;b"', r'"\xdfff"'])
+    def test_surrogate_string_escape_is_a_reader_error(self, text):
+        with pytest.raises(ReaderError) as exc_info:
+            read_string_all("x " + text, source="f.rkt")
+        assert exc_info.value.code == "R001"
+        assert "surrogate" in str(exc_info.value)
+        assert str(exc_info.value.srcloc) == "f.rkt:1:2"
+
+    def test_code_points_next_to_the_surrogates_read(self):
+        assert datum(r"#\uD7FF") == Char("\uD7FF")
+        assert datum(r"#\uE000") == Char("\uE000")
+        assert datum(r'"\xD7FF;\xE000;"') == "\uD7FF\uE000"
+
 
 class TestCompound:
     def test_empty_list(self):
